@@ -16,6 +16,9 @@
 //!   (the linked slot-store must stay decisively faster than hashing; it
 //!   is also the canary for the `NoopTracer` zero-cost claim, since the
 //!   executors run fully traced-out);
+//! * **admission gate** — `lint_over_compile`: the `lint_linked` pass
+//!   every plan-store load runs, over a compile of the same plan (the
+//!   lint must stay a small fraction of what a disk hit saves);
 //! * **serving** — `warm_over_cold`: amortized per-run cost of a cached
 //!   batch vs per-run recompilation;
 //! * **packing** — `packed_over_sequential`: per-member cost of the lane
@@ -40,6 +43,7 @@ use lowband_bench::report::{
     budget_section, reservoir_section, results_dir, Json, Reservoir, DEFAULT_TOLERANCE,
 };
 use lowband_bench::{block_workload, TablePrinter};
+use lowband_check::lint_linked;
 use lowband_core::budget::entries_for_observed;
 use lowband_core::{compile_schedule, run_algorithm, Algorithm, BatchMode};
 use lowband_matrix::{Fp, SparseMatrix, Wrap64};
@@ -135,16 +139,26 @@ fn measure(k: usize) -> Measurements {
     probe("linked_run_ns", linked_ns);
     probe("linked_over_hash", linked_ns / hash_ns);
 
+    // ---- admission-gate probe: link-fidelity lint vs compile --------------
+    let mut res = Reservoir::new(k);
+    let lint_ns = median_ns(k, &mut res, || {
+        assert!(
+            lint_linked(&schedule, &linked).is_clean(),
+            "plan lints clean"
+        );
+    });
+    reservoirs.push(("perfgate.lint_linked_nanos".to_string(), res));
+    probe("lint_over_compile", lint_ns / compile_ns);
+
     // ---- serving probe: warm vs cold amortized per-run --------------------
     let small = block_workload(4, 8);
     let algorithm = Algorithm::BoundedTriangles;
     let seeds: Vec<u64> = (0..16u64).map(|s| 1000 + s).collect();
     let mut res = Reservoir::new(k);
     let cold_ns = median_ns(k, &mut res, || {
-        seeds
-            .iter()
-            .map(|&s| run_algorithm::<Fp>(&small, algorithm, s).expect("cold run"))
-            .count()
+        for &s in &seeds {
+            std::hint::black_box(run_algorithm::<Fp>(&small, algorithm, s).expect("cold run"));
+        }
     }) / seeds.len() as f64;
     reservoirs.push(("perfgate.cold_batch_nanos".to_string(), res));
 

@@ -6,7 +6,9 @@
 //! same-round read-after-overwrite and write-write hazards, and the
 //! schedule's declared round/message totals. [`lint_linked`] then checks a
 //! [`LinkedSchedule`] against its source: step counts and indices, per-step
-//! event counts, slot bounds, and slot↔key interning agreement.
+//! event counts, slot bounds, and slot↔key interning agreement. It pairs
+//! events in the linker's order without hashing and falls back to an
+//! order-free matcher only where that order disagrees.
 //!
 //! Liveness needs to know which keys the runtime loads before execution
 //! starts; [`LintOptions::preloaded`] supplies that predicate. The default
@@ -338,19 +340,16 @@ fn check_slot_key(
     slot: u32,
     expected: Key,
 ) {
-    if !check_slot(report, linked, step, node, slot) {
+    if slot_holds(linked, node, slot, expected) || !check_slot(report, linked, step, node, slot) {
         return;
     }
-    let found = linked.key_of(NodeId(node), slot);
-    if found != expected {
-        report.push(CheckError::SlotKeyMismatch {
-            step,
-            node: NodeId(node),
-            slot,
-            expected,
-            found,
-        });
-    }
+    report.push(CheckError::SlotKeyMismatch {
+        step,
+        node: NodeId(node),
+        slot,
+        expected,
+        found: linked.key_of(NodeId(node), slot),
+    });
 }
 
 /// Pop the next not-yet-claimed source index bucketed under `key`. The
@@ -392,9 +391,9 @@ fn lint_linked_round(
         }
         return;
     }
-    // Linking stable-sorts a round's transfers by destination node; match
-    // each linked transfer to a not-yet-claimed source transfer with the
-    // same endpoints rather than assuming an order. Indexing the source
+    // The round is not in link order (or some pair disagrees): match each
+    // linked transfer to a not-yet-claimed source transfer with the same
+    // endpoints rather than assuming an order. Indexing the source
     // round up front keeps the match linear — a per-transfer rescan is
     // quadratic in the round's fan-in, which dominates lint time on dense
     // block workloads.
@@ -550,13 +549,90 @@ fn lint_linked_op(
     }
 }
 
+/// The source indices of `items` in the order the linker emits them: a
+/// stable sort by `node_of` (destination for transfers, node for ops).
+fn link_order<T>(order: &mut Vec<usize>, items: &[T], node_of: impl Fn(&T) -> u32) {
+    order.clear();
+    order.extend(0..items.len());
+    order.sort_by_key(|&i| node_of(&items[i]));
+}
+
+/// `true` when `node`'s `slot` exists and interns `key`.
+fn slot_holds(linked: &LinkedSchedule, node: u32, slot: u32, key: Key) -> bool {
+    linked.key_at(node, slot) == Some(key)
+}
+
+/// The fast path for one round: pair the linked transfers with the
+/// source transfers in link `order` and require each pair to agree
+/// exactly (endpoints, merge, and both slots interning the source keys).
+/// `true` means the matcher would find nothing to report for this round.
+fn round_agrees_in_order(
+    linked: &LinkedSchedule,
+    src_round: &[Transfer],
+    transfers: &[LinkedTransfer],
+    order: &[usize],
+) -> bool {
+    src_round.len() == transfers.len()
+        && transfers.iter().zip(order).all(|(t, &i)| {
+            let s = &src_round[i];
+            t.src == s.src.0
+                && t.dst == s.dst.0
+                && t.merge == s.merge
+                && slot_holds(linked, t.src, t.src_slot, s.src_key)
+                && slot_holds(linked, t.dst, t.dst_slot, s.dst_key)
+        })
+}
+
+/// The matcher for one compute block whose ops are not in link order:
+/// pair each node's ops in program order.
+fn lint_linked_block_by_node(
+    report: &mut CheckReport,
+    linked: &LinkedSchedule,
+    step: usize,
+    src_ops: &[LocalOp],
+    ops: &[LinkedOp],
+) {
+    // Group the source ops by node once — an `iter().filter().nth()`
+    // rescan per linked op is quadratic in the step's op count.
+    let mut by_node: HashMap<u32, Vec<&LocalOp>> = HashMap::new();
+    for s in src_ops {
+        by_node.entry(s.node().0).or_default().push(s);
+    }
+    let mut next: HashMap<u32, usize> = HashMap::new();
+    for op in ops {
+        let node = op.node();
+        let cursor = next.entry(node).or_default();
+        let src = by_node.get(&node).and_then(|v| v.get(*cursor)).copied();
+        *cursor += 1;
+        match src {
+            Some(src) => lint_linked_op(report, linked, step, src, op),
+            None => report.push(CheckError::OpCountMismatch {
+                step,
+                schedule_count: src_ops.len(),
+                linked_count: ops.len(),
+            }),
+        }
+    }
+}
+
 /// Verify a linked schedule against its source: matching totals
 /// (`n`/`capacity`/`rounds`/`messages`), one linked step per source step
 /// with the same index and kind ([`CheckError::StepDrift`]), per-step
 /// transfer/op counts, every slot id in range for its node
 /// ([`CheckError::DanglingSlot`]), and slot↔key interning agreement on
 /// every event ([`CheckError::SlotKeyMismatch`]).
+///
+/// Linking stable-sorts each round's transfers by destination and each
+/// block's ops by node, so the linter recomputes that order from the
+/// source with an index sort and compares the pairs directly — no hashing.
+/// Only a round or block whose pairs disagree falls back to the
+/// order-free matcher, which produces the report; a linked schedule in
+/// any other valid order therefore lints exactly as before.
 pub fn lint_linked(schedule: &Schedule, linked: &LinkedSchedule) -> CheckReport {
+    lint_linked_with(schedule, linked, true)
+}
+
+fn lint_linked_with(schedule: &Schedule, linked: &LinkedSchedule, fast: bool) -> CheckReport {
     let mut report = CheckReport::new();
     for (what, expected, found) in [
         ("n", schedule.n(), linked.n()),
@@ -579,6 +655,7 @@ pub fn lint_linked(schedule: &Schedule, linked: &LinkedSchedule) -> CheckReport 
         });
         return report;
     }
+    let mut order = Vec::new();
     for (i, view) in linked.step_views().enumerate() {
         let found_step = match view {
             LinkedStepView::Comm { step, .. } | LinkedStepView::Compute { step, .. } => step,
@@ -592,6 +669,12 @@ pub fn lint_linked(schedule: &Schedule, linked: &LinkedSchedule) -> CheckReport 
         }
         match (&schedule.steps()[i], view) {
             (Step::Comm(round), LinkedStepView::Comm { transfers, .. }) => {
+                if fast {
+                    link_order(&mut order, &round.transfers, |t| t.dst.0);
+                    if round_agrees_in_order(linked, &round.transfers, transfers, &order) {
+                        continue;
+                    }
+                }
                 lint_linked_round(&mut report, linked, i, &round.transfers, transfers);
             }
             (Step::Compute(src_ops), LinkedStepView::Compute { ops, .. }) => {
@@ -603,29 +686,23 @@ pub fn lint_linked(schedule: &Schedule, linked: &LinkedSchedule) -> CheckReport 
                     });
                     continue;
                 }
-                // Linking stable-sorts a block's ops by node; recover the
-                // pairing by matching each node's ops in order. Group the
-                // source ops by node once — an `iter().filter().nth()`
-                // rescan per linked op is quadratic in the step's op count.
-                let mut by_node: HashMap<u32, Vec<&LocalOp>> = HashMap::new();
-                for s in src_ops {
-                    by_node.entry(s.node().0).or_default().push(s);
-                }
-                let mut next: HashMap<u32, usize> = HashMap::new();
-                for op in ops {
-                    let node = op.node();
-                    let cursor = next.entry(node).or_default();
-                    let src = by_node.get(&node).and_then(|v| v.get(*cursor)).copied();
-                    *cursor += 1;
-                    match src {
-                        Some(src) => lint_linked_op(&mut report, linked, i, src, op),
-                        None => report.push(CheckError::OpCountMismatch {
-                            step: i,
-                            schedule_count: src_ops.len(),
-                            linked_count: ops.len(),
-                        }),
+                // When the linked block's node sequence is the source's in
+                // link order, the by-node matcher's pairing *is* that
+                // order, so checking the pairs directly reports the same.
+                if fast {
+                    link_order(&mut order, src_ops, |op| op.node().0);
+                    if ops
+                        .iter()
+                        .zip(&order)
+                        .all(|(op, &j)| op.node() == src_ops[j].node().0)
+                    {
+                        for (op, &j) in ops.iter().zip(&order) {
+                            lint_linked_op(&mut report, linked, i, &src_ops[j], op);
+                        }
+                        continue;
                     }
                 }
+                lint_linked_block_by_node(&mut report, linked, i, src_ops, ops);
             }
             _ => report.push(CheckError::StepKindMismatch { step: i }),
         }
@@ -650,7 +727,7 @@ pub fn lint_linked_traced<T: Tracer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowband_model::{link, ScheduleBuilder};
+    use lowband_model::{binser, link, ScheduleBuilder};
 
     fn transfer(src: u32, src_key: Key, dst: u32, dst_key: Key, merge: Merge) -> Transfer {
         Transfer {
@@ -952,6 +1029,172 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// Byte offsets of the first transfer record and the first op record
+    /// inside an `encode_linked` payload (20 bytes each): header words,
+    /// per-node key runs, the step table, then the two event tables.
+    fn event_tables(ls: &LinkedSchedule) -> (usize, usize) {
+        let keys: usize = (0..ls.n())
+            .map(|v| 8 + 16 * ls.slots_at(NodeId(v as u32)))
+            .sum();
+        let transfers = 32 + keys + 8 + 32 * ls.step_count() + 8;
+        (transfers, transfers + 20 * ls.messages() + 8)
+    }
+
+    /// Round-trip a linked schedule through its binser payload, letting
+    /// `edit` rewrite the bytes in between (the decoder re-checks bounds
+    /// only, so any in-range edit survives).
+    fn relinked(ls: &LinkedSchedule, edit: impl FnOnce(&mut [u8])) -> LinkedSchedule {
+        let mut payload = linked_payload(ls);
+        edit(&mut payload);
+        binser::decode_linked(&payload, 0).expect("edited payload stays in bounds")
+    }
+
+    fn linked_payload(ls: &LinkedSchedule) -> Vec<u8> {
+        let mut payload = Vec::new();
+        binser::encode_linked(ls, &mut payload);
+        payload
+    }
+
+    /// The fast lint and the matcher-only lint report the same list.
+    fn assert_lints_agree(s: &Schedule, ls: &LinkedSchedule) -> CheckReport {
+        let fast = lint_linked(s, ls);
+        let matcher = lint_linked_with(s, ls, false);
+        assert_eq!(fast.violations(), matcher.violations());
+        fast
+    }
+
+    /// Three transfers into node 2 (capacity 3): link order keeps them in
+    /// program order, so swapping two linked records leaves a valid
+    /// pairing in a different order.
+    fn fan_in_schedule() -> Schedule {
+        let mut b = ScheduleBuilder::with_capacity(4, 3);
+        b.round(vec![
+            transfer(0, Key::a(0, 0), 2, Key::x(0, 0), Merge::Add),
+            transfer(1, Key::a(1, 0), 2, Key::x(0, 1), Merge::Add),
+            transfer(3, Key::a(3, 0), 2, Key::x(0, 2), Merge::Overwrite),
+        ])
+        .unwrap();
+        b.compute(vec![
+            LocalOp::MulAdd {
+                node: NodeId(2),
+                dst: Key::x(1, 0),
+                lhs: Key::x(0, 0),
+                rhs: Key::x(0, 1),
+            },
+            LocalOp::Copy {
+                node: NodeId(2),
+                dst: Key::x(1, 1),
+                src: Key::x(0, 2),
+            },
+        ])
+        .unwrap();
+        b.build()
+    }
+
+    #[test]
+    fn permuted_linked_round_lints_clean_via_the_fallback() {
+        let s = fan_in_schedule();
+        let ls = link(&s).unwrap();
+        let (transfers, _) = event_tables(&ls);
+        let permuted = relinked(&ls, |p| {
+            let (first, second) = p[transfers..transfers + 40].split_at_mut(20);
+            first.swap_with_slice(second);
+        });
+        // The edit really reordered the round, so the fast path cannot
+        // accept it and the matcher must.
+        let order = |l: &LinkedSchedule| match l.step_views().next() {
+            Some(LinkedStepView::Comm { transfers, .. }) => {
+                transfers.iter().map(|t| t.src).collect::<Vec<_>>()
+            }
+            _ => unreachable!("step 0 is the round"),
+        };
+        assert_eq!(order(&ls), [0, 1, 3]);
+        assert_eq!(order(&permuted), [1, 0, 3]);
+        let report = assert_lints_agree(&s, &permuted);
+        assert!(report.is_empty(), "{report}");
+    }
+
+    #[test]
+    fn slot_swap_in_link_order_reports_like_the_matcher() {
+        let s = fan_in_schedule();
+        let ls = link(&s).unwrap();
+        let (transfers, ops) = event_tables(&ls);
+        // Swap the dst slots of the first two transfers (words 3 of each
+        // record) and the lhs/rhs slots of the MulAdd (words 3 and 4):
+        // order and endpoints still agree, the interned keys do not.
+        let swapped = relinked(&ls, |p| {
+            for (a, b) in [(transfers + 12, transfers + 32), (ops + 12, ops + 16)] {
+                let (lo, hi) = p.split_at_mut(b);
+                lo[a..a + 4].swap_with_slice(&mut hi[..4]);
+            }
+        });
+        let report = assert_lints_agree(&s, &swapped);
+        let mismatches = report
+            .violations()
+            .iter()
+            .filter(|v| matches!(v, CheckError::SlotKeyMismatch { .. }))
+            .count();
+        assert_eq!(mismatches, 4, "{report}");
+        assert_eq!(report.violations().len(), 4, "{report}");
+    }
+
+    /// Point the slot word `slot_word` of the 20-byte record at `at` (whose
+    /// node is word `node_word`) at the node's next slot, wrapping.
+    fn bump_slot(p: &mut [u8], ls: &LinkedSchedule, at: usize, node_word: usize, slot_word: usize) {
+        let word = |p: &[u8], w: usize| {
+            u32::from_le_bytes(p[at + 4 * w..at + 4 * w + 4].try_into().unwrap())
+        };
+        let slots = ls.slots_at(NodeId(word(p, node_word))) as u32;
+        let slot = (word(p, slot_word) + 1) % slots;
+        p[at + 4 * slot_word..at + 4 * slot_word + 4].copy_from_slice(&slot.to_le_bytes());
+    }
+
+    #[test]
+    fn fast_lint_matches_the_matcher_over_fuzz_seeds() {
+        use rand::{Rng, SeedableRng};
+        let mut failing = 0;
+        for seed in 0..64u64 {
+            let case = crate::gen::generate_for_seed(seed);
+            let compressed = lowband_model::compress(&case.schedule);
+            for s in [&case.schedule, &compressed] {
+                let ls = link(s).unwrap();
+                assert!(assert_lints_agree(s, &ls).is_empty(), "seed {seed}");
+                // Corrupt one transfer's dst slot and one op's first slot
+                // (rewritten to another in-range slot of the same node):
+                // the two lints must also agree on failing reports.
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let (transfers, ops) = event_tables(&ls);
+                let op_count: usize = ls
+                    .step_views()
+                    .map(|v| match v {
+                        LinkedStepView::Compute { ops, .. } => ops.len(),
+                        LinkedStepView::Comm { .. } => 0,
+                    })
+                    .sum();
+                let mut edits = Vec::new();
+                if ls.messages() > 0 {
+                    edits.push((transfers + 20 * rng.gen_range(0..ls.messages()), 2, 3));
+                }
+                if op_count > 0 {
+                    edits.push((ops + 20 * rng.gen_range(0..op_count), 1, 2));
+                }
+                let pristine = linked_payload(&ls);
+                for (at, node_word, slot_word) in edits {
+                    let tag = u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
+                    if at >= ops && tag == 4 {
+                        continue; // BlockMulAdd: word 2 is a block id, not a slot
+                    }
+                    let corrupt = relinked(&ls, |p| bump_slot(p, &ls, at, node_word, slot_word));
+                    failing += usize::from(!assert_lints_agree(s, &corrupt).is_empty());
+                }
+            }
+        }
+        assert!(
+            failing > 64,
+            "only {failing} corrupted plans failed the lint"
+        );
     }
 
     #[test]

@@ -161,10 +161,11 @@ mod tests {
         // OR_n = 1 − Π(1 − x_i): coefficient of S ≠ ∅ is (−1)^{|S|+1}.
         let f = BooleanFunction::or(5);
         let coeffs = f.multilinear_coefficients();
+        assert_eq!(coeffs.len(), 32);
         assert_eq!(coeffs[0], 0);
-        for mask in 1usize..32 {
+        for (mask, &coeff) in coeffs.iter().enumerate().skip(1) {
             let expect = if mask.count_ones() % 2 == 1 { 1 } else { -1 };
-            assert_eq!(coeffs[mask], expect, "S = {mask:05b}");
+            assert_eq!(coeff, expect, "S = {mask:05b}");
         }
     }
 

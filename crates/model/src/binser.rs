@@ -12,7 +12,7 @@
 //! offset 0   magic    8 bytes   b"LBPLAN\r\n"
 //! offset 8   version  1 byte    BINSER_VERSION (then 7 zero pad bytes)
 //! offset 16  section* …
-//! tail       end record: tag b"ENDF" ‖ u32 0 ‖ u64 whole-file checksum
+//! tail       end record: tag b"ENDF" ‖ u32 0 ‖ u64 manifest checksum
 //! ```
 //!
 //! Each section is `tag(4) ‖ reserved u32 = 0 ‖ payload_len u64 LE ‖
@@ -20,11 +20,18 @@
 //! little-endian; every section header, payload and checksum starts at an
 //! 8-byte-aligned offset, so dense `u32` slot-id runs and `u128` key runs
 //! inside a payload can be walked (or memory-mapped) at their natural
-//! alignment. Checksums are chained [`mix64`] folds over the padded
-//! payload words, seeded with the payload length; the end record's
-//! checksum folds over every preceding byte of the file. A chained fold is
-//! position-sensitive: any single-byte change, truncation or reordering
-//! changes the digest.
+//! alignment.
+//!
+//! A section checksum folds the padded payload words, seeded with the
+//! payload length, in four independent [`mix64`] lanes: word `i` chains
+//! into lane `i mod 4` (`h ← mix64(h ⊕ w)`), and the lane digests are
+//! folded in order at the end. The end record's checksum folds the same
+//! way over the *manifest* — the 16-byte file header, then each section's
+//! 16-byte header and 8-byte checksum in file order — seeded with the end
+//! record's offset. So every payload byte is hashed exactly once (by its
+//! section), while the headers, the section order and the file length are
+//! covered by the end record. Each fold is position-sensitive: any
+//! single-byte change, truncation or reordering changes a digest.
 //!
 //! ## Safety contract
 //!
@@ -57,7 +64,10 @@ use crate::{
 pub const BINSER_MAGIC: [u8; 8] = *b"LBPLAN\r\n";
 
 /// The format version this build writes and the only one it reads.
-pub const BINSER_VERSION: u8 = 1;
+/// Version 2 changed the checksum fold to four lanes and narrowed the end
+/// record to the headers and section checksums; v1 files are refused as
+/// [`BinSerError::UnsupportedVersion`].
+pub const BINSER_VERSION: u8 = 2;
 
 /// Tag of the end record closing every file.
 pub const TAG_END: [u8; 4] = *b"ENDF";
@@ -203,16 +213,31 @@ impl From<ModelError> for BinSerError {
     }
 }
 
-/// Chained mix64 over little-endian 8-byte words: `h ← mix64(h ⊕ w)`.
-/// `bytes.len()` must be a multiple of 8 (writers pad; readers check).
+/// Number of independent fold lanes in [`checksum_words`].
+const LANES: usize = 4;
+
+/// Lane-parallel chained mix64 over little-endian 8-byte words: word `i`
+/// folds into lane `i mod 4` as `h ← mix64(h ⊕ w)`, each lane seeded
+/// differently, and the four lane digests are then folded in order into
+/// one. The lanes are independent dependency chains, so the fold runs at
+/// the multiplier's throughput rather than its latency. `mix64` is a
+/// bijection, so changing any single word changes its lane's digest and
+/// hence the result. `bytes.len()` must be a multiple of 8 (writers pad;
+/// readers check).
 fn checksum_words(seed: u64, bytes: &[u8]) -> u64 {
     debug_assert_eq!(bytes.len() % 8, 0);
-    let mut h = mix64(seed);
-    for chunk in bytes.chunks_exact(8) {
-        let w = u64::from_le_bytes(chunk.try_into().expect("exact chunk"));
-        h = mix64(h ^ w);
+    let word = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    let mut lanes: [u64; LANES] = std::array::from_fn(|i| mix64(seed ^ i as u64));
+    let mut blocks = bytes.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix64(*lane ^ word(chunk));
+        }
     }
-    h
+    for (lane, chunk) in lanes.iter_mut().zip(blocks.remainder().chunks_exact(8)) {
+        *lane = mix64(*lane ^ word(chunk));
+    }
+    lanes.iter().fold(mix64(!seed), |h, &lane| mix64(h ^ lane))
 }
 
 fn section_checksum(payload_len: u64, padded: &[u8]) -> u64 {
@@ -227,6 +252,9 @@ fn section_checksum(payload_len: u64, padded: &[u8]) -> u64 {
 /// the end record with the whole-file checksum.
 pub struct FileWriter {
     buf: Vec<u8>,
+    /// What the end record folds: the file header, then each section's
+    /// header and checksum.
+    manifest: Vec<u8>,
 }
 
 impl Default for FileWriter {
@@ -242,13 +270,15 @@ impl FileWriter {
         buf.extend_from_slice(&BINSER_MAGIC);
         buf.push(BINSER_VERSION);
         buf.extend_from_slice(&[0u8; 7]);
-        FileWriter { buf }
+        let manifest = buf.clone();
+        FileWriter { buf, manifest }
     }
 
     /// Append one section: header, payload (zero-padded to 8 bytes) and
     /// section checksum.
     pub fn section(&mut self, tag: [u8; 4], payload: &[u8]) {
         debug_assert_ne!(tag, TAG_END, "ENDF is written by finish()");
+        let header = self.buf.len();
         self.buf.extend_from_slice(&tag);
         self.buf.extend_from_slice(&0u32.to_le_bytes());
         self.buf
@@ -260,12 +290,15 @@ impl FileWriter {
         }
         let sum = section_checksum(payload.len() as u64, &self.buf[start..]);
         self.buf.extend_from_slice(&sum.to_le_bytes());
+        self.manifest.extend_from_slice(&self.buf[header..start]);
+        self.manifest.extend_from_slice(&sum.to_le_bytes());
     }
 
-    /// Close the file: append the end record carrying the checksum of
-    /// every byte written so far, and return the bytes.
+    /// Close the file: append the end record carrying the checksum of the
+    /// file header and every section's header and checksum, and return
+    /// the bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        let sum = checksum_words(SECTION_SEED ^ self.buf.len() as u64, &self.buf);
+        let sum = checksum_words(SECTION_SEED ^ self.buf.len() as u64, &self.manifest);
         self.buf.extend_from_slice(&TAG_END);
         self.buf.extend_from_slice(&0u32.to_le_bytes());
         self.buf.extend_from_slice(&sum.to_le_bytes());
@@ -319,6 +352,7 @@ impl<'a> FileReader<'a> {
             });
         }
         let mut spans: Vec<SectionSpan> = Vec::new();
+        let mut manifest = bytes[..16].to_vec();
         let mut off = 16usize;
         loop {
             if bytes.len() - off < 16 {
@@ -339,7 +373,7 @@ impl<'a> FileReader<'a> {
             }
             if tag == TAG_END {
                 let declared = u64::from_le_bytes(bytes[off + 8..off + 16].try_into().unwrap());
-                let actual = checksum_words(SECTION_SEED ^ off as u64, &bytes[..off]);
+                let actual = checksum_words(SECTION_SEED ^ off as u64, &manifest);
                 if declared != actual {
                     return Err(BinSerError::ChecksumMismatch {
                         section: TAG_END,
@@ -385,11 +419,8 @@ impl<'a> FileReader<'a> {
                     what: "non-zero padding".to_string(),
                 });
             }
-            let declared_sum = u64::from_le_bytes(
-                bytes[payload_start + padded_len..payload_start + padded_len + 8]
-                    .try_into()
-                    .unwrap(),
-            );
+            let sum_bytes = &bytes[payload_start + padded_len..payload_start + padded_len + 8];
+            let declared_sum = u64::from_le_bytes(sum_bytes.try_into().unwrap());
             if declared_sum != section_checksum(len as u64, padded) {
                 return Err(BinSerError::ChecksumMismatch {
                     section: tag,
@@ -399,6 +430,8 @@ impl<'a> FileReader<'a> {
             if spans.iter().any(|s| s.tag == tag) {
                 return Err(BinSerError::DuplicateSection { tag, offset: off });
             }
+            manifest.extend_from_slice(&bytes[off..payload_start]);
+            manifest.extend_from_slice(sum_bytes);
             spans.push(SectionSpan {
                 tag,
                 record: off..payload_start + padded_len + 8,
@@ -1337,6 +1370,32 @@ mod tests {
                 .and_then(|r| r.require(*b"SCHD").map(|(p, b)| (p.to_vec(), b)))
                 .and_then(|(p, b)| decode_schedule(&p, b));
             assert!(outcome.is_err(), "flip at byte {i} went undetected");
+        }
+    }
+
+    #[test]
+    fn lane_fold_sees_every_word_and_its_position() {
+        // Lengths around the 4-lane block size exercise the remainder.
+        for words in 0..11usize {
+            let bytes: Vec<u8> = (0..words as u64)
+                .flat_map(|w| mix64(w).to_le_bytes())
+                .collect();
+            let base = checksum_words(7, &bytes);
+            assert_ne!(base, checksum_words(8, &bytes), "seed ignored");
+            for w in 0..words {
+                let mut changed = bytes.clone();
+                changed[8 * w] ^= 1;
+                assert_ne!(base, checksum_words(7, &changed), "{words} words: word {w}");
+                // Swapping two different words (same lane or not) moves
+                // values between positions; the digest must notice.
+                for v in w + 1..words {
+                    let mut swapped = bytes.clone();
+                    for i in 0..8 {
+                        swapped.swap(8 * w + i, 8 * v + i);
+                    }
+                    assert_ne!(base, checksum_words(7, &swapped), "swap {w}↔{v}");
+                }
+            }
         }
     }
 

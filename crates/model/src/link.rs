@@ -437,6 +437,15 @@ impl LinkedSchedule {
         self.node_keys[node.index()][slot as usize]
     }
 
+    /// The key interned at `slot` of `node`, or `None` when either is out
+    /// of range — the bounds-checked form of [`LinkedSchedule::key_of`].
+    pub fn key_at(&self, node: u32, slot: u32) -> Option<Key> {
+        self.node_keys
+            .get(node as usize)?
+            .get(slot as usize)
+            .copied()
+    }
+
     /// Number of linked steps. Linking produces exactly one linked step per
     /// source step, so this equals the source schedule's step count — an
     /// invariant `lowband-check` lints.
@@ -1931,12 +1940,12 @@ mod tests {
         assert_eq!(packed.lanes(), LANES);
         let mut scalars: Vec<LinkedMachine<'_, Nat>> =
             (0..live_lanes).map(|_| LinkedMachine::new(&l)).collect();
-        for lane in 0..live_lanes {
+        for (lane, scalar) in scalars.iter_mut().enumerate() {
             for i in 0..n as u64 {
                 for (key, which) in [(Key::a(i, 0), 0), (Key::b(i, 0), 1)] {
                     let v = lane_value(lane as u64, i, which);
                     packed.load_lane(NodeId(i as u32), key, lane, v);
-                    scalars[lane].load(NodeId(i as u32), key, v);
+                    scalar.load(NodeId(i as u32), key, v);
                 }
             }
         }
@@ -1982,7 +1991,7 @@ mod tests {
         let mut packed: PackedLinkedMachine<'_, Nat, LANES> = PackedLinkedMachine::new(&l);
         let mut scalars: Vec<LinkedMachine<'_, Nat>> =
             (0..LANES).map(|_| LinkedMachine::new(&l)).collect();
-        for lane in 0..LANES {
+        for (lane, scalar) in scalars.iter_mut().enumerate() {
             for idx in 0..4u64 {
                 // Lane 2 gets an all-zero A block to hit the zero-skip path
                 // in some lanes while others stay live.
@@ -1990,8 +1999,8 @@ mod tests {
                 let bv = 2 * lane as u64 + idx + 5;
                 packed.load_lane(NodeId(0), Key::tmp(10, idx), lane, Nat(av));
                 packed.load_lane(NodeId(0), Key::tmp(11, idx), lane, Nat(bv));
-                scalars[lane].load(NodeId(0), Key::tmp(10, idx), Nat(av));
-                scalars[lane].load(NodeId(0), Key::tmp(11, idx), Nat(bv));
+                scalar.load(NodeId(0), Key::tmp(10, idx), Nat(av));
+                scalar.load(NodeId(0), Key::tmp(11, idx), Nat(bv));
             }
         }
         packed.run().unwrap();

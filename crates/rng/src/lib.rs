@@ -357,7 +357,7 @@ mod tests {
     fn trait_object_rngs_work() {
         // The `R: Rng + ?Sized` bounds used across the workspace must hold
         // through unsized references.
-        fn draw(rng: &mut (dyn super::RngCore)) -> u64 {
+        fn draw(rng: &mut dyn super::RngCore) -> u64 {
             rng.gen_range(0..100u64)
         }
         let mut rng = StdRng::seed_from_u64(7);

@@ -277,7 +277,7 @@ mod tests {
         let colors = greedy_color_bipartite(&edges);
         assert_proper(&edges, &colors);
         let delta = max_degree(&edges);
-        assert!(*colors.iter().max().unwrap() + 1 <= 2 * delta - 1);
+        assert!(*colors.iter().max().unwrap() < 2 * delta - 1);
     }
 
     #[test]

@@ -235,6 +235,22 @@ impl ScheduleCache {
         tracer: &mut T,
     ) -> Result<Arc<CompiledPlan>, ServeError> {
         let key = StructureKey::of(inst, algorithm, compress);
+        self.get_or_compile_keyed(key, inst, algorithm, compress, tracer)
+    }
+
+    /// [`ScheduleCache::get_or_compile_traced`] for a caller that already
+    /// holds the structure's key, which must be
+    /// `StructureKey::of(inst, algorithm, compress)` — it saves hashing
+    /// the structure a second time per request.
+    pub(crate) fn get_or_compile_keyed<T: Tracer>(
+        &mut self,
+        key: StructureKey,
+        inst: &Instance,
+        algorithm: Algorithm,
+        compress: bool,
+        tracer: &mut T,
+    ) -> Result<Arc<CompiledPlan>, ServeError> {
+        debug_assert_eq!(key, StructureKey::of(inst, algorithm, compress));
         if self.quarantined.contains(&key) {
             self.quarantine_blocked += 1;
             tracer.counter("serve.quarantine.blocked", 1);
@@ -407,7 +423,7 @@ impl ScheduleCache {
     ) -> Result<Arc<CompiledPlan>, ServeError> {
         let key = StructureKey::of(inst, algorithm, compress);
         if !self.quarantined.contains(&key) {
-            return self.get_or_compile_traced(inst, algorithm, compress, tracer);
+            return self.get_or_compile_keyed(key, inst, algorithm, compress, tracer);
         }
         let plan = self.compile_and_lint(inst, algorithm, compress, tracer)?;
         let probe = run_plan_batch_traced::<S, T>(

@@ -11,9 +11,11 @@
 //!
 //! Nothing read from disk is trusted. Every load runs, in order:
 //!
-//! 1. **Envelope + checksums** — magic, version byte, per-section and
-//!    whole-file mix64 digests, structural bounds checks
-//!    ([`lowband_model::binser`]); any failure is a typed
+//! 1. **Envelope + checksums** — magic, version byte (files of any other
+//!    format version, older ones included, are refused), per-section
+//!    four-lane mix64 digests over every payload byte, the end record's
+//!    digest over the headers and section order, and structural bounds
+//!    checks ([`lowband_model::binser`]); any failure is a typed
 //!    [`BinSerError`], never a panic or an unbounded allocation.
 //! 2. **Key equality** — the file embeds the [`StructureKey`] it was
 //!    saved under; a renamed or mis-published file is rejected even when
@@ -24,10 +26,13 @@
 //!    *executable* (all indices in bounds); only the lint proves it is
 //!    *the schedule's* execution. Skipping it would let an adversary (or
 //!    a bit-rotted sector) swap the linked body under an intact schedule.
+//!    On a file the linker wrote, the lint pairs every event in link
+//!    order without hashing, so it costs one linear pass.
 //!
 //! A file failing any step degrades to a cache miss — the caller
 //! recompiles and overwrites, so a corrupt store heals itself and can
-//! never execute a tampered plan.
+//! never execute a tampered plan. Upgrading to a build with a new format
+//! version therefore costs one recompile per structure, not an outage.
 //!
 //! ## Publication
 //!

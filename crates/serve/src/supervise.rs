@@ -361,7 +361,7 @@ impl Supervisor {
         // case: strike the breaker and serve plan-free.
         let plan = match self
             .cache
-            .get_or_compile_traced(inst, algorithm, compress, tracer)
+            .get_or_compile_keyed(key, inst, algorithm, compress, tracer)
         {
             Ok(plan) => plan,
             Err(e) => {

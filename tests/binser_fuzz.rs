@@ -225,7 +225,40 @@ fn magic_constant_is_stable() {
     // The on-disk contract: changing these is a format break and must come
     // with a version bump, not a silent re-interpretation.
     assert_eq!(&BINSER_MAGIC, b"LBPLAN\r\n");
-    assert_eq!(BINSER_VERSION, 1);
+    assert_eq!(BINSER_VERSION, 2);
+}
+
+/// The end record covers section order: swapping two whole section
+/// records leaves both section checksums intact, so only the end record
+/// can catch it — and must.
+#[test]
+fn swapped_sections_are_rejected_by_the_end_record() {
+    for (name, _key, _plan, bytes) in corpus() {
+        let reader = FileReader::new(&bytes).expect("pristine envelope");
+        let records: Vec<_> = reader.spans().iter().map(|s| s.record.clone()).collect();
+        drop(reader);
+        // Swap the last two sections before the end record (SCHD and
+        // LNKD): splice the file back together in the new order.
+        let [.., first, second, end] = &records[..] else {
+            panic!("{name}: expected at least two sections");
+        };
+        let mut swapped = bytes[..first.start].to_vec();
+        swapped.extend_from_slice(&bytes[second.clone()]);
+        swapped.extend_from_slice(&bytes[first.clone()]);
+        swapped.extend_from_slice(&bytes[end.clone()]);
+        assert_eq!(swapped.len(), bytes.len());
+        match FileReader::new(&swapped) {
+            Err(BinSerError::ChecksumMismatch { section, offset }) => {
+                assert_eq!(
+                    (section, offset),
+                    (TAG_END, end.start),
+                    "{name}: wrong record blamed"
+                );
+            }
+            Err(other) => panic!("{name}: expected an end-record mismatch, got {other}"),
+            Ok(_) => panic!("{name}: swapped sections were accepted"),
+        }
+    }
 }
 
 fn tmp_root(tag: &str) -> std::path::PathBuf {

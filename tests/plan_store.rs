@@ -92,53 +92,56 @@ fn two_processes_share_one_store_root() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A store written by a *newer* format version must be rejected cleanly —
-/// typed error at the store layer, miss + recompile at the cache layer —
-/// never misread.
+/// A store written by another format version — a *newer* build's, or the
+/// previous version's, left over from before an upgrade — must be
+/// rejected cleanly: typed error at the store layer, miss + recompile at
+/// the cache layer, never misread.
 #[test]
 fn stale_version_byte_is_rejected_cleanly() {
     let (inst, algorithm, compress) = shared_instance();
     let key = StructureKey::of(&inst, algorithm, compress);
-    let root = tmp_root("vnext");
-    let _ = std::fs::remove_dir_all(&root);
-    let store = PlanStore::open(&root).expect("open");
     let plan = compile_plan(&inst, algorithm, compress).expect("compile");
-    store.save(key, &plan).expect("publish");
+    for (label, version) in [("vnext", BINSER_VERSION + 1), ("vprev", BINSER_VERSION - 1)] {
+        let root = tmp_root(label);
+        let _ = std::fs::remove_dir_all(&root);
+        let store = PlanStore::open(&root).expect("open");
+        store.save(key, &plan).expect("publish");
 
-    // Rewrite the version byte to v-next, as if a newer build had written
-    // this file.
-    let path = store.path_for(key);
-    let mut bytes = std::fs::read(&path).expect("read");
-    assert_eq!(bytes[8], BINSER_VERSION);
-    bytes[8] = BINSER_VERSION + 1;
-    std::fs::write(&path, &bytes).expect("tamper");
+        // Rewrite the version byte, as if another build had written this
+        // file.
+        let path = store.path_for(key);
+        let mut bytes = std::fs::read(&path).expect("read");
+        assert_eq!(bytes[8], BINSER_VERSION);
+        bytes[8] = version;
+        std::fs::write(&path, &bytes).expect("tamper");
 
-    match store.load(key) {
-        Err(StoreError::Format(BinSerError::UnsupportedVersion { found, supported })) => {
-            assert_eq!((found, supported), (BINSER_VERSION + 1, BINSER_VERSION));
+        match store.load(key) {
+            Err(StoreError::Format(BinSerError::UnsupportedVersion { found, supported })) => {
+                assert_eq!((found, supported), (version, BINSER_VERSION));
+            }
+            other => panic!("{label} file: expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("v-next file: expected UnsupportedVersion, got {other:?}"),
-    }
 
-    // The serving path degrades to reject + recompile and heals the file
-    // back to the supported version.
-    let mut cache = ScheduleCache::with_store(4, PlanStore::open(&root).expect("reopen"));
-    let served = cache
-        .get_or_compile(&inst, algorithm, compress)
-        .expect("request survives v-next file");
-    assert_eq!(served.schedule, plan.schedule);
-    let stats = cache.stats();
-    assert_eq!(
-        (stats.disk_rejects, stats.compiles, stats.disk_writes),
-        (1, 1, 1),
-        "v-next file must degrade to reject + recompile + heal: {stats:?}"
-    );
-    assert_eq!(
-        std::fs::read(&path).expect("healed file")[8],
-        BINSER_VERSION,
-        "recompile must republish at the supported version"
-    );
-    let _ = std::fs::remove_dir_all(&root);
+        // The serving path degrades to reject + recompile and heals the
+        // file back to the supported version.
+        let mut cache = ScheduleCache::with_store(4, PlanStore::open(&root).expect("reopen"));
+        let served = cache
+            .get_or_compile(&inst, algorithm, compress)
+            .unwrap_or_else(|e| panic!("request survives {label} file: {e}"));
+        assert_eq!(served.schedule, plan.schedule);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.disk_rejects, stats.compiles, stats.disk_writes),
+            (1, 1, 1),
+            "{label} file must degrade to reject + recompile + heal: {stats:?}"
+        );
+        assert_eq!(
+            std::fs::read(&path).expect("healed file")[8],
+            BINSER_VERSION,
+            "recompile must republish at the supported version"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 /// Publication is atomic: after `save` returns there are no temp files in
