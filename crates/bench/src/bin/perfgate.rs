@@ -16,9 +16,11 @@
 //!   (the linked slot-store must stay decisively faster than hashing; it
 //!   is also the canary for the `NoopTracer` zero-cost claim, since the
 //!   executors run fully traced-out);
-//! * **admission gate** — `lint_over_compile`: the `lint_linked` pass
-//!   every plan-store load runs, over a compile of the same plan (the
-//!   lint must stay a small fraction of what a disk hit saves);
+//! * **admission gate** — `decode_over_compile` and `lint_over_compile`:
+//!   the two layers of a plan-store load, over a compile of the same plan
+//!   — `decode_plan` of the encoded plan file (envelope, checksums,
+//!   schedule and linked decode) and the `lint_linked` pass (both must
+//!   stay a small fraction of what a disk hit saves);
 //! * **serving** — `warm_over_cold`: amortized per-run cost of a cached
 //!   batch vs per-run recompilation;
 //! * **packing** — `packed_over_sequential`: per-member cost of the lane
@@ -45,10 +47,9 @@ use lowband_bench::report::{
 use lowband_bench::{block_workload, TablePrinter};
 use lowband_check::lint_linked;
 use lowband_core::budget::entries_for_observed;
-use lowband_core::{compile_schedule, run_algorithm, Algorithm, BatchMode};
+use lowband_core::{compile_plan, compile_schedule, run_algorithm, Algorithm, BatchMode};
 use lowband_matrix::{Fp, SparseMatrix, Wrap64};
-use lowband_model::link;
-use lowband_serve::{run_batch, ScheduleCache};
+use lowband_serve::{decode_plan, encode_plan, run_batch, ScheduleCache};
 use lowband_trace::baseline::{all_pass, gate, probes_from_json, probes_to_json, Probe};
 use rand::SeedableRng;
 
@@ -104,7 +105,8 @@ fn measure(k: usize) -> Measurements {
     reservoirs.push(("perfgate.compile_nanos".to_string(), res));
     probe("compile_ns", compile_ns);
 
-    let schedule = compile_schedule(&inst, Algorithm::BoundedTriangles).expect("compiles");
+    let plan = compile_plan(&inst, Algorithm::BoundedTriangles, false).expect("compiles");
+    let (schedule, linked) = (&plan.schedule, &plan.linked);
     let budget = budget_section(
         &entries_for_observed(
             "perfgate block(64,16)",
@@ -116,7 +118,6 @@ fn measure(k: usize) -> Measurements {
         ),
         DEFAULT_TOLERANCE,
     );
-    let linked = link(&schedule).expect("links");
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x11A5);
     let a: SparseMatrix<Wrap64> = SparseMatrix::randomize(inst.ahat.clone(), &mut rng);
     let b: SparseMatrix<Wrap64> = SparseMatrix::randomize(inst.bhat.clone(), &mut rng);
@@ -124,7 +125,7 @@ fn measure(k: usize) -> Measurements {
     let mut res = Reservoir::new(k);
     let hash_ns = median_ns(k, &mut res, || {
         let mut m = inst.load_machine(&a, &b);
-        m.run(&schedule).expect("runs").messages
+        m.run(schedule).expect("runs").messages
     });
     reservoirs.push(("perfgate.hash_run_nanos".to_string(), res));
     probe("hash_run_ns", hash_ns);
@@ -132,20 +133,23 @@ fn measure(k: usize) -> Measurements {
     let mut res = Reservoir::new(k);
     let linked_ns = slowdown
         * median_ns(k, &mut res, || {
-            let mut m = inst.load_linked(&a, &b, &linked);
+            let mut m = inst.load_linked(&a, &b, linked);
             m.run().expect("runs").messages
         });
     reservoirs.push(("perfgate.linked_run_nanos".to_string(), res));
     probe("linked_run_ns", linked_ns);
     probe("linked_over_hash", linked_ns / hash_ns);
 
-    // ---- admission-gate probe: link-fidelity lint vs compile --------------
+    // ---- admission-gate probes: plan decode and link-fidelity lint -------
+    let file = encode_plan(0, &plan);
+    let mut res = Reservoir::new(k);
+    let decode_ns = median_ns(k, &mut res, || decode_plan(&file).expect("plan decodes"));
+    reservoirs.push(("perfgate.decode_plan_nanos".to_string(), res));
+    probe("decode_over_compile", decode_ns / compile_ns);
+
     let mut res = Reservoir::new(k);
     let lint_ns = median_ns(k, &mut res, || {
-        assert!(
-            lint_linked(&schedule, &linked).is_clean(),
-            "plan lints clean"
-        );
+        assert!(lint_linked(schedule, linked).is_clean(), "plan lints clean");
     });
     reservoirs.push(("perfgate.lint_linked_nanos".to_string(), res));
     probe("lint_over_compile", lint_ns / compile_ns);

@@ -5,6 +5,8 @@
 //! Every workload here is seeded and deterministic; the binaries print the
 //! rows recorded in `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
+
 use lowband_core::{Instance, TriangleSet};
 use lowband_matrix::{gen, Support};
 use rand::SeedableRng;

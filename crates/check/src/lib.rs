@@ -25,6 +25,8 @@
 //! compiled pipelines (tables 1–4, figure 1, experiments) and over a
 //! fixed seed grid in CI.
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod fuzz;
 pub mod gen;

@@ -305,10 +305,10 @@ enum SiteRef {
 /// support entry, in support iteration order ([`SparseMatrix::iter`]
 /// order). Pure structure — no value type anywhere — so one `PackedSites`
 /// serves every lane of every value-set streamed through the plan, making
-/// per-member loading hash-free: the placement lookups and key interning
-/// probes that [`Instance::load_values`] pays per value-set are paid once
-/// per plan here, the packed analogue of what linking does for the
-/// executor's inner loop.
+/// per-member loading lookup-free: the placement lookups and
+/// [`LinkedSchedule::slot_of`] searches that [`Instance::load_values`]
+/// pays per value-set are paid once per plan here, the packed analogue of
+/// what linking does for the executor's inner loop.
 #[derive(Clone, Debug)]
 pub struct PackedSites {
     a: Vec<(NodeId, SiteRef)>,
@@ -343,7 +343,8 @@ impl PackedSites {
 
     /// Load one lane's value matrices through the precomputed sites —
     /// equivalent to [`Instance::load_values`] through a
-    /// [`PackedLaneStore`], minus every per-entry hash probe.
+    /// [`PackedLaneStore`], minus every per-entry placement lookup and
+    /// slot search.
     pub fn load_lane<S: PackedSemiring<LANES>, const LANES: usize>(
         &self,
         machine: &mut PackedLinkedMachine<'_, S, LANES>,
@@ -365,7 +366,8 @@ impl PackedSites {
 
     /// Read one lane's computed `X` off the machine through the
     /// precomputed sites — equivalent to [`Instance::extract_x_from`]
-    /// through a [`PackedLaneStore`], minus every per-entry hash probe.
+    /// through a [`PackedLaneStore`], minus every per-entry placement
+    /// lookup and slot search.
     pub fn extract_lane<S: PackedSemiring<LANES>, const LANES: usize>(
         &self,
         xhat: &Support,

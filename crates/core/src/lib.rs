@@ -28,6 +28,8 @@
 //! schedule depends only on the supports (`Â`, `B̂`, `X̂`) — never on values —
 //! exactly as the supported model allows.
 
+#![forbid(unsafe_code)]
+
 pub mod algorithms;
 pub mod budget;
 pub mod classify;

@@ -377,7 +377,7 @@ where
 {
     let mut machine: PackedLinkedMachine<'_, S, LANES> = PackedLinkedMachine::new(&plan.linked);
     // Structure-only preprocessing, paid once per batch: the placement
-    // lookup and slot-interning probe of every support entry. Each lane's
+    // lookup and slot search of every support entry. Each lane's
     // load/extract then streams through resolved `(node, slot)` sites.
     let sites = PackedSites::new(inst, &plan.linked);
     let mut reports = Vec::with_capacity(seeds.len());

@@ -30,6 +30,8 @@
 //! fires at most once, so a recovery retry that replays the same rounds
 //! does not re-trip the same fault and bounded retry budgets terminate.
 
+#![forbid(unsafe_code)]
+
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 

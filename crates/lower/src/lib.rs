@@ -26,6 +26,8 @@
 //!   instance on `n = m²` computers, with the simulation cost `T′(m) =
 //!   m·T(m²)` reported, making Theorem 6.19's conditional bound measurable.
 
+#![forbid(unsafe_code)]
+
 pub mod boolfn;
 pub mod broadcast_lb;
 pub mod certifier;

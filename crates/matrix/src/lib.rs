@@ -26,6 +26,8 @@
 //! * **Pattern I/O** ([`io`]): Matrix Market coordinate reader/writer, so
 //!   real-world sparsity patterns drop straight into the experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod algebra;
 pub mod classes;
 pub mod degeneracy;

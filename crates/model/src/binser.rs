@@ -17,10 +17,9 @@
 //!
 //! Each section is `tag(4) ‖ reserved u32 = 0 ‖ payload_len u64 LE ‖
 //! payload ‖ zero pad to 8 ‖ u64 section checksum`. Every integer is
-//! little-endian; every section header, payload and checksum starts at an
-//! 8-byte-aligned offset, so dense `u32` slot-id runs and `u128` key runs
-//! inside a payload can be walked (or memory-mapped) at their natural
-//! alignment.
+//! little-endian and every section header, payload and checksum starts
+//! at an 8-byte-aligned offset. Decoders read every integer with
+//! `from_le_bytes`, so they work on a buffer of any alignment.
 //!
 //! A section checksum folds the padded payload words, seeded with the
 //! payload length, in four independent [`mix64`] lanes: word `i` chains
@@ -40,14 +39,18 @@
 //! corrupted length field (declared counts are checked against the bytes
 //! actually present before any buffer is reserved). Decoded [`Schedule`]s
 //! are rebuilt through [`ScheduleBuilder`], re-validating the bandwidth
-//! constraint; decoded [`LinkedSchedule`]s get a full structural bounds
-//! check (nodes, slots, step ranges, block tables) before they are
-//! returned. Semantic fidelity between the two — that the linked events
+//! constraint. Decoded [`LinkedSchedule`]s get a full structural check
+//! before they are returned: each node's key run must be strictly
+//! ascending (the slot numbering [`LinkedSchedule::slot_of`] searches,
+//! which also rules out a key interned twice — one comparison per key,
+//! no map is built), and nodes, slots, step ranges and block tables must
+//! be in bounds. Each key run and the transfer and op tables are taken
+//! as one bounds-checked slice and decoded at a fixed 16- or 20-byte
+//! stride. Semantic fidelity between the two — that the linked events
 //! really are the schedule's events — is deliberately *not* re-proved
 //! here: that is `lowband-check::lint_linked`'s job, and the serving
 //! layer's disk tier runs it on every load before admission.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use lowband_faults::mix64;
@@ -65,9 +68,10 @@ pub const BINSER_MAGIC: [u8; 8] = *b"LBPLAN\r\n";
 
 /// The format version this build writes and the only one it reads.
 /// Version 2 changed the checksum fold to four lanes and narrowed the end
-/// record to the headers and section checksums; v1 files are refused as
-/// [`BinSerError::UnsupportedVersion`].
-pub const BINSER_VERSION: u8 = 2;
+/// record to the headers and section checksums; version 3 requires each
+/// node's linked key run to be strictly ascending (slot ids follow key
+/// order). Older files are refused as [`BinSerError::UnsupportedVersion`].
+pub const BINSER_VERSION: u8 = 3;
 
 /// Tag of the end record closing every file.
 pub const TAG_END: [u8; 4] = *b"ENDF";
@@ -545,6 +549,16 @@ impl<'a> ByteReader<'a> {
         Ok(declared as usize)
     }
 
+    /// Read a `u64` count of fixed-size `stride`-byte records and take
+    /// them as one slice, returned with its absolute offset: the whole
+    /// table is bounds-checked once, and its records can then be decoded
+    /// with `chunks_exact(stride)`.
+    pub fn table(&mut self, stride: usize) -> Result<(&'a [u8], usize), BinSerError> {
+        let count = self.count(stride)?;
+        let at = self.offset();
+        Ok((self.take(count * stride)?, at))
+    }
+
     /// Require the payload to be fully consumed.
     pub fn done(&self) -> Result<(), BinSerError> {
         if self.remaining() != 0 {
@@ -561,6 +575,13 @@ fn malformed(offset: usize, what: impl Into<String>) -> BinSerError {
         offset,
         what: what.into(),
     }
+}
+
+/// Little-endian `u32` word `i` of a fixed-stride record.
+#[inline]
+fn le_u32(record: &[u8], i: usize) -> u32 {
+    let at = 4 * i;
+    u32::from_le_bytes([record[at], record[at + 1], record[at + 2], record[at + 3]])
 }
 
 // ---------------------------------------------------------------------------
@@ -823,11 +844,11 @@ const LOP_COPY: u32 = 5;
 const LOP_ZERO: u32 = 6;
 const LOP_FREE: u32 = 7;
 
-/// Append the linked payload: header words, per-node key runs, then the
+/// Append the linked payload: header words, per-node key runs (each
+/// strictly ascending, since slot ids follow key order), then the
 /// step/transfer/op/block tables as dense fixed-stride runs (u128 key
-/// runs at 16-byte stride from an 8-aligned base; transfer and op records
-/// at 20-byte stride of `u32` words — 4-byte alignment, which is all a
-/// `u32` load needs).
+/// runs at 16-byte stride; transfer and op records at 20-byte stride of
+/// `u32` words).
 pub fn encode_linked(ls: &LinkedSchedule, out: &mut Vec<u8>) {
     out.extend_from_slice(&(ls.n as u64).to_le_bytes());
     out.extend_from_slice(&(ls.capacity as u64).to_le_bytes());
@@ -933,31 +954,36 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
     let messages = rd.u64()? as usize;
 
     let mut node_keys: Vec<Vec<Key>> = Vec::with_capacity(n);
-    let mut node_slots: Vec<HashMap<Key, u32>> = Vec::with_capacity(n);
     for node in 0..n {
         let count_at = rd.offset();
-        let count = rd.count(16)?;
+        let (run, run_at) = rd.table(16)?;
+        let count = run.len() / 16;
         if count > u32::MAX as usize {
             return Err(malformed(
                 count_at,
                 format!("node {node} declares {count} slots (u32 slot space)"),
             ));
         }
-        let mut keys = Vec::with_capacity(count);
-        let mut slots = HashMap::with_capacity(count);
-        for slot in 0..count {
-            let key_at = rd.offset();
-            let key = Key::from_raw(rd.u128()?);
-            if slots.insert(key, slot as u32).is_some() {
-                return Err(malformed(
-                    key_at,
-                    format!("node {node} interns key {key:?} twice"),
-                ));
+        // Slot ids follow key order, so the run must ascend strictly: one
+        // comparison per key, which also refuses a key interned twice.
+        let mut keys: Vec<Key> = Vec::with_capacity(count);
+        for (slot, raw) in run.chunks_exact(16).enumerate() {
+            let key = Key::from_raw(u128::from_le_bytes(raw.try_into().expect("16-byte record")));
+            if let Some(&prev) = keys.last() {
+                if key <= prev {
+                    let what = if key == prev {
+                        format!("node {node} interns key {key:?} twice")
+                    } else {
+                        format!(
+                            "node {node} key run descends at slot {slot} ({key:?} after {prev:?})"
+                        )
+                    };
+                    return Err(malformed(run_at + 16 * slot, what));
+                }
             }
             keys.push(key);
         }
         node_keys.push(keys);
-        node_slots.push(slots);
     }
 
     let step_count = rd.count(32)?;
@@ -983,37 +1009,32 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
         raw_steps.push((kind, start..end, src_step, kind_at));
     }
 
-    let transfer_count = rd.count(20)?;
-    let mut transfers = Vec::with_capacity(transfer_count);
-    for _ in 0..transfer_count {
-        let src = rd.u32()?;
-        let src_slot = rd.u32()?;
-        let dst = rd.u32()?;
-        let dst_slot = rd.u32()?;
-        let merge_at = rd.offset();
-        let merge = match rd.u32()? {
+    let (table, table_at) = rd.table(20)?;
+    let mut transfers = Vec::with_capacity(table.len() / 20);
+    for (i, rec) in table.chunks_exact(20).enumerate() {
+        let merge = match le_u32(rec, 4) {
             0 => Merge::Overwrite,
             1 => Merge::Add,
-            other => return Err(malformed(merge_at, format!("bad merge tag {other}"))),
+            other => {
+                return Err(malformed(
+                    table_at + 20 * i + 16,
+                    format!("bad merge tag {other}"),
+                ))
+            }
         };
         transfers.push(LinkedTransfer {
-            src,
-            src_slot,
-            dst,
-            dst_slot,
+            src: le_u32(rec, 0),
+            src_slot: le_u32(rec, 1),
+            dst: le_u32(rec, 2),
+            dst_slot: le_u32(rec, 3),
             merge,
         });
     }
 
-    let op_count = rd.count(20)?;
-    let mut ops = Vec::with_capacity(op_count);
-    for _ in 0..op_count {
-        let tag_at = rd.offset();
-        let tag = rd.u32()?;
-        let node = rd.u32()?;
-        let x = rd.u32()?;
-        let y = rd.u32()?;
-        let z = rd.u32()?;
+    let (table, table_at) = rd.table(20)?;
+    let mut ops = Vec::with_capacity(table.len() / 20);
+    for (i, rec) in table.chunks_exact(20).enumerate() {
+        let [tag, node, x, y, z] = std::array::from_fn(|w| le_u32(rec, w));
         let op = match tag {
             LOP_MUL => LinkedOp::Mul {
                 node,
@@ -1045,7 +1066,12 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
             },
             LOP_ZERO => LinkedOp::Zero { node, dst: x },
             LOP_FREE => LinkedOp::Free { node, slot: x },
-            other => return Err(malformed(tag_at, format!("bad linked-op tag {other}"))),
+            other => {
+                return Err(malformed(
+                    table_at + 20 * i,
+                    format!("bad linked-op tag {other}"),
+                ))
+            }
         };
         ops.push(op);
     }
@@ -1073,10 +1099,8 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
         }
         let mut runs = [Vec::new(), Vec::new(), Vec::new()];
         for run in &mut runs {
-            run.reserve_exact(cells);
-            for _ in 0..cells {
-                run.push(rd.u32()?);
-            }
+            let bytes = rd.take(4 * cells)?;
+            run.extend(bytes.chunks_exact(4).map(|w| le_u32(w, 0)));
         }
         let [a, b, c] = runs;
         blocks.push(BlockSlots { dim, a, b, c });
@@ -1206,7 +1230,6 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
         rounds,
         messages,
         node_keys,
-        node_slots,
         steps,
         transfers,
         ops,

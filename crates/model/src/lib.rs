@@ -51,6 +51,8 @@
 //! assert_eq!(m.get(NodeId(1), Key::x(0, 0)), Some(&Nat(42)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod algebra;
 pub mod binser;
 pub mod compress;

@@ -12,6 +12,11 @@
 //! [`LinkedSchedule`] executes on [`LinkedMachine`], whose per-node store is
 //! a flat `Vec<Option<V>>` indexed by slot — **zero hashing per event**.
 //!
+//! Slot ids follow key order: a node's slot `s` holds its `s`-th smallest
+//! key. Finding a key's slot (value loading, output extraction) is then a
+//! binary search over the node's key run ([`LinkedSchedule::slot_of`]),
+//! and a linked schedule carries no key → slot map at all.
+//!
 //! Linking also *validates* once what the reference executors re-check every
 //! round (node ranges and the ≤ `capacity` send/receive constraint), so a
 //! `LinkedSchedule` is a certificate that the program fits the model, and
@@ -202,11 +207,10 @@ pub struct LinkedSchedule {
     pub(crate) capacity: usize,
     pub(crate) rounds: usize,
     pub(crate) messages: usize,
-    /// Per node: the interned keys; a key's slot id is its index here.
+    /// Per node: the interned keys in strictly ascending order; a key's
+    /// slot id is its index here, so [`LinkedSchedule::slot_of`] is a
+    /// binary search and no per-node key → slot map exists.
     pub(crate) node_keys: Vec<Vec<Key>>,
-    /// Per node: key → slot. Used at link/load/extract time only — never on
-    /// the execution hot path.
-    pub(crate) node_slots: Vec<HashMap<Key, u32>>,
     pub(crate) steps: Vec<LinkedStep>,
     pub(crate) transfers: Vec<LinkedTransfer>,
     pub(crate) ops: Vec<LinkedOp>,
@@ -226,20 +230,23 @@ fn intern(keys: &mut Vec<Key>, slots: &mut HashMap<Key, u32>, key: Key) -> u32 {
 pub type BlockSlotsRef<'a> = (u32, &'a [u32], &'a [u32], &'a [u32]);
 
 impl LinkedSchedule {
-    /// Link a schedule: one pass of interning, rewriting and validation.
+    /// Link a schedule: one pass of interning, rewriting and validation,
+    /// then one pass renumbering each node's slots into key order.
     /// Fails with the same errors the [`crate::ScheduleBuilder`] would raise
     /// if the schedule violates node ranges or the bandwidth constraint
     /// (relevant for schedules built by other means, e.g. deserialized).
     pub fn link(schedule: &Schedule) -> Result<LinkedSchedule, ModelError> {
         let n = schedule.n();
         let cap = schedule.capacity() as u32;
+        // Per node: key → first-seen slot id. Local to linking; the
+        // result is renumbered into key order and keeps no map.
+        let mut interned: Vec<HashMap<Key, u32>> = vec![HashMap::new(); n];
         let mut ls = LinkedSchedule {
             n,
             capacity: schedule.capacity(),
             rounds: 0,
             messages: 0,
             node_keys: vec![Vec::new(); n],
-            node_slots: vec![HashMap::new(); n],
             steps: Vec::with_capacity(schedule.steps().len()),
             transfers: Vec::with_capacity(schedule.messages()),
             ops: Vec::new(),
@@ -289,10 +296,8 @@ impl LinkedSchedule {
                                 node: t.dst,
                             });
                         }
-                        let src_slot =
-                            intern(&mut ls.node_keys[si], &mut ls.node_slots[si], t.src_key);
-                        let dst_slot =
-                            intern(&mut ls.node_keys[di], &mut ls.node_slots[di], t.dst_key);
+                        let src_slot = intern(&mut ls.node_keys[si], &mut interned[si], t.src_key);
+                        let dst_slot = intern(&mut ls.node_keys[di], &mut interned[di], t.dst_key);
                         ls.transfers.push(LinkedTransfer {
                             src: si as u32,
                             src_slot,
@@ -317,7 +322,7 @@ impl LinkedSchedule {
                     for op in ops {
                         let ni = check_node(op.node())?;
                         let keys = &mut ls.node_keys[ni];
-                        let slots = &mut ls.node_slots[ni];
+                        let slots = &mut interned[ni];
                         let linked = match *op {
                             LocalOp::Mul { dst, lhs, rhs, .. } => LinkedOp::Mul {
                                 node: ni as u32,
@@ -394,7 +399,80 @@ impl LinkedSchedule {
                 }
             }
         }
+        drop(interned);
+        ls.renumber_in_key_order();
         Ok(ls)
+    }
+
+    /// Renumber every node's slots so slot ids ascend with keys: sort each
+    /// key run, then rewrite every slot id in the transfer, op and block
+    /// tables through the resulting old → new map. Event order is
+    /// untouched; only the numbering changes.
+    fn renumber_in_key_order(&mut self) {
+        // `remap[base[v] + old] = new` for node `v`.
+        let mut base = Vec::with_capacity(self.n + 1);
+        base.push(0usize);
+        for keys in &self.node_keys {
+            base.push(base[base.len() - 1] + keys.len());
+        }
+        let mut remap = vec![0u32; base[self.n]];
+        let mut order: Vec<u32> = Vec::new();
+        let mut sorted: Vec<Key> = Vec::new();
+        for (v, keys) in self.node_keys.iter_mut().enumerate() {
+            order.clear();
+            order.extend(0..keys.len() as u32);
+            // Keys are distinct within a node, so the unstable sort is
+            // deterministic.
+            order.sort_unstable_by_key(|&old| keys[old as usize]);
+            let map = &mut remap[base[v]..base[v + 1]];
+            sorted.clear();
+            for (new, &old) in order.iter().enumerate() {
+                map[old as usize] = new as u32;
+                sorted.push(keys[old as usize]);
+            }
+            keys.copy_from_slice(&sorted);
+        }
+        let at = |node: u32, slot: u32| remap[base[node as usize] + slot as usize];
+        for t in &mut self.transfers {
+            t.src_slot = at(t.src, t.src_slot);
+            t.dst_slot = at(t.dst, t.dst_slot);
+        }
+        for op in &mut self.ops {
+            match op {
+                LinkedOp::Mul {
+                    node,
+                    dst,
+                    lhs,
+                    rhs,
+                }
+                | LinkedOp::MulAdd {
+                    node,
+                    dst,
+                    lhs,
+                    rhs,
+                } => {
+                    *dst = at(*node, *dst);
+                    *lhs = at(*node, *lhs);
+                    *rhs = at(*node, *rhs);
+                }
+                LinkedOp::AddAssign { node, dst, src }
+                | LinkedOp::SubAssign { node, dst, src }
+                | LinkedOp::Copy { node, dst, src } => {
+                    *dst = at(*node, *dst);
+                    *src = at(*node, *src);
+                }
+                LinkedOp::Zero { node, dst } => *dst = at(*node, *dst),
+                LinkedOp::Free { node, slot } => *slot = at(*node, *slot),
+                // Linking gives every BlockMulAdd op a side-table entry
+                // of its own, so each block is remapped exactly once.
+                LinkedOp::BlockMulAdd { node, block } => {
+                    let spec = &mut self.blocks[*block as usize];
+                    for slot in spec.a.iter_mut().chain(&mut spec.b).chain(&mut spec.c) {
+                        *slot = at(*node, *slot);
+                    }
+                }
+            }
+        }
     }
 
     /// Network size.
@@ -427,9 +505,14 @@ impl LinkedSchedule {
         self.node_keys.iter().map(Vec::len).sum()
     }
 
-    /// The slot id of `key` at `node`, if the schedule mentions it.
+    /// The slot id of `key` at `node`, if the schedule mentions it — a
+    /// binary search over the node's ascending key run, and the only key
+    /// → slot lookup there is.
     pub fn slot_of(&self, node: NodeId, key: Key) -> Option<u32> {
-        self.node_slots[node.index()].get(&key).copied()
+        self.node_keys[node.index()]
+            .binary_search(&key)
+            .ok()
+            .map(|slot| slot as u32)
     }
 
     /// The key interned at `slot` of `node`.
@@ -556,8 +639,8 @@ impl<'s, V: Semiring> LinkedMachine<'s, V> {
 
     /// Place `value` under `key` at `node` (input loading).
     pub fn load(&mut self, node: NodeId, key: Key, value: V) {
-        match self.schedule.node_slots[node.index()].get(&key) {
-            Some(&slot) => self.slots[node.index()][slot as usize] = Some(value),
+        match self.schedule.slot_of(node, key) {
+            Some(slot) => self.slots[node.index()][slot as usize] = Some(value),
             None => {
                 self.extra[node.index()].insert(key, value);
             }
@@ -566,8 +649,8 @@ impl<'s, V: Semiring> LinkedMachine<'s, V> {
 
     /// Read the value under `key` at `node`, if present.
     pub fn get(&self, node: NodeId, key: Key) -> Option<&V> {
-        match self.schedule.node_slots[node.index()].get(&key) {
-            Some(&slot) => self.slots[node.index()][slot as usize].as_ref(),
+        match self.schedule.slot_of(node, key) {
+            Some(slot) => self.slots[node.index()][slot as usize].as_ref(),
             None => self.extra[node.index()].get(&key),
         }
     }
@@ -1231,8 +1314,8 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
     /// into an absent plane zero-fills the other lanes.
     pub fn load_lane(&mut self, node: NodeId, key: Key, lane: usize, value: V) {
         debug_assert!(lane < LANES, "lane {lane} out of range for {LANES} lanes");
-        let plane = match self.schedule.node_slots[node.index()].get(&key) {
-            Some(&slot) => {
+        let plane = match self.schedule.slot_of(node, key) {
+            Some(slot) => {
                 self.slots[node.index()][slot as usize].get_or_insert_with(V::packed_zero)
             }
             None => self.extra[node.index()]
@@ -1243,11 +1326,12 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
     }
 
     /// [`PackedLinkedMachine::load_lane`] with the slot already resolved
-    /// (`slot < ` [`LinkedSchedule::slots_at`]` (node)`): the hash-free
+    /// (`slot < ` [`LinkedSchedule::slots_at`]` (node)`): the search-free
     /// fast path for batch loaders that precompute each support entry's
     /// `(node, slot)` site once per plan and then stream `LANES`
-    /// value-sets through it — interning is structure-only work, so it
-    /// amortizes across the whole batch exactly like the schedule decode.
+    /// value-sets through it — the slot search is structure-only work, so
+    /// it amortizes across the whole batch exactly like the schedule
+    /// decode.
     #[inline]
     pub fn load_lane_slot(&mut self, node: NodeId, slot: u32, lane: usize, value: V) {
         debug_assert!(lane < LANES, "lane {lane} out of range for {LANES} lanes");
@@ -1256,7 +1340,7 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
     }
 
     /// [`PackedLinkedMachine::get_or_zero_lane`] with the slot already
-    /// resolved — the hash-free extraction counterpart of
+    /// resolved — the search-free extraction counterpart of
     /// [`PackedLinkedMachine::load_lane_slot`].
     #[inline]
     pub fn get_or_zero_lane_slot(&self, node: NodeId, slot: u32, lane: usize) -> V {
@@ -1270,8 +1354,8 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
     /// is occupied (an occupied plane's unloaded lanes read as zero).
     pub fn get_lane(&self, node: NodeId, key: Key, lane: usize) -> Option<V> {
         debug_assert!(lane < LANES, "lane {lane} out of range for {LANES} lanes");
-        let plane = match self.schedule.node_slots[node.index()].get(&key) {
-            Some(&slot) => self.slots[node.index()][slot as usize].as_ref(),
+        let plane = match self.schedule.slot_of(node, key) {
+            Some(slot) => self.slots[node.index()][slot as usize].as_ref(),
             None => self.extra[node.index()].get(&key),
         };
         plane.map(|p| V::extract(p, lane))

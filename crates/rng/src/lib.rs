@@ -26,6 +26,8 @@
 //! seed in `EXPERIMENTS.md`. (The stream intentionally does *not* match
 //! `rand`'s ChaCha12-based `StdRng`.)
 
+#![forbid(unsafe_code)]
+
 /// Uniform-sampleable primitive types (the `rand` counterpart is
 /// `SampleUniform`).
 pub trait SampleUniform: Copy {

@@ -25,6 +25,8 @@
 //!   into the range head, in `⌈log₂ L⌉` rounds. This is the aggregation step
 //!   of Lemma 3.1 (step 3) and the upper bound for Corollary 6.10's sum task.
 
+#![forbid(unsafe_code)]
+
 pub mod broadcast;
 pub mod coloring;
 pub mod router;

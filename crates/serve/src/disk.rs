@@ -39,11 +39,12 @@
 //! [`PlanStore::save`] writes to a `.tmp` sibling and `rename`s it into
 //! place, so concurrent readers (and a second process sharing the store)
 //! observe either the old file, the new file, or absence — never a torn
-//! write. Loads go through an 8-aligned buffer, preserving the format's
-//! guarantee that every section payload sits at its natural alignment.
+//! write. Loads read the whole file into a plain byte buffer: the decoder
+//! reads every integer with `from_le_bytes`, so nothing depends on the
+//! buffer's alignment.
 
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process;
 
@@ -116,35 +117,6 @@ impl From<io::Error> for StoreError {
 impl From<BinSerError> for StoreError {
     fn from(e: BinSerError) -> StoreError {
         StoreError::Format(e)
-    }
-}
-
-/// A byte buffer whose base address is 8-aligned (it is backed by a
-/// `u64` allocation), so the format's aligned payload offsets translate
-/// to aligned addresses in memory — the same property an `mmap`'d page
-/// would give.
-struct AlignedBuf {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl AlignedBuf {
-    fn read_from(mut f: fs::File, len: usize) -> io::Result<AlignedBuf> {
-        let mut words = vec![0u64; len.div_ceil(8)];
-        // A &mut [u8] view of the u64 backing store: same allocation,
-        // stricter source alignment, u8 has no validity requirements.
-        let bytes = unsafe {
-            std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), words.len() * 8)
-        };
-        f.read_exact(&mut bytes[..len])?;
-        Ok(AlignedBuf { words, len })
-    }
-
-    fn bytes(&self) -> &[u8] {
-        let all = unsafe {
-            std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.words.len() * 8)
-        };
-        &all[..self.len]
     }
 }
 
@@ -256,22 +228,15 @@ impl PlanStore {
     /// any `Err` means a file exists but was rejected — the caller must
     /// treat both as a miss and recompile.
     pub fn load(&self, key: StructureKey) -> Result<Option<CompiledPlan>, StoreError> {
-        let path = self.path_for(key);
-        let file = match fs::File::open(&path) {
-            Ok(f) => f,
+        let bytes = match fs::read(self.path_for(key)) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(e)),
         };
-        let len = file.metadata()?.len();
-        if len > usize::MAX as u64 {
-            return Err(StoreError::Format(BinSerError::LengthOverflow {
-                offset: 0,
-                declared: len,
-                available: usize::MAX,
-            }));
-        }
-        let buf = AlignedBuf::read_from(file, len as usize)?;
-        let (embedded, plan) = decode_plan(buf.bytes())?;
+        let (embedded, plan) = decode_plan(&bytes)?;
+        // The plan owns its decoded tables; free the file before the lint
+        // allocates.
+        drop(bytes);
         if embedded != key.as_u128() {
             return Err(StoreError::KeyMismatch {
                 expected: key.as_u128(),

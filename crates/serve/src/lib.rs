@@ -30,6 +30,8 @@
 //! counts, same extracted `X` — it just stops re-paying the
 //! structure-dependent work.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod cache;
 pub mod disk;

@@ -18,6 +18,8 @@
 //! open/closed-loop harness behind `results/serving.json` — see
 //! EXPERIMENTS.md E19).
 
+#![forbid(unsafe_code)]
+
 pub mod digest;
 pub mod server;
 pub mod wire;

@@ -38,6 +38,8 @@
 //!
 //! Sinks compose: `(&mut metrics, &mut chrome)` is itself a [`Tracer`].
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod budget;
 pub mod chrome;

@@ -63,6 +63,8 @@
 //! println!("{} rounds, {} messages", report.rounds, report.messages);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use lowband_check as check;
 pub use lowband_core as core;
 pub use lowband_faults as faults;

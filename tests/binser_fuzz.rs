@@ -10,7 +10,8 @@
 //! Mutations: seeded single-byte flips over a corpus of real compiled
 //! plans, truncation at every section boundary (and every prefix of the
 //! smallest file), magic/version mutations, length-field inflation, and
-//! count-field inflation behind freshly sealed checksums. A final pair of
+//! count-field inflation and out-of-order or repeated linked keys behind
+//! freshly sealed checksums. A final pair of
 //! tests drives the same corruption through `PlanStore`/`ScheduleCache`
 //! and checks it degrades to a recompile, not an execution.
 //!
@@ -23,6 +24,7 @@ use lowband::matrix::gen;
 use lowband::model::binser::{
     self, BinSerError, FileReader, BINSER_MAGIC, BINSER_VERSION, TAG_END,
 };
+use lowband::model::NodeId;
 use lowband::serve::{decode_plan, encode_plan, PlanStore, ScheduleCache, StructureKey};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,6 +185,28 @@ fn length_field_inflation_is_rejected_without_allocation() {
     }
 }
 
+/// Each section's tag and payload in file order (end record excluded).
+fn sections_of(bytes: &[u8]) -> Vec<([u8; 4], Vec<u8>)> {
+    FileReader::new(bytes)
+        .expect("pristine envelope")
+        .spans()
+        .iter()
+        .filter(|s| s.tag != TAG_END)
+        .map(|s| (s.tag, bytes[s.payload.clone()].to_vec()))
+        .collect()
+}
+
+/// Write `sections` back out with freshly sealed checksums, so a payload
+/// mutation reaches the payload decoder rather than dying at the
+/// envelope.
+fn reseal(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
+    let mut w = binser::FileWriter::new();
+    for (tag, payload) in sections {
+        w.section(*tag, payload);
+    }
+    w.finish()
+}
+
 /// Inflate record-count words *inside* payloads, then re-seal the file
 /// with fresh checksums so the mutation reaches the payload decoder
 /// rather than dying at the envelope. The decoder's count guard must
@@ -190,14 +214,7 @@ fn length_field_inflation_is_rejected_without_allocation() {
 #[test]
 fn count_field_inflation_behind_valid_checksums_is_rejected() {
     for (_name, _key, _plan, bytes) in corpus() {
-        let reader = FileReader::new(&bytes).expect("pristine envelope");
-        let sections: Vec<([u8; 4], Vec<u8>)> = reader
-            .spans()
-            .iter()
-            .filter(|s| s.tag != TAG_END)
-            .map(|s| (s.tag, bytes[s.payload.clone()].to_vec()))
-            .collect();
-        drop(reader);
+        let sections = sections_of(&bytes);
         let mut rng = StdRng::seed_from_u64(0xC0_4277);
         for _case in 0..(FLIPS_PER_FILE / 8) {
             let victim = rng.gen_range(0..sections.len());
@@ -211,11 +228,66 @@ fn count_field_inflation_behind_valid_checksums_is_rejected() {
             // bound-check it.
             let word = rng.gen_range(0..payload.len() / 8) * 8;
             payload[word..word + 8].copy_from_slice(&(u64::MAX / 3).to_le_bytes());
-            let mut w = binser::FileWriter::new();
-            for (tag, p) in &mutated {
-                w.section(*tag, p);
+            must_degrade_cleanly(&reseal(&mutated));
+        }
+    }
+}
+
+/// v3 numbers each node's slots in key order, so its linked key run must
+/// ascend strictly. Swap two adjacent keys of one run, or repeat a key,
+/// and re-seal the file: the decoder must refuse it as `Malformed` at the
+/// offending key's file offset — not admit it, not panic.
+#[test]
+fn unordered_or_repeated_keys_behind_valid_checksums_are_rejected() {
+    const TAG_LINKED: [u8; 4] = *b"LNKD";
+    for (name, _key, plan, bytes) in corpus() {
+        let sections = sections_of(&bytes);
+        let victim = sections
+            .iter()
+            .position(|(tag, _)| *tag == TAG_LINKED)
+            .expect("linked section");
+        let reader = FileReader::new(&bytes).expect("pristine envelope");
+        let (_, payload_at) = reader.require(TAG_LINKED).expect("linked section");
+        drop(reader);
+
+        // Offset (inside the payload) of each node's first key: four
+        // header words, then per node a u64 count and 16 bytes per key.
+        let linked = &plan.linked;
+        let mut run_at = Vec::new();
+        let mut at = 32;
+        for v in 0..linked.n() as u32 {
+            let slots = linked.slots_at(NodeId(v));
+            if slots >= 2 {
+                run_at.push((at + 8, slots));
             }
-            must_degrade_cleanly(&w.finish());
+            at += 8 + 16 * slots;
+        }
+        assert!(!run_at.is_empty(), "{name}: no node holds two keys");
+
+        let mut rng = StdRng::seed_from_u64(0x5EED_0A7E);
+        for _case in 0..16 {
+            let (run, slots) = run_at[rng.gen_range(0..run_at.len())];
+            let i = rng.gen_range(0..slots - 1);
+            let (first, second) = (run + 16 * i, run + 16 * (i + 1));
+            for repeat in [false, true] {
+                let mut mutated = sections.clone();
+                let p = &mut mutated[victim].1;
+                let (lo, hi) = p.split_at_mut(second);
+                if repeat {
+                    hi[..16].copy_from_slice(&lo[first..first + 16]);
+                } else {
+                    lo[first..first + 16].swap_with_slice(&mut hi[..16]);
+                }
+                match decode_plan(&reseal(&mutated)) {
+                    Err(BinSerError::Malformed { offset, .. }) => assert_eq!(
+                        offset,
+                        payload_at + second,
+                        "{name} repeat={repeat}: wrong key blamed"
+                    ),
+                    Err(other) => panic!("{name} repeat={repeat}: expected Malformed, got {other}"),
+                    Ok(_) => panic!("{name} repeat={repeat}: key run out of order was admitted"),
+                }
+            }
         }
     }
 }
@@ -225,7 +297,7 @@ fn magic_constant_is_stable() {
     // The on-disk contract: changing these is a format break and must come
     // with a version bump, not a silent re-interpretation.
     assert_eq!(&BINSER_MAGIC, b"LBPLAN\r\n");
-    assert_eq!(BINSER_VERSION, 2);
+    assert_eq!(BINSER_VERSION, 3);
 }
 
 /// The end record covers section order: swapping two whole section

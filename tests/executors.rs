@@ -278,3 +278,84 @@ fn compressed_then_linked_still_agrees() {
         }
     }
 }
+
+/// Slot ids follow key order on every linked schedule, raw and compressed:
+/// each node's keys ascend strictly, `slot_of` inverts `key_of`, keys the
+/// schedule never mentions (below the first key, between two keys, above
+/// the last) resolve to no slot, and values loaded under them still show
+/// up in `LinkedMachine::snapshot` exactly as in `Machine`.
+#[test]
+fn slot_ids_follow_key_order() {
+    let mut gaps = 0;
+    for seed in 0..4 * CASES {
+        let case = lowband::check::generate_for_seed(seed);
+        let compressed = lowband::model::compress(&case.schedule);
+        for (form, schedule) in [("raw", &case.schedule), ("compressed", &compressed)] {
+            let linked = link(schedule).expect("generated schedules link");
+            let mut hash: Machine<Nat> = Machine::new(case.n);
+            let mut slot: LinkedMachine<Nat> = LinkedMachine::new(&linked);
+            for &(node, key, v) in &case.loads {
+                hash.load(NodeId(node), key, Nat(v));
+                slot.load(NodeId(node), key, Nat(v));
+            }
+            for v in 0..case.n as u32 {
+                let node = NodeId(v);
+                let keys: Vec<Key> = (0..linked.slots_at(node) as u32)
+                    .map(|s| linked.key_of(node, s))
+                    .collect();
+                assert!(
+                    keys.windows(2).all(|w| w[0] < w[1]),
+                    "seed {seed} {form} node {v}: keys not strictly ascending"
+                );
+                for (s, &key) in keys.iter().enumerate() {
+                    assert_eq!(
+                        linked.slot_of(node, key),
+                        Some(s as u32),
+                        "seed {seed} {form} node {v}: slot_of(key_of({s}))"
+                    );
+                }
+                // Keys just below the first, strictly between two
+                // neighbours and just above the last cannot be interned;
+                // a node without keys gets one arbitrary probe.
+                let raw: Vec<u128> = keys.iter().map(|k| k.to_raw()).collect();
+                let between: Vec<u128> = raw
+                    .windows(2)
+                    .filter(|w| w[1] - w[0] > 1)
+                    .map(|w| w[0] + 1)
+                    .collect();
+                gaps += between.len();
+                let mut absent: Vec<u128> = raw
+                    .first()
+                    .and_then(|r| r.checked_sub(1))
+                    .into_iter()
+                    .collect();
+                absent.extend(between);
+                absent.extend(raw.last().and_then(|r| r.checked_add(1)));
+                if raw.is_empty() {
+                    absent.push(Key::a(0, 0).to_raw());
+                }
+                for (i, key) in absent.into_iter().map(Key::from_raw).enumerate() {
+                    assert_eq!(
+                        linked.slot_of(node, key),
+                        None,
+                        "seed {seed} {form} node {v}: absent key {key:?} found a slot"
+                    );
+                    let value = Nat(1000 + i as u64);
+                    hash.load(node, key, value);
+                    slot.load(node, key, value);
+                }
+            }
+            let s_hash = hash.run(schedule).expect("reference run");
+            let s_slot = slot.run().expect("linked run");
+            assert_eq!(s_hash, s_slot, "seed {seed} {form}: stats diverge");
+            for v in 0..case.n as u32 {
+                assert_eq!(
+                    hash.snapshot(NodeId(v)),
+                    slot.snapshot(NodeId(v)),
+                    "seed {seed} {form}: stores diverge at node {v}"
+                );
+            }
+        }
+    }
+    assert!(gaps > 0, "no key run had a gap to probe between");
+}
