@@ -9,7 +9,7 @@
 //! default K = 3) and compares them against the committed
 //! `results/baseline.json`; any probe past `baseline · (1 + tolerance)`
 //! fails the process with exit code 1. The probe set mirrors the repo's
-//! three performance tentpoles:
+//! performance tentpoles:
 //!
 //! * **executor** — schedule compile, hash-executor and linked-executor
 //!   wall clock on a block workload, plus the `linked_over_hash` ratio
@@ -21,6 +21,11 @@
 //!   — `decode_plan` of the encoded plan file (envelope, checksums,
 //!   schedule and linked decode) and the `lint_linked` pass (both must
 //!   stay a small fraction of what a disk hit saves);
+//! * **compile internals** — `extract_over_compile`: one cluster-extraction
+//!   pass on the batch-n1024 benchmark structure (n = 1024, two-phase
+//!   d = 16) over that structure's whole compile (the extraction indexes
+//!   the pool once per call; per-cluster whole-pool rebuilds put the ratio
+//!   near 0.9);
 //! * **serving** — `warm_over_cold`: amortized per-run cost of a cached
 //!   batch vs per-run recompilation;
 //! * **packing** — `packed_over_sequential`: per-member cost of the lane
@@ -44,10 +49,14 @@ use std::time::Instant;
 use lowband_bench::report::{
     budget_section, reservoir_section, results_dir, Json, Reservoir, DEFAULT_TOLERANCE,
 };
-use lowband_bench::{block_workload, TablePrinter};
+use lowband_bench::{block_workload, mixed_workload, TablePrinter};
 use lowband_check::lint_linked;
 use lowband_core::budget::entries_for_observed;
-use lowband_core::{compile_plan, compile_schedule, run_algorithm, Algorithm, BatchMode};
+use lowband_core::cluster::extract_clusters;
+use lowband_core::densemm::DenseEngine;
+use lowband_core::{
+    compile_plan, compile_schedule, run_algorithm, Algorithm, BatchMode, TriangleSet,
+};
 use lowband_matrix::{Fp, SparseMatrix, Wrap64};
 use lowband_serve::{decode_plan, encode_plan, run_batch, ScheduleCache};
 use lowband_trace::baseline::{all_pass, gate, probes_from_json, probes_to_json, Probe};
@@ -153,6 +162,28 @@ fn measure(k: usize) -> Measurements {
     });
     reservoirs.push(("perfgate.lint_linked_nanos".to_string(), res));
     probe("lint_over_compile", lint_ns / compile_ns);
+
+    // ---- compile-internals probe: cluster extraction ---------------------
+    // The batch-n1024 benchmark structure: [US:US:AS] at n = 1024 under
+    // Theorem 4.2 with d = 16. One extraction pass at the schedule's
+    // threshold (d² = 256) captures every dense block.
+    let mixed = mixed_workload(64, 16, 0x10AD);
+    let two_phase = Algorithm::TwoPhase {
+        d: 16,
+        engine: DenseEngine::Cube3d,
+    };
+    let mut res = Reservoir::new(k);
+    let two_phase_ns = median_ns(k, &mut res, || {
+        compile_schedule(&mixed, two_phase).expect("compiles")
+    });
+    reservoirs.push(("perfgate.two_phase_compile_nanos".to_string(), res));
+    let pool = TriangleSet::enumerate(&mixed).triangles;
+    let mut res = Reservoir::new(k);
+    let extract_ns = median_ns(k, &mut res, || {
+        extract_clusters(&mut pool.clone(), 16, 256, 0)
+    });
+    reservoirs.push(("perfgate.extract_clusters_nanos".to_string(), res));
+    probe("extract_over_compile", extract_ns / two_phase_ns);
 
     // ---- serving probe: warm vs cold amortized per-run --------------------
     let small = block_workload(4, 8);
@@ -271,6 +302,10 @@ fn write_baseline(path: &PathBuf, m: &Measurements, k: usize) -> std::io::Result
                 Json::obj()
                     .set("median_of", k as u64)
                     .set("executor_workload", "block_workload(64, 16)")
+                    .set(
+                        "compile_internals_workload",
+                        "mixed_workload(64, 16, 0x10AD), two-phase d = 16",
+                    )
                     .set("serving_workload", "block_workload(4, 8)"),
             ),
             ("percentiles".to_string(), reservoir_section(&pairs)),

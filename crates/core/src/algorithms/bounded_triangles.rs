@@ -28,22 +28,28 @@ pub struct BoundedStats {
     pub triangles: usize,
     /// The κ used (`⌈|𝒯̂|/n⌉`).
     pub kappa: usize,
-    /// Maximum pair multiplicity `m` (drives the `log m ≤ log n` term).
-    pub max_pair: usize,
 }
 
 /// Solve an instance by enumerating `𝒯̂` and processing everything with one
-/// Lemma 3.1 invocation.
+/// Lemma 3.1 invocation. (The pair multiplicity `m` behind the `log m` term
+/// is [`TriangleSet::max_pair_count`].)
 pub fn solve_bounded_triangles(
     inst: &Instance,
     ns_base: u64,
 ) -> Result<(Schedule, BoundedStats), ModelError> {
-    let ts = TriangleSet::enumerate(inst);
+    solve_bounded_triangles_from(inst, &TriangleSet::enumerate(inst), ns_base)
+}
+
+/// [`solve_bounded_triangles`] over an already enumerated `𝒯̂`.
+pub(crate) fn solve_bounded_triangles_from(
+    inst: &Instance,
+    ts: &TriangleSet,
+    ns_base: u64,
+) -> Result<(Schedule, BoundedStats), ModelError> {
     let kappa = ts.kappa(inst.n);
     let stats = BoundedStats {
         triangles: ts.len(),
         kappa,
-        max_pair: ts.max_pair_count(),
     };
     let schedule = process_triangles(inst, &ts.triangles, kappa, ns_base)?;
     Ok((schedule, stats))

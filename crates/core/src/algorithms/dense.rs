@@ -13,7 +13,7 @@ use lowband_model::{ModelError, NodeId, Schedule};
 use crate::cluster::Cluster;
 use crate::densemm::process_wave;
 use crate::instance::Instance;
-use crate::triangles::TriangleSet;
+use crate::triangles::{Triangle, TriangleSet};
 
 /// Solve an arbitrary instance with the full-network 3D cube algorithm.
 ///
@@ -21,32 +21,18 @@ use crate::triangles::TriangleSet;
 /// computer. Intended for dense or near-dense instances — on sparse inputs
 /// the wave is still correct but the sparse algorithms are far cheaper.
 pub fn solve_dense_cube(inst: &Instance, ns_base: u64) -> Result<Schedule, ModelError> {
+    solve_dense_cube_from(inst, TriangleSet::enumerate(inst).triangles, ns_base)
+}
+
+/// [`solve_dense_cube`] over an already enumerated `𝒯̂`.
+pub(crate) fn solve_dense_cube_from(
+    inst: &Instance,
+    triangles: Vec<Triangle>,
+    ns_base: u64,
+) -> Result<Schedule, ModelError> {
     let n = inst.n;
-    let ts = TriangleSet::enumerate(inst);
-    let cluster = Cluster {
-        i_nodes: (0..n as u32).collect(),
-        j_nodes: (0..n as u32).collect(),
-        k_nodes: (0..n as u32).collect(),
-        a_edges: {
-            let mut e: Vec<(u32, u32)> = ts.triangles.iter().map(|t| (t.i, t.j)).collect();
-            e.sort_unstable();
-            e.dedup();
-            e
-        },
-        b_edges: {
-            let mut e: Vec<(u32, u32)> = ts.triangles.iter().map(|t| (t.j, t.k)).collect();
-            e.sort_unstable();
-            e.dedup();
-            e
-        },
-        x_pairs: {
-            let mut e: Vec<(u32, u32)> = ts.triangles.iter().map(|t| (t.i, t.k)).collect();
-            e.sort_unstable();
-            e.dedup();
-            e
-        },
-        triangles: ts.triangles,
-    };
+    let all: Vec<u32> = (0..n as u32).collect();
+    let cluster = Cluster::new(all.clone(), all.clone(), all, triangles);
     process_wave(inst, &[cluster], &[NodeId(0)], n, ns_base)
 }
 

@@ -12,8 +12,6 @@
 //! cost degrades to the maximum per-node triangle load — exactly the
 //! weakness Lemma 3.1's virtualization removes.
 
-use std::collections::HashSet;
-
 use lowband_model::{Key, LocalOp, Merge, ModelError, Schedule, ScheduleBuilder, Transfer};
 use lowband_routing::route;
 
@@ -33,13 +31,17 @@ pub fn solve_trivial(
 
     // Each distinct (value, consumer) pair is one message; dedup so an X
     // owner fetches each input value once even if it appears in many of its
-    // triangles.
-    let mut a_fetches: HashSet<(u32, u32, u32)> = HashSet::new(); // (i, j, consumer)
-    let mut b_fetches: HashSet<(u32, u32, u32)> = HashSet::new(); // (j, k, consumer)
+    // triangles. Sorting fixes the message order.
+    let mut a_fetches: Vec<(u32, u32, u32)> = Vec::with_capacity(triangles.len()); // (i, j, consumer)
+    let mut b_fetches: Vec<(u32, u32, u32)> = Vec::with_capacity(triangles.len()); // (j, k, consumer)
     for t in triangles {
         let consumer = inst.placement.x.owner(t.i, t.k);
-        a_fetches.insert((t.i, t.j, consumer.0));
-        b_fetches.insert((t.j, t.k, consumer.0));
+        a_fetches.push((t.i, t.j, consumer.0));
+        b_fetches.push((t.j, t.k, consumer.0));
+    }
+    for fetches in [&mut a_fetches, &mut b_fetches] {
+        fetches.sort_unstable();
+        fetches.dedup();
     }
     let mut messages: Vec<Transfer> = Vec::with_capacity(a_fetches.len() + b_fetches.len());
     for &(i, j, consumer) in &a_fetches {

@@ -14,14 +14,14 @@
 //! executed, semiring-faithful) from *modeled* rounds (the fast-field charge
 //! of DESIGN.md §3) so benches can print both columns.
 
-use lowband_model::{ModelError, Schedule, ScheduleBuilder};
+use lowband_model::{ModelError, Schedule};
 
 use crate::cluster::{extract_clusters, Cluster};
 use crate::densemm::{process_clusters, DenseEngine};
 use crate::instance::Instance;
 use crate::lemma31::process_triangles;
 use crate::optimizer::{optimal_schedule, ParameterSchedule, Phase2};
-use crate::triangles::TriangleSet;
+use crate::triangles::{Triangle, TriangleSet};
 
 /// Everything a two-phase run reports.
 #[derive(Debug)]
@@ -57,7 +57,7 @@ impl TwoPhaseReport {
 /// Run phase-1 extraction following the parameter schedule; returns the
 /// clusters and leaves the residual in `pool`.
 fn extract_by_schedule(
-    pool: &mut Vec<crate::triangles::Triangle>,
+    pool: &mut Vec<Triangle>,
     d: usize,
     n: usize,
     params: &ParameterSchedule,
@@ -95,6 +95,23 @@ pub fn solve_two_phase(
     engine: DenseEngine,
     ns_base: u64,
 ) -> Result<TwoPhaseReport, ModelError> {
+    solve_two_phase_from(
+        inst,
+        TriangleSet::enumerate(inst).triangles,
+        d,
+        engine,
+        ns_base,
+    )
+}
+
+/// [`solve_two_phase`] over an already enumerated `𝒯̂` (`pool`).
+pub(crate) fn solve_two_phase_from(
+    inst: &Instance,
+    mut pool: Vec<Triangle>,
+    d: usize,
+    engine: DenseEngine,
+    ns_base: u64,
+) -> Result<TwoPhaseReport, ModelError> {
     let n = inst.n;
     let lambda = match engine {
         DenseEngine::Cube3d => crate::optimizer::LAMBDA_SEMIRING,
@@ -104,10 +121,7 @@ pub fn solve_two_phase(
         }
     };
     let params = optimal_schedule(lambda, 0.00001, Phase2::ThisWork);
-
-    let ts = TriangleSet::enumerate(inst);
-    let total = ts.len();
-    let mut pool = ts.triangles;
+    let total = pool.len();
 
     // ---- Phase 1: cluster extraction + dense processing ------------------
     let clusters = extract_by_schedule(&mut pool, d.max(1), n, &params);
@@ -125,10 +139,7 @@ pub fn solve_two_phase(
     let phase2_schedule = process_triangles(inst, &pool, kappa, ns_base + 8)?;
     let phase2_rounds = phase2_schedule.rounds();
 
-    let mut b = ScheduleBuilder::new(n);
-    b.extend(&dense_schedule)?;
-    b.extend(&phase2_schedule)?;
-    let schedule = b.build();
+    let schedule = dense_schedule.chain(phase2_schedule)?;
 
     let modeled_dense: f64 = (0..waves)
         .map(|_| engine.modeled_wave_rounds(d.max(2), dense_rounds / waves.max(1)))

@@ -68,11 +68,48 @@ fn partition_parts(len: usize, p: usize) -> Vec<usize> {
     (0..len).map(|idx| idx * p / len.max(1)).collect()
 }
 
+/// Dense position of every node of one cluster side in its node list.
+struct NodeIndex {
+    pos: Vec<u32>,
+}
+
+impl NodeIndex {
+    /// Marks a node outside the cluster.
+    const NONE: u32 = u32::MAX;
+
+    fn new(n: usize) -> NodeIndex {
+        NodeIndex {
+            pos: vec![NodeIndex::NONE; n],
+        }
+    }
+
+    fn set(&mut self, nodes: &[u32]) {
+        for (at, &v) in nodes.iter().enumerate() {
+            self.pos[v as usize] = at as u32;
+        }
+    }
+
+    fn clear(&mut self, nodes: &[u32]) {
+        for &v in nodes {
+            self.pos[v as usize] = NodeIndex::NONE;
+        }
+    }
+
+    /// The position of `v`; panics if `v` is not a cluster node.
+    fn of(&self, v: u32) -> usize {
+        let at = self.pos[v as usize];
+        assert!(at != NodeIndex::NONE, "node {v} is outside the cluster");
+        at as usize
+    }
+}
+
 /// Build the schedule processing one wave of clusters in parallel.
 ///
 /// `blocks[c]` is the first computer of the `c`-th cluster's dedicated block
 /// of `block_size` computers; the caller guarantees the blocks are disjoint.
-/// Scratch keys use namespaces `ns_base..ns_base+1`.
+/// Scratch keys use namespaces `ns_base..ns_base+1`. Every message list is
+/// built in a fixed order (edges as the cluster lists them, partial sums by
+/// `(i, k)`), so the schedule is a pure function of its inputs.
 pub fn process_wave(
     inst: &Instance,
     clusters: &[Cluster],
@@ -91,6 +128,9 @@ pub fn process_wave(
     let mut mults: Vec<LocalOp> = Vec::new();
     let mut fold_local: Vec<LocalOp> = Vec::new();
     let mut final_local: Vec<LocalOp> = Vec::new();
+    let [mut i_idx, mut j_idx, mut k_idx] = [(); 3].map(|_| NodeIndex::new(n));
+    // (i, k, grid cell) of every partial sum of the current cluster.
+    let mut partials: Vec<(u32, u32, usize)> = Vec::new();
 
     for (cluster, &block) in clusters.iter().zip(blocks) {
         let g = block_size.max(1);
@@ -98,20 +138,20 @@ pub fn process_wave(
         let grid = |x: usize, y: usize, z: usize| NodeId(block.0 + (x * p * p + y * p + z) as u32);
 
         // Dense local index of every cluster node, and its grid part.
-        let index_of = |nodes: &[u32]| -> std::collections::HashMap<u32, usize> {
-            nodes.iter().enumerate().map(|(pos, &v)| (v, pos)).collect()
-        };
-        let i_idx = index_of(&cluster.i_nodes);
-        let j_idx = index_of(&cluster.j_nodes);
-        let k_idx = index_of(&cluster.k_nodes);
+        i_idx.set(&cluster.i_nodes);
+        j_idx.set(&cluster.j_nodes);
+        k_idx.set(&cluster.k_nodes);
         let i_part = partition_parts(cluster.i_nodes.len(), p);
         let j_part = partition_parts(cluster.j_nodes.len(), p);
         let k_part = partition_parts(cluster.k_nodes.len(), p);
+        let x_of = |i: u32| i_part[i_idx.of(i)];
+        let y_of = |j: u32| j_part[j_idx.of(j)];
+        let z_of = |k: u32| k_part[k_idx.of(k)];
 
         // 1. Replicate A edges to all z-layers of their (x, y) cell, B edges
         //    to all x-layers of their (y, z) cell.
         for &(i, j) in &cluster.a_edges {
-            let (x, y) = (i_part[i_idx[&i]], j_part[j_idx[&j]]);
+            let (x, y) = (x_of(i), y_of(j));
             let src = inst.placement.a.owner(i, j);
             let key = Key::a(u64::from(i), u64::from(j));
             for z in 0..p {
@@ -128,7 +168,7 @@ pub fn process_wave(
             }
         }
         for &(j, k) in &cluster.b_edges {
-            let (y, z) = (j_part[j_idx[&j]], k_part[k_idx[&k]]);
+            let (y, z) = (y_of(j), z_of(k));
             let src = inst.placement.b.owner(j, k);
             let key = Key::b(u64::from(j), u64::from(k));
             for x in 0..p {
@@ -151,64 +191,43 @@ pub fn process_wave(
         //    Partial key: tmp(ns_base, i * n + k) — per-node stores make the
         //    same key safe on different computers.
         let pair_key = |i: u32, k: u32| Key::tmp(ns_base, u64::from(i) * n as u64 + u64::from(k));
+        partials.clear();
         for t in &cluster.triangles {
-            let (x, y, z) = (
-                i_part[i_idx[&t.i]],
-                j_part[j_idx[&t.j]],
-                k_part[k_idx[&t.k]],
-            );
-            let node = grid(x, y, z);
+            let (x, y, z) = (x_of(t.i), y_of(t.j), z_of(t.k));
             mults.push(LocalOp::MulAdd {
-                node,
+                node: grid(x, y, z),
                 dst: pair_key(t.i, t.k),
                 lhs: Key::a(u64::from(t.i), u64::from(t.j)),
                 rhs: Key::b(u64::from(t.j), u64::from(t.k)),
             });
+            partials.push((t.i, t.k, x * p * p + y * p + z));
         }
 
         // 3. Fold the ≤ p partials of each X pair at its aggregator
         //    (x, y₀, z) with y₀ = (i + k) mod p, then accumulate into the
-        //    X owner.
-        //    A cell contributes to pair (i,k) iff some captured triangle of
-        //    that cell hits (i,k).
-        let mut contributors: std::collections::HashMap<(u32, u32), Vec<usize>> =
-            std::collections::HashMap::new();
-        for t in &cluster.triangles {
-            let cell = (
-                i_part[i_idx[&t.i]],
-                j_part[j_idx[&t.j]],
-                k_part[k_idx[&t.k]],
-            );
-            let ys = contributors.entry((t.i, t.k)).or_default();
-            let y_enc = cell.0 * p * p + cell.1 * p + cell.2;
-            if !ys.contains(&y_enc) {
-                ys.push(y_enc);
-            }
-        }
-        for (&(i, k), cells) in &contributors {
-            let x = i_part[i_idx[&i]];
-            let z = k_part[k_idx[&k]];
-            let y0 = (i as usize + k as usize) % p;
-            let agg = grid(x, y0, z);
-            let mut agg_has_own = false;
-            for &cell_enc in cells {
-                let node = NodeId(block.0 + cell_enc as u32);
-                if node == agg {
-                    agg_has_own = true;
-                    continue;
+        //    X owner. A cell contributes to pair (i,k) iff some captured
+        //    triangle of that cell hits (i,k). Pairs go in (i, k) order,
+        //    each pair's cells in grid order.
+        partials.sort_unstable();
+        partials.dedup();
+        for pair in partials.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (i, k) = (pair[0].0, pair[0].1);
+            let agg = grid(x_of(i), (i as usize + k as usize) % p, z_of(k));
+            // If the aggregator has a partial of its own the adds
+            // accumulate on top of it; otherwise the first fold message
+            // creates the key (Merge::Add starts from zero).
+            for &(_, _, cell) in pair {
+                let node = NodeId(block.0 + cell as u32);
+                if node != agg {
+                    fold_msgs.push(Transfer {
+                        src: node,
+                        src_key: pair_key(i, k),
+                        dst: agg,
+                        dst_key: pair_key(i, k),
+                        merge: Merge::Add,
+                    });
                 }
-                fold_msgs.push(Transfer {
-                    src: node,
-                    src_key: pair_key(i, k),
-                    dst: agg,
-                    dst_key: pair_key(i, k),
-                    merge: Merge::Add,
-                });
             }
-            // If the aggregator had no own partial, the first fold message
-            // creates the key (Merge::Add starts from zero). If it had one,
-            // the adds accumulate on top. Either way the key exists now.
-            let _ = agg_has_own;
             let owner = inst.placement.x.owner(i, k);
             let xkey = Key::x(u64::from(i), u64::from(k));
             if owner == agg {
@@ -226,21 +245,18 @@ pub fn process_wave(
                     merge: Merge::Add,
                 });
             }
-        }
-        // Clear the partial keys afterwards so later waves can reuse the
-        // namespace on the same computers.
-        for &(i, k) in contributors.keys() {
-            for xx in 0..p {
-                for yy in 0..p {
-                    for zz in 0..p {
-                        fold_local.push(LocalOp::Free {
-                            node: grid(xx, yy, zz),
-                            key: pair_key(i, k),
-                        });
-                    }
-                }
+            // Clear the partial keys afterwards so later waves can reuse
+            // the namespace on the same computers.
+            for cell in 0..p * p * p {
+                fold_local.push(LocalOp::Free {
+                    node: NodeId(block.0 + cell as u32),
+                    key: pair_key(i, k),
+                });
             }
         }
+        i_idx.clear(&cluster.i_nodes);
+        j_idx.clear(&cluster.j_nodes);
+        k_idx.clear(&cluster.k_nodes);
     }
 
     b.extend(&route(n, &a_msgs)?)?;
@@ -268,15 +284,13 @@ pub fn process_clusters_strassen(
     let per_wave = (n / block_size).max(1);
     let mut b = ScheduleBuilder::new(n);
     let mut waves = 0usize;
+    let [mut i_idx, mut j_idx, mut k_idx] = [(); 3].map(|_| NodeIndex::new(n));
     for chunk in clusters.chunks(per_wave) {
         let mut jobs = Vec::with_capacity(chunk.len());
         for (c_idx, cluster) in chunk.iter().enumerate() {
-            let index_of = |nodes: &[u32]| -> std::collections::HashMap<u32, usize> {
-                nodes.iter().enumerate().map(|(pos, &v)| (v, pos)).collect()
-            };
-            let i_idx = index_of(&cluster.i_nodes);
-            let j_idx = index_of(&cluster.j_nodes);
-            let k_idx = index_of(&cluster.k_nodes);
+            i_idx.set(&cluster.i_nodes);
+            j_idx.set(&cluster.j_nodes);
+            k_idx.set(&cluster.k_nodes);
             let side = cluster.side().max(1);
             jobs.push(DenseJob {
                 side,
@@ -287,8 +301,8 @@ pub fn process_clusters_strassen(
                     .iter()
                     .map(|&(i, j)| {
                         (
-                            i_idx[&i],
-                            j_idx[&j],
+                            i_idx.of(i),
+                            j_idx.of(j),
                             inst.placement.a.owner(i, j),
                             Key::a(u64::from(i), u64::from(j)),
                         )
@@ -299,8 +313,8 @@ pub fn process_clusters_strassen(
                     .iter()
                     .map(|&(j, k)| {
                         (
-                            j_idx[&j],
-                            k_idx[&k],
+                            j_idx.of(j),
+                            k_idx.of(k),
                             inst.placement.b.owner(j, k),
                             Key::b(u64::from(j), u64::from(k)),
                         )
@@ -311,14 +325,17 @@ pub fn process_clusters_strassen(
                     .iter()
                     .map(|&(i, k)| {
                         (
-                            i_idx[&i],
-                            k_idx[&k],
+                            i_idx.of(i),
+                            k_idx.of(k),
                             inst.placement.x.owner(i, k),
                             Key::x(u64::from(i), u64::from(k)),
                         )
                     })
                     .collect(),
             });
+            i_idx.clear(&cluster.i_nodes);
+            j_idx.clear(&cluster.j_nodes);
+            k_idx.clear(&cluster.k_nodes);
         }
         append_strassen_jobs(&mut b, n, &jobs, ns_base + waves as u64 * NS_WAVE_STRIDE)?;
         waves += 1;

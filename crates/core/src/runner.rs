@@ -20,9 +20,10 @@ use lowband_trace::{FlightRecorder, Json, MetricsRegistry};
 use rand::SeedableRng;
 use std::path::PathBuf;
 
-use crate::algorithms::{
-    solve_bounded_triangles, solve_dense_cube, solve_trivial, solve_two_phase,
-};
+use crate::algorithms::bounded_triangles::solve_bounded_triangles_from;
+use crate::algorithms::dense::solve_dense_cube_from;
+use crate::algorithms::solve_trivial;
+use crate::algorithms::two_phase::solve_two_phase_from;
 use crate::densemm::DenseEngine;
 use crate::instance::{Instance, PackedSites};
 use crate::supervise::{Backoff, Deadline, ResilientError, Rung};
@@ -1149,12 +1150,13 @@ pub fn compile_schedule(
 }
 
 /// The compile phase of [`run_algorithm_traced`]: triangle enumeration
-/// plus the selected solver.
+/// (once) plus the selected solver.
 fn compile(
     inst: &Instance,
     algorithm: Algorithm,
 ) -> Result<(usize, lowband_model::Schedule, f64), ModelError> {
     let ts = TriangleSet::enumerate(inst);
+    let triangles = ts.len();
     let (schedule, modeled) = match algorithm {
         Algorithm::Trivial => {
             let s = solve_trivial(inst, &ts.triangles, 0)?;
@@ -1162,17 +1164,17 @@ fn compile(
             (s, r)
         }
         Algorithm::BoundedTriangles => {
-            let (s, _) = solve_bounded_triangles(inst, 0)?;
+            let (s, _) = solve_bounded_triangles_from(inst, &ts, 0)?;
             let r = s.rounds() as f64;
             (s, r)
         }
         Algorithm::TwoPhase { d, engine } => {
-            let report = solve_two_phase(inst, d, engine, 0)?;
+            let report = solve_two_phase_from(inst, ts.triangles, d, engine, 0)?;
             let modeled = report.modeled_rounds;
             (report.schedule, modeled)
         }
         Algorithm::DenseCube => {
-            let s = solve_dense_cube(inst, 0)?;
+            let s = solve_dense_cube_from(inst, ts.triangles, 0)?;
             let r = s.rounds() as f64;
             (s, r)
         }
@@ -1182,7 +1184,7 @@ fn compile(
             (s, r)
         }
     };
-    Ok((ts.len(), schedule, modeled))
+    Ok((triangles, schedule, modeled))
 }
 
 #[cfg(test)]

@@ -192,3 +192,48 @@ fn publication_is_atomic_and_leaves_no_temp_files() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Compiling one structure twice gives the same plan file, byte for byte,
+/// for every algorithm and dense engine, compressed or not: nothing from
+/// compile through link follows hash-map iteration order, so "same
+/// structure ⇒ same compiled artifact" holds for the bytes a store keeps.
+#[test]
+fn compiles_are_byte_identical() {
+    use lowband::core::densemm::DenseEngine;
+    use lowband::core::optimizer::OMEGA_PAPER;
+    use lowband::serve::encode_plan;
+    use rand::SeedableRng;
+
+    // Dense 4-blocks plus scattered background: the two-phase algorithm
+    // extracts clusters and leaves a residual for Lemma 3.1.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB17E);
+    let n = 48;
+    let block = gen::block_diagonal(n, 4);
+    let inst = Instance::new(
+        block.union(&gen::uniform_sparse(n, 2, &mut rng)),
+        block.union(&gen::uniform_sparse(n, 2, &mut rng)),
+        block.union(&gen::average_sparse(n, 2, &mut rng)),
+    );
+    let two_phase = |engine| Algorithm::TwoPhase { d: 6, engine };
+    let mut differ = Vec::new();
+    for algorithm in [
+        Algorithm::Trivial,
+        Algorithm::BoundedTriangles,
+        Algorithm::DenseCube,
+        two_phase(DenseEngine::Cube3d),
+        two_phase(DenseEngine::FastField { omega: OMEGA_PAPER }),
+        two_phase(DenseEngine::StrassenExec),
+    ] {
+        for compress in [false, true] {
+            let first = compile_plan(&inst, algorithm, compress).expect("compiles");
+            let second = compile_plan(&inst, algorithm, compress).expect("compiles");
+            if first.linked.rounds() != second.linked.rounds() {
+                differ.push(format!("{algorithm:?}, compress {compress}: rounds"));
+            }
+            if encode_plan(0, &first) != encode_plan(0, &second) {
+                differ.push(format!("{algorithm:?}, compress {compress}: bytes"));
+            }
+        }
+    }
+    assert!(differ.is_empty(), "recompiles differ: {differ:#?}");
+}
