@@ -6,10 +6,9 @@
 //! algorithm — millions of transfers and local ops. `hash` runs the
 //! [`lowband_model::Machine`] reference executor (one or more hash probes
 //! per event); `linked` runs the same schedule after [`lowband_model::link`]
-//! interned every key into dense slots (zero hashing per event);
-//! `linked_parallel` adds the sharded thread pool on top. `link` itself is
-//! measured separately — it is a one-off compile-time cost, amortized over
-//! every execution of the schedule.
+//! interned every key into dense slots (zero hashing per event). `link`
+//! itself is measured separately — it is a one-off compile-time cost,
+//! amortized over every execution of the schedule.
 //!
 //! Each executor iteration re-loads the input values into a fresh machine,
 //! so the comparison is end-to-end: load + run.
@@ -51,12 +50,6 @@ fn bench_link_vs_hash(c: &mut Criterion) {
         bench.iter(|| {
             let mut m = inst.load_linked(&a, &b, &linked);
             black_box(m.run().expect("runs").messages)
-        })
-    });
-    group.bench_function("linked_parallel", |bench| {
-        bench.iter(|| {
-            let mut m = inst.load_linked(&a, &b, &linked);
-            black_box(m.run_parallel(0).expect("runs").messages)
         })
     });
     group.bench_function("link", |bench| {

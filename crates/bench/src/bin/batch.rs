@@ -10,10 +10,11 @@
 //!
 //! * **cold** — `K` independent [`run_algorithm`] calls: every run pays
 //!   triangle enumeration, schedule compilation and linking again;
-//! * **warm** — one [`ScheduleCache`] lookup plus [`serve::run_batch`]:
-//!   the structure-dependent work is paid once (and here not even once —
-//!   the cache is primed before timing), every run pays only
-//!   load + execute + verify through one reused slot-store machine.
+//! * **warm** — one [`ScheduleCache`] lookup plus
+//!   [`serve::run_batch`](lowband_serve::run_batch): the
+//!   structure-dependent work is paid once (and here not even once — the
+//!   cache is primed before timing), every run pays only load + execute +
+//!   verify through one reused slot-store machine.
 //!
 //! The headline number is amortized wall-clock per run vs `K`: the warm
 //! path must flatten to the pure execution cost while the cold path stays

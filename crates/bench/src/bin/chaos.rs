@@ -56,7 +56,7 @@ struct Tally {
     served: u64,
     refused: u64,
     incorrect: u64,
-    rungs: [u64; 4],
+    rungs: [u64; 3],
     descents: u64,
     deadline_misses: u64,
     breaker_rejected: u64,
@@ -118,8 +118,7 @@ fn rung_index(rung: Rung) -> usize {
     match rung {
         Rung::Packed => 0,
         Rung::Linked => 1,
-        Rung::HashMap => 2,
-        Rung::Reference => 3,
+        Rung::Reference => 2,
     }
 }
 
@@ -193,7 +192,7 @@ fn main() {
             "entry",
             "intensity",
             "served",
-            "pk/ln/hm/ref",
+            "pk/ln/ref",
             "descents",
             "quarantined",
         ],
@@ -231,13 +230,13 @@ fn main() {
                     );
                     tally.absorb(&outcome);
                 }
-                let rungs: Vec<u64> = (0..4).map(|i| tally.rungs[i] - before.1[i]).collect();
+                let rungs: Vec<u64> = (0..3).map(|i| tally.rungs[i] - before.1[i]).collect();
                 t.row(&[
                     sname.to_string(),
                     entry.as_str().to_string(),
                     iname.to_string(),
                     format!("{}/{requests}", tally.served - before.0),
-                    format!("{}/{}/{}/{}", rungs[0], rungs[1], rungs[2], rungs[3]),
+                    format!("{}/{}/{}", rungs[0], rungs[1], rungs[2]),
                     (tally.descents - before.2).to_string(),
                     (tally.quarantine_served - before.3).to_string(),
                 ]);
@@ -275,8 +274,7 @@ fn main() {
         Json::obj()
             .set("packed", tally.rungs[0])
             .set("linked", tally.rungs[1])
-            .set("hashmap", tally.rungs[2])
-            .set("reference", tally.rungs[3])
+            .set("reference", tally.rungs[2])
             .set("descents", tally.descents)
             .set("quarantine_served", tally.quarantine_served),
     );

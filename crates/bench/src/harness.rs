@@ -4,11 +4,11 @@
 //! The interface mirrors Criterion 0.5 — `Criterion::benchmark_group`,
 //! `BenchmarkGroup::{sample_size, bench_function, bench_with_input, finish}`,
 //! `BenchmarkId::{new, from_parameter}`, `Bencher::iter` — plus the
-//! [`criterion_group!`]/[`criterion_main!`] macros, so a bench file ports by
-//! changing only its `use` lines. What it does *not* do is Criterion's
-//! statistics machinery: each benchmark is timed with warmup plus a fixed
-//! number of wall-clock samples, and the median/min/max per-iteration times
-//! are printed in a plain table.
+//! [`criterion_group!`](crate::criterion_group)/[`criterion_main!`](crate::criterion_main)
+//! macros, so a bench file ports by changing only its `use` lines. What it
+//! does *not* do is Criterion's statistics machinery: each benchmark is
+//! timed with warmup plus a fixed number of wall-clock samples, and the
+//! median/min/max per-iteration times are printed in a plain table.
 //!
 //! Command-line behaviour: any non-flag argument acts as a substring filter
 //! on benchmark ids (like Criterion); `--bench`/`--quick` and other flags
@@ -52,7 +52,8 @@ struct Record {
 
 /// Write `results/bench_<name>.json` with every measurement recorded so
 /// far. No-op without `--json`. Called automatically by
-/// [`criterion_main!`]; `name` is derived from the bench executable.
+/// [`criterion_main!`](crate::criterion_main); `name` is derived from the
+/// bench executable.
 pub fn write_json_records() {
     if !json_mode() {
         return;
@@ -281,8 +282,8 @@ pub struct Bencher {
 
 impl Bencher {
     /// Time `f`, discarding its output via [`black_box`]. Calibrates an
-    /// iteration count so each sample runs for roughly
-    /// [`TARGET_SAMPLE_TIME`], then records `self.samples` samples.
+    /// iteration count so each sample runs for roughly 25 ms, then records
+    /// `self.samples` samples.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         // Warmup + calibration: run until the warmup budget is spent,
         // doubling the batch size while a batch is too fast to time well.

@@ -1,27 +1,27 @@
 //! The cross-executor differential runner.
 //!
 //! One schedule, one set of initial loads, every executor backend: the
-//! hash-map reference [`Machine`], the sharded [`ParallelMachine`], and
-//! the slot-addressed [`LinkedMachine`] (sequential and parallel) must
-//! produce bit-identical final stores and identical model-level
+//! hash-map reference [`Machine`], the slot-addressed [`LinkedMachine`],
+//! and the lane-plane [`PackedLinkedMachine`] (every lane loaded alike)
+//! must produce bit-identical final stores and identical model-level
 //! [`ExecutionStats`]. [`run_differential`] checks the full runs;
 //! [`run_differential_windowed`] additionally chops the run into
 //! checkpoint windows and migrates the state *across backends* at every
 //! boundary — exercising executor-interchangeable [`Checkpoint`]s, the
 //! window budget on plain (`NoopFaults`) runs, and the guarded path with
-//! an enabled-but-empty fault plan.
+//! an enabled-but-empty fault plan. The packed machine has no
+//! checkpoint/restore, so it sits out the windowed rotation.
 
 use std::collections::HashMap;
 
 use lowband_model::algebra::Nat;
 use lowband_model::{
     link, Checkpoint, ExecutionStats, FaultPlan, Key, LinkedMachine, Machine, ModelError, NodeId,
-    NoopFaults, NoopTracer, ParallelMachine, RunWindow, Schedule,
+    NoopFaults, NoopTracer, PackedLinkedMachine, RunWindow, Schedule,
 };
 
-/// Worker threads for the parallel backends — deliberately small and odd
-/// so shard boundaries fall unevenly.
-const THREADS: usize = 3;
+/// Lane count of the packed backend.
+const LANES: usize = 4;
 
 /// One observed divergence between executors.
 #[derive(Clone, Debug)]
@@ -102,25 +102,13 @@ fn compare(
     }
 }
 
-/// Run `schedule` on all four executor configurations and check that
-/// final stores and [`ExecutionStats`] agree bit-for-bit with the
-/// reference machine (or that every executor raises the same error).
+/// Run `schedule` on every executor backend and check that final stores
+/// and [`ExecutionStats`] agree bit-for-bit with the reference machine
+/// (or that every executor raises the same error). The packed backend
+/// must match the reference in each of its lanes.
 pub fn run_differential(schedule: &Schedule, loads: &[(u32, Key, u64)]) -> Result<(), Mismatch> {
     let n = schedule.n();
     let want = reference(schedule, loads);
-
-    // Sharded parallel machine.
-    let got = {
-        let mut m: ParallelMachine<Nat> = ParallelMachine::new(n, THREADS);
-        for &(node, key, v) in loads {
-            m.load(NodeId(node), key, Nat(v));
-        }
-        m.run(schedule).map(|stats| {
-            let stores = (0..n as u32).map(|v| m.snapshot(NodeId(v))).collect();
-            (stores, stats)
-        })
-    };
-    compare("parallel", &want, got)?;
 
     let linked = match link(schedule) {
         Ok(l) => l,
@@ -137,23 +125,34 @@ pub fn run_differential(schedule: &Schedule, loads: &[(u32, Key, u64)]) -> Resul
         }
     };
 
-    for (executor, parallel) in [("linked", false), ("linked-parallel", true)] {
+    let got = {
         let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
         for &(node, key, v) in loads {
             m.load(NodeId(node), key, Nat(v));
         }
-        let run = if parallel {
-            m.run_parallel(THREADS)
-        } else {
-            m.run()
-        };
-        let got = run.map(|stats| {
+        m.run().map(|stats| {
             let stores = (0..n as u32).map(|v| m.snapshot(NodeId(v))).collect();
             (stores, stats)
-        });
-        compare(executor, &want, got)?;
+        })
+    };
+    compare("linked", &want, got)?;
+
+    let mut m: PackedLinkedMachine<Nat, LANES> = PackedLinkedMachine::new(&linked);
+    for &(node, key, v) in loads {
+        for lane in 0..LANES {
+            m.load_lane(NodeId(node), key, lane, Nat(v));
+        }
     }
-    Ok(())
+    match m.run() {
+        Err(e) => compare("packed", &want, Err(e)),
+        Ok(stats) => (0..LANES).try_for_each(|lane| {
+            let stores = (0..n as u32)
+                .map(|v| m.snapshot_lane(NodeId(v), lane))
+                .collect();
+            compare("packed", &want, Ok((stores, stats)))
+                .map_err(|e| mismatch(e.executor, format!("lane {lane}: {}", e.detail)))
+        }),
+    }
 }
 
 /// Which fault hook drives a windowed run.
@@ -186,17 +185,9 @@ fn run_one_window<F: lowband_model::FaultHook>(
     let window = RunWindow::new(ckpt.next_step(), max_rounds);
     let snap =
         |get: &dyn Fn(u32) -> HashMap<Key, Nat>| (0..n as u32).map(get).collect::<Snapshots>();
-    match backend % 3 {
+    match backend % 2 {
         0 => {
             let mut m: Machine<Nat> = Machine::new(n);
-            m.restore(ckpt)?;
-            match m.run_guarded(schedule, &mut NoopTracer, faults, window, stats)? {
-                Some(next) => Ok(Ok(m.checkpoint(next, *stats))),
-                None => Ok(Err((snap(&|v| m.snapshot(NodeId(v))), *stats))),
-            }
-        }
-        1 => {
-            let mut m: ParallelMachine<Nat> = ParallelMachine::new(n, THREADS);
             m.restore(ckpt)?;
             match m.run_guarded(schedule, &mut NoopTracer, faults, window, stats)? {
                 Some(next) => Ok(Ok(m.checkpoint(next, *stats))),
@@ -215,8 +206,8 @@ fn run_one_window<F: lowband_model::FaultHook>(
 }
 
 /// Run the schedule in windows of `max_rounds` rounds, rotating the
-/// executor backend at every checkpoint boundary (reference → sharded →
-/// linked → reference → …), and check the final state against an
+/// executor backend at every checkpoint boundary (reference → linked →
+/// reference → …), and check the final state against an
 /// unwindowed reference run. A checkpoint taken on any backend must
 /// restore bit-for-bit onto every other.
 pub fn run_differential_windowed(

@@ -10,8 +10,9 @@
 //! 3. the windowed checkpoint/restore differential, rotating backends,
 //!    with both fault-hook modes and two window sizes.
 //!
-//! Any failure is minimized with [`crate::shrink`] before being reported,
-//! so a regression lands as a small committed test case, not a seed.
+//! Any failure is minimized with [`crate::shrink`](fn@crate::shrink)
+//! before being reported, so a regression lands as a small committed test
+//! case, not a seed.
 
 use lowband_model::{compress, link, Schedule};
 

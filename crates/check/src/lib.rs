@@ -18,8 +18,8 @@
 //!   backends — plain, windowed with checkpoint/restore *across*
 //!   backends, with and without an enabled fault hook — and demand
 //!   bit-identical stores and stats ([`diff`]). Any divergence is
-//!   minimized to a small replayable case ([`shrink`]) before being
-//!   reported.
+//!   minimized to a small replayable case ([`shrink`](mod@shrink)) before
+//!   being reported.
 //!
 //! The `check` binary in `lowband-bench` drives both over the real
 //! compiled pipelines (tables 1–4, figure 1, experiments) and over a

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use lowband_matrix::{SparseMatrix, Support};
 use lowband_model::{
     Key, LinkedMachine, LinkedSchedule, Machine, NodeId, PackedLinkedMachine, PackedSemiring,
-    ParallelMachine, Semiring,
+    Semiring,
 };
 
 /// Assignment of the elements of one matrix to computers.
@@ -253,8 +253,8 @@ impl Instance {
 }
 
 /// A per-node keyed value store an instance can be loaded into and read
-/// back from: all three executor backends (hash-map, sharded hash-map,
-/// linked slot-store) qualify.
+/// back from: both scalar executor backends (hash-map, linked slot-store)
+/// qualify.
 pub trait ValueStore<S: Semiring> {
     /// Place `value` under `key` at `node`.
     fn load(&mut self, node: NodeId, key: Key, value: S);
@@ -268,15 +268,6 @@ impl<S: Semiring> ValueStore<S> for Machine<S> {
     }
     fn get_or_zero(&self, node: NodeId, key: Key) -> S {
         Machine::get_or_zero(self, node, key)
-    }
-}
-
-impl<S: Semiring> ValueStore<S> for ParallelMachine<S> {
-    fn load(&mut self, node: NodeId, key: Key, value: S) {
-        ParallelMachine::load(self, node, key, value);
-    }
-    fn get_or_zero(&self, node: NodeId, key: Key) -> S {
-        ParallelMachine::get_or_zero(self, node, key)
     }
 }
 

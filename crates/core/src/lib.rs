@@ -51,11 +51,10 @@ pub use instance::{Instance, PackedLaneStore, PackedSites, Placement, ValueStore
 pub use runner::{
     compile_plan, compile_plan_traced, compile_schedule, fill_fault_kinds, run_algorithm,
     run_algorithm_batch, run_algorithm_batch_traced, run_algorithm_traced,
-    run_hashmap_guarded_seeded_traced, run_packed_guarded_seeded_traced, run_plan_batch,
-    run_plan_batch_elementwise, run_plan_batch_elementwise_traced, run_plan_batch_traced,
-    run_reference_seeded, run_resilient, run_resilient_plan_traced, run_resilient_recorded,
-    run_resilient_traced, Algorithm, BatchElement, BatchMode, CompiledPlan, ResilientReport,
-    RetryPolicy, RunReport, Supervision,
+    run_packed_guarded_seeded_traced, run_plan_batch, run_plan_batch_elementwise_traced,
+    run_plan_batch_traced, run_reference_seeded, run_resilient, run_resilient_plan_traced,
+    run_resilient_recorded, run_resilient_traced, Algorithm, BatchElement, BatchMode, CompiledPlan,
+    ResilientReport, RetryPolicy, RunReport, Supervision,
 };
 pub use supervise::{Backoff, Deadline, ResilientError, Rung};
 pub use triangles::{Triangle, TriangleSet};

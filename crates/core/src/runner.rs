@@ -83,7 +83,7 @@ pub fn run_algorithm<S: Semiring + SampleElement>(
 }
 
 /// [`run_algorithm`] with two extra controls: an optional schedule
-/// [compression](lowband_model::compress) pass between compile and link,
+/// [compression](fn@lowband_model::compress) pass between compile and link,
 /// and an instrumentation sink observing the whole pipeline.
 ///
 /// The sink sees one span per phase — `"compile"`, `"compress"` (only if
@@ -517,8 +517,7 @@ pub fn run_plan_batch_traced<S: BatchElement, T: Tracer>(
             }
             let threads = threads.clamp(1, seeds.len().max(1));
             tracer.counter("batch.threads", threads as u64);
-            // Same contiguous-block partition the sharded executors use
-            // for nodes, applied to the seed list: worker `s` owns
+            // Contiguous-block partition of the seed list: worker `s` owns
             // `seeds[bounds[s]..bounds[s+1]]` and streams them through its
             // own machine, so per-worker allocation matches the
             // sequential path and the report order is the seed order.
@@ -682,16 +681,6 @@ pub fn run_plan_batch_elementwise_traced<S: BatchElement, T: Tracer>(
     }
 }
 
-/// [`run_plan_batch_elementwise_traced`] without instrumentation.
-pub fn run_plan_batch_elementwise<S: BatchElement>(
-    inst: &Instance,
-    plan: &CompiledPlan,
-    seeds: &[u64],
-    mode: BatchMode,
-) -> Result<Vec<Result<RunReport, ModelError>>, ModelError> {
-    run_plan_batch_elementwise_traced::<S, _>(inst, plan, seeds, mode, &mut NoopTracer)
-}
-
 /// Compile once, execute many: one structure-dependent compile + link,
 /// then every seed in `seeds` streamed through the resulting plan. The
 /// amortized counterpart of calling [`run_algorithm`] per seed.
@@ -783,9 +772,8 @@ pub fn run_resilient<S: Semiring + SampleElement>(
 ///
 /// The run executes on the linked sequential backend in windows of
 /// `policy.checkpoint_every` rounds. A window that ends cleanly is
-/// checkpointed; a window that surfaces [`ModelError::Corruption`],
-/// [`ModelError::NodeCrashed`], or [`ModelError::WorkerPanicked`] is rolled
-/// back to the last checkpoint and
+/// checkpointed; a window that surfaces [`ModelError::Corruption`] or
+/// [`ModelError::NodeCrashed`] is rolled back to the last checkpoint and
 /// replayed (injected faults are one-shot, so replays make progress). Any
 /// other error — and a fault budget overrun per [`RetryPolicy`] — aborts
 /// with the underlying error.
@@ -798,7 +786,7 @@ pub fn run_resilient_traced<S: Semiring + SampleElement, T: Tracer>(
     tracer: &mut T,
 ) -> Result<ResilientReport, ModelError> {
     let compiled = compile_plan_traced(inst, algorithm, false, tracer)?;
-    let mut faults = spec.plan(compiled.schedule.rounds(), compiled.schedule.n());
+    let mut faults = spec.plan(compiled.linked.rounds(), compiled.linked.n());
     let mut deadline = Deadline::none();
     let mut sup = Supervision {
         policy,
@@ -942,11 +930,7 @@ pub fn run_resilient_plan_traced<S: Semiring + SampleElement, T: Tracer>(
                 ckpt = machine.checkpoint(next_step, stats);
                 checkpoints += 1;
             }
-            Err(
-                e @ (ModelError::Corruption { .. }
-                | ModelError::NodeCrashed { .. }
-                | ModelError::WorkerPanicked { .. }),
-            ) => {
+            Err(e @ (ModelError::Corruption { .. } | ModelError::NodeCrashed { .. })) => {
                 failures += 1;
                 replayed_rounds += stats.rounds - ckpt.stats().rounds;
                 let shift = (failures - 1).min(32) as u32;
@@ -1023,55 +1007,6 @@ pub fn run_packed_guarded_seeded_traced<S: BatchElement, T: Tracer, F: FaultHook
 ) -> Result<RunReport, ModelError> {
     let lanes = if lanes == 0 { S::DEFAULT_LANES } else { lanes };
     S::run_packed_guarded_traced(inst, plan, seed, lanes, faults, out, tracer)
-}
-
-/// The hash-map rung of the degradation ladder: the whole schedule in one
-/// guarded pass on the [`Machine`](lowband_model::Machine) reference
-/// executor — slower than the linked interpreters but a structurally
-/// independent code path, which is exactly what a supervisor wants after
-/// both linked backends have failed.
-pub fn run_hashmap_guarded_seeded_traced<S: Semiring + SampleElement, T: Tracer, F: FaultHook>(
-    inst: &Instance,
-    plan: &CompiledPlan,
-    seed: u64,
-    faults: &mut F,
-    out: Option<&mut SparseMatrix<S>>,
-    tracer: &mut T,
-) -> Result<RunReport, ModelError> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let a: SparseMatrix<S> = SparseMatrix::randomize(inst.ahat.clone(), &mut rng);
-    let b: SparseMatrix<S> = SparseMatrix::randomize(inst.bhat.clone(), &mut rng);
-    tracer.span_enter("load");
-    let mut machine = inst.load_machine(&a, &b);
-    tracer.span_exit("load");
-    let mut stats = ExecutionStats::default();
-    tracer.span_enter("run");
-    let run_result = machine.run_guarded(
-        &plan.schedule,
-        tracer,
-        faults,
-        RunWindow::full(),
-        &mut stats,
-    );
-    tracer.span_exit("run");
-    run_result?;
-    tracer.span_enter("verify");
-    let got = inst.extract_x_from(&machine);
-    let want = reference_multiply(&a, &b, &inst.xhat);
-    let correct = got == want;
-    tracer.span_exit("verify");
-    if let Some(o) = out {
-        *o = got;
-    }
-    Ok(RunReport {
-        rounds: stats.rounds,
-        messages: stats.messages,
-        modeled_rounds: plan.modeled_rounds,
-        triangles: plan.triangles,
-        correct,
-        events_per_sec: stats.events_per_sec(),
-        rung: Rung::HashMap,
-    })
 }
 
 /// The bottom rung of the degradation ladder: compute the product locally

@@ -170,9 +170,6 @@ pub enum Rung {
     /// Sequential linked executor under checkpointed retry
     /// (`run_resilient`-style windows).
     Linked,
-    /// The hash-map reference executor (`Machine`) — slower, but a
-    /// structurally independent code path.
-    HashMap,
     /// `reference_multiply_into` computed locally: no schedule, no
     /// network, always succeeds.
     Reference,
@@ -180,14 +177,13 @@ pub enum Rung {
 
 impl Rung {
     /// All rungs, descent order.
-    pub const LADDER: [Rung; 4] = [Rung::Packed, Rung::Linked, Rung::HashMap, Rung::Reference];
+    pub const LADDER: [Rung; 3] = [Rung::Packed, Rung::Linked, Rung::Reference];
 
     /// The rung below, or `None` at the bottom.
     pub fn below(self) -> Option<Rung> {
         match self {
             Rung::Packed => Some(Rung::Linked),
-            Rung::Linked => Some(Rung::HashMap),
-            Rung::HashMap => Some(Rung::Reference),
+            Rung::Linked => Some(Rung::Reference),
             Rung::Reference => None,
         }
     }
@@ -197,7 +193,6 @@ impl Rung {
         match self {
             Rung::Packed => "packed",
             Rung::Linked => "linked",
-            Rung::HashMap => "hashmap",
             Rung::Reference => "reference",
         }
     }

@@ -25,10 +25,10 @@
 //! round's transfers by destination, so per-round message *order* differs
 //! across executor backends; (round, node) keys are order-independent,
 //! which makes the injected-fault log of a seeded plan identical across
-//! the hash-map, sharded-parallel and linked executors (asserted by the
-//! cross-executor fault suite). Every fault in a plan is **one-shot**: it
-//! fires at most once, so a recovery retry that replays the same rounds
-//! does not re-trip the same fault and bounded retry budgets terminate.
+//! the hash-map and linked executors (asserted by the cross-executor fault
+//! suite). Every fault in a plan is **one-shot**: it fires at most once,
+//! so a recovery retry that replays the same rounds does not re-trip the
+//! same fault and bounded retry budgets terminate.
 
 #![forbid(unsafe_code)]
 
@@ -316,8 +316,8 @@ impl FaultHook for FaultPlan {
 /// SplitMix64 step: a cheap bijective mixer. The executors fold each
 /// payload digest through this before summing, so the per-round rolling
 /// checksum (a commutative `wrapping_add` of mixed digests — order
-/// independence is what lets sequential, sharded and linked executors
-/// agree) detects single-value changes with overwhelming probability.
+/// independence is what lets the hash-map and linked executors agree)
+/// detects single-value changes with overwhelming probability.
 /// The golden-gamma pre-increment keeps zero from being a fixed point:
 /// without it, dropping a digest-0 payload would shift neither sum.
 #[inline]

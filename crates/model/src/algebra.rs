@@ -88,14 +88,16 @@ pub trait Field: Ring {
 /// `Self` carried in one *lane plane* and advanced together.
 ///
 /// This is the value-side half of batched schedule execution (the
-/// struct-of-arrays `PackedLinkedMachine` in [`crate::link`]): one decode
-/// of a linked schedule drives `LANES` batch members at once, and every
-/// semiring op becomes a straight-line loop over a plane that the
-/// compiler can autovectorize. Two plane shapes exist in this workspace:
+/// struct-of-arrays `PackedLinkedMachine` in
+/// [`crate::link`](mod@crate::link)): one decode of a linked schedule
+/// drives `LANES` batch members at once, and every semiring op becomes a
+/// straight-line loop over a plane that the compiler can autovectorize.
+/// Two plane shapes exist in this workspace:
 ///
 /// * **array planes** `[S; LANES]` — one element per lane, generated by
-///   [`impl_packed_semiring_array!`] for any `Copy` semiring
-///   ([`Nat`] here; `Fp`, `Wrap64`, `MinPlus` in `lowband-matrix`);
+///   [`impl_packed_semiring_array!`](crate::impl_packed_semiring_array)
+///   for any `Copy` semiring ([`Nat`] here; `Fp`, `Wrap64`, `MinPlus` in
+///   `lowband-matrix`);
 /// * **bit-sliced planes** — for two-element algebras (`Bool`, `Gf2` in
 ///   `lowband-matrix`) a plane is a single `u64` whose bit `i` is lane
 ///   `i`, so `add`/`mul` are one `or|xor`/`and` instruction advancing

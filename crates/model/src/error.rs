@@ -48,13 +48,13 @@ pub enum ModelError {
         /// Global round index at which the crash occurred.
         round: usize,
     },
-    /// A worker thread of a parallel executor panicked while applying
-    /// `step` (e.g. a value type whose arithmetic panics). Machine state is
-    /// indeterminate for that step; like [`ModelError::NodeCrashed`] this
-    /// is retryable — `run_resilient` restores the last checkpoint and
-    /// replays.
+    /// A worker thread of a parallel batch (`lowband-core`'s
+    /// `BatchMode::Parallel` fan-out) panicked, e.g. on a value type whose
+    /// arithmetic panics. Only that worker's share of the batch fails;
+    /// the other workers' reports are unaffected.
     WorkerPanicked {
-        /// Step index whose sharded application lost a worker.
+        /// Step index at which the worker was lost; the batch fan-out
+        /// loses whole runs, so it reports step 0.
         step: usize,
     },
     /// A packed (lane-plane) batch was requested with a lane count the

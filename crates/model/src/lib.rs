@@ -76,7 +76,6 @@ pub use link::{
     PackedLinkedMachine,
 };
 pub use machine::{ExecutionStats, Machine};
-pub use parallel::ParallelMachine;
 pub use recovery::{Checkpoint, RunWindow};
 pub use schedule::{LocalOp, Merge, Round, Schedule, ScheduleBuilder, Step, Transfer};
 pub use serial::{read_schedule, write_schedule};

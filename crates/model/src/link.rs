@@ -1,8 +1,8 @@
 //! Schedule linking: key interning + flat slot stores for hash-free
 //! execution.
 //!
-//! The reference executors ([`crate::Machine`], [`crate::ParallelMachine`])
-//! address every value through a per-node `HashMap<Key, V>`, so every
+//! The reference executor ([`crate::Machine`]) addresses every value
+//! through a per-node `HashMap<Key, V>`, so every
 //! transfer and local op pays several hash probes on 16-byte keys. But in
 //! the supported model the *entire* set of keys a schedule will ever touch
 //! is known before any value exists — schedules are compiled from structure
@@ -17,17 +17,16 @@
 //! binary search over the node's key run ([`LinkedSchedule::slot_of`]),
 //! and a linked schedule carries no key → slot map at all.
 //!
-//! Linking also *validates* once what the reference executors re-check every
+//! Linking also *validates* once what the reference executor re-checks every
 //! round (node ranges and the ≤ `capacity` send/receive constraint), so a
 //! `LinkedSchedule` is a certificate that the program fits the model, and
 //! the runtime loop carries no per-round validation at all.
 //!
 //! Within each round the linked transfers are stable-sorted by destination
-//! node. This groups deliveries by destination shard for the parallel
-//! executor (each worker's deliveries form one contiguous slice) while
-//! preserving the relative order of deliveries to the *same* destination —
-//! which, combined with the same read-all-then-write-all round semantics as
-//! the reference executor, makes the final stores bit-identical between the
+//! node. This groups each node's deliveries together while preserving the
+//! relative order of deliveries to the *same* destination — which,
+//! combined with the same read-all-then-write-all round semantics as the
+//! reference executor, makes the final stores bit-identical between the
 //! hash-map and slot-store backends (asserted by tests and by the
 //! cross-executor equivalence suite).
 
@@ -38,7 +37,6 @@ use std::time::Instant;
 use lowband_faults::{mix64, FaultHook, NoopFaults, Tamper};
 use lowband_trace::{NoopTracer, RoundEvent, Tracer};
 
-use crate::parallel::shard_bounds;
 use crate::recovery::{Checkpoint, RunWindow};
 use crate::schedule::{LocalOp, Merge, Round, Step};
 use crate::{ExecutionStats, Key, ModelError, NodeId, PackedSemiring, Schedule, Semiring};
@@ -306,9 +304,9 @@ impl LinkedSchedule {
                             merge: t.merge,
                         });
                     }
-                    // Stable sort groups deliveries by destination (and thus
-                    // by shard) while keeping same-destination deliveries in
-                    // program order — required for bit-identical stores.
+                    // Stable sort groups deliveries by destination while
+                    // keeping same-destination deliveries in program
+                    // order — required for bit-identical stores.
                     ls.transfers[start..].sort_by_key(|t| t.dst);
                     ls.rounds += 1;
                     ls.messages += transfers.len();
@@ -389,8 +387,7 @@ impl LinkedSchedule {
                     }
                     // Stable sort by node: ops on distinct nodes touch
                     // disjoint stores and commute; per-node program order is
-                    // preserved. Gives the parallel executor contiguous
-                    // per-shard slices.
+                    // preserved.
                     ls.ops[start..].sort_by_key(|op| op.node());
                     ls.steps.push(LinkedStep::Compute {
                         ops: start..ls.ops.len(),
@@ -696,9 +693,7 @@ impl<'s, V: Semiring> LinkedMachine<'s, V> {
     /// same contract as [`crate::Machine::run_guarded`]. Because linking
     /// produces exactly one step per source step, `window.start_step` and
     /// the returned resume cursor are **source**-schedule step indices —
-    /// checkpoints are interchangeable with the reference executors.
-    /// The parallel backend ([`LinkedMachine::run_parallel`]) intentionally
-    /// has no guarded variant; drive fault experiments through this one.
+    /// checkpoints are interchangeable with the reference executor.
     pub fn run_guarded<T: Tracer, F: FaultHook>(
         &mut self,
         tracer: &mut T,
@@ -924,209 +919,6 @@ impl<'s, V: Semiring> LinkedMachine<'s, V> {
     /// interchangeable across all executor backends.
     pub fn reset(&mut self) {
         self.reset_values();
-    }
-
-    /// Execute the linked schedule across worker threads; `threads = 0`
-    /// selects the available parallelism. Final stores are identical to
-    /// [`LinkedMachine::run`].
-    ///
-    /// Because each round's transfers are pre-sorted by destination, every
-    /// worker's deliveries form one contiguous slice — no per-round
-    /// re-sharding allocation as in [`crate::ParallelMachine`].
-    pub fn run_parallel(&mut self, threads: usize) -> Result<ExecutionStats, ModelError> {
-        self.run_parallel_traced(threads, &mut NoopTracer)
-    }
-
-    /// [`LinkedMachine::run_parallel`] with an instrumentation sink; same
-    /// event stream as [`LinkedMachine::run_traced`]. With [`NoopTracer`]
-    /// this compiles to exactly [`LinkedMachine::run_parallel`].
-    pub fn run_parallel_traced<T: Tracer>(
-        &mut self,
-        threads: usize,
-        tracer: &mut T,
-    ) -> Result<ExecutionStats, ModelError> {
-        let schedule = self.schedule;
-        let n = schedule.n;
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .clamp(1, n.max(1));
-        let bounds = shard_bounds(n, threads);
-        let start = Instant::now();
-        let mut stats = ExecutionStats::default();
-        let (mut node_sends, mut node_recvs) = if T::ENABLED {
-            (vec![0u64; n], vec![0u64; n])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let mut ops_since_round = 0u64;
-
-        for step in &schedule.steps {
-            match step {
-                LinkedStep::Comm { transfers, step } => {
-                    let round_start = if T::ENABLED {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
-                    let ts = &schedule.transfers[transfers.clone()];
-                    // Read phase (parallel, immutable stores).
-                    let slots = &self.slots;
-                    let chunk = ts.len().div_ceil(threads).max(1);
-                    let payloads: Vec<Result<V, ModelError>> = std::thread::scope(|scope| {
-                        let handles: Vec<_> = ts
-                            .chunks(chunk)
-                            .map(|part| {
-                                scope.spawn(move || {
-                                    part.iter()
-                                        .map(|t| {
-                                            slots[t.src as usize][t.src_slot as usize]
-                                                .clone()
-                                                .ok_or_else(|| {
-                                                    schedule.missing(t.src, t.src_slot, *step)
-                                                })
-                                        })
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                            .collect();
-                        // Join every handle (an unjoined panicked thread
-                        // would re-panic when the scope exits); a panicked
-                        // reader poisons the round with a typed error.
-                        let mut out = Vec::with_capacity(ts.len());
-                        let mut panicked = false;
-                        for h in handles {
-                            match h.join() {
-                                Ok(part) => out.extend(part),
-                                Err(_) => panicked = true,
-                            }
-                        }
-                        if panicked {
-                            out.clear();
-                            out.resize_with(ts.len(), || {
-                                Err(ModelError::WorkerPanicked { step: *step })
-                            });
-                        }
-                        out
-                    });
-                    // Write phase: ts is sorted by dst, so each shard's
-                    // deliveries are one contiguous slice.
-                    let mut first_err = None;
-                    let mut values = Vec::with_capacity(payloads.len());
-                    for p in payloads {
-                        match p {
-                            Ok(v) => values.push(v),
-                            Err(e) => {
-                                first_err.get_or_insert(e);
-                                values.push(V::zero());
-                            }
-                        }
-                    }
-                    if let Some(e) = first_err {
-                        return Err(e);
-                    }
-                    let delivered: Result<(), ModelError> = std::thread::scope(|scope| {
-                        let mut handles = Vec::with_capacity(threads);
-                        let mut rest: &mut [Vec<Option<V>>] = &mut self.slots;
-                        let mut ts_rest = ts;
-                        let mut vals_rest: &mut [V] = &mut values;
-                        for s in 0..threads {
-                            let take = bounds[s + 1] - bounds[s];
-                            let (block, tail) = rest.split_at_mut(take);
-                            rest = tail;
-                            let split =
-                                ts_rest.partition_point(|t| (t.dst as usize) < bounds[s + 1]);
-                            let (ts_here, ts_tail) = ts_rest.split_at(split);
-                            ts_rest = ts_tail;
-                            let (vals_here, vals_tail) =
-                                std::mem::take(&mut vals_rest).split_at_mut(split);
-                            vals_rest = vals_tail;
-                            let base = bounds[s];
-                            handles.push(scope.spawn(move || {
-                                for (t, v) in ts_here.iter().zip(vals_here) {
-                                    deliver(
-                                        &mut block[t.dst as usize - base][t.dst_slot as usize],
-                                        t.merge,
-                                        std::mem::replace(v, V::zero()),
-                                    );
-                                }
-                            }));
-                        }
-                        let mut result = Ok(());
-                        for h in handles {
-                            if h.join().is_err() {
-                                result = Err(ModelError::WorkerPanicked { step: *step });
-                            }
-                        }
-                        result
-                    });
-                    delivered?;
-                    stats.record_round(ts.len());
-                    if T::ENABLED {
-                        for t in ts {
-                            node_sends[t.src as usize] += 1;
-                            node_recvs[t.dst as usize] += 1;
-                        }
-                        tracer.round(RoundEvent {
-                            index: (stats.rounds - 1) as u64,
-                            messages: ts.len() as u64,
-                            local_ops: ops_since_round,
-                            nanos: round_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                        });
-                        ops_since_round = 0;
-                    }
-                }
-                LinkedStep::Compute { ops, step } => {
-                    let ops_all = &schedule.ops[ops.clone()];
-                    // ops are sorted by node: shard into contiguous slices.
-                    let results: Vec<Result<(), ModelError>> = std::thread::scope(|scope| {
-                        let mut handles = Vec::with_capacity(threads);
-                        let mut rest: &mut [Vec<Option<V>>] = &mut self.slots;
-                        let mut ops_rest = ops_all;
-                        for s in 0..threads {
-                            let take = bounds[s + 1] - bounds[s];
-                            let (block, tail) = rest.split_at_mut(take);
-                            rest = tail;
-                            let split =
-                                ops_rest.partition_point(|op| (op.node() as usize) < bounds[s + 1]);
-                            let (ops_here, ops_tail) = ops_rest.split_at(split);
-                            ops_rest = ops_tail;
-                            let base = bounds[s];
-                            let step = *step;
-                            handles.push(scope.spawn(move || {
-                                for op in ops_here {
-                                    let store = &mut block[op.node() as usize - base];
-                                    apply_linked_op(store, op, schedule, step)?;
-                                }
-                                Ok(())
-                            }));
-                        }
-                        handles
-                            .into_iter()
-                            .map(|h| {
-                                h.join()
-                                    .unwrap_or(Err(ModelError::WorkerPanicked { step: *step }))
-                            })
-                            .collect()
-                    });
-                    results.into_iter().collect::<Result<(), ModelError>>()?;
-                    stats.local_ops += ops_all.len();
-                    tracer.counter("run.local_ops", ops_all.len() as u64);
-                    if T::ENABLED {
-                        ops_since_round += ops_all.len() as u64;
-                    }
-                }
-            }
-        }
-        if T::ENABLED {
-            tracer.node_loads(&node_sends, &node_recvs);
-        }
-        stats.elapsed = start.elapsed();
-        Ok(stats)
     }
 }
 
@@ -1728,20 +1520,7 @@ fn apply_packed_op<V: PackedSemiring<LANES>, const LANES: usize>(
 mod tests {
     use super::*;
     use crate::algebra::Nat;
-    use crate::parallel::shard_of;
     use crate::{Machine, ScheduleBuilder, Transfer};
-
-    /// `shard_bounds` and `shard_of` must agree: each worker's contiguous
-    /// node block is exactly the set of nodes `shard_of` maps to it. The
-    /// parallel runner relies on this to pair `split_at_mut` store blocks
-    /// with `partition_point` event slices.
-    fn shard_invariant_holds(n: usize, threads: usize) -> bool {
-        let bounds = shard_bounds(n, threads);
-        (0..n).all(|node| {
-            let s = shard_of(node, n, threads);
-            bounds[s] <= node && node < bounds[s + 1]
-        })
-    }
 
     fn xfer(src: u32, sk: Key, dst: u32, dk: Key, merge: Merge) -> Transfer {
         Transfer {
@@ -1885,36 +1664,6 @@ mod tests {
     }
 
     #[test]
-    fn linked_parallel_matches_sequential() {
-        let n = 13;
-        let s = mixed_schedule(n);
-        let l = LinkedSchedule::link(&s).unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            let mut seq: LinkedMachine<Nat> = LinkedMachine::new(&l);
-            let mut par: LinkedMachine<Nat> = LinkedMachine::new(&l);
-            for i in 0..n as u32 {
-                for (key, v) in [
-                    (Key::a(u64::from(i), 0), u64::from(i) + 1),
-                    (Key::b(u64::from(i), 0), 3 * u64::from(i) + 2),
-                ] {
-                    seq.load(NodeId(i), key, Nat(v));
-                    par.load(NodeId(i), key, Nat(v));
-                }
-            }
-            let s1 = seq.run().unwrap();
-            let s2 = par.run_parallel(threads).unwrap();
-            assert_eq!(s1, s2);
-            for i in 0..n as u32 {
-                assert_eq!(
-                    seq.snapshot(NodeId(i)),
-                    par.snapshot(NodeId(i)),
-                    "threads={threads} node={i}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn block_mul_add_links_and_matches() {
         let mut b = ScheduleBuilder::new(1);
         b.compute(vec![LocalOp::BlockMulAdd {
@@ -1983,11 +1732,20 @@ mod tests {
         assert!(matches!(m.run(), Err(ModelError::UnsupportedOp { .. })));
     }
 
+    /// `shard_bounds` blocks must be exactly the items its documented
+    /// owner formula `i * threads / n` maps to each shard: the batch
+    /// fan-out that runs linked machines per worker slices its seed list
+    /// by these bounds.
     #[test]
     fn sharding_invariant_holds_for_awkward_sizes() {
         for n in [1usize, 2, 5, 13, 64, 100] {
             for threads in [1usize, 2, 3, 7, 16] {
-                assert!(shard_invariant_holds(n, threads), "n={n} threads={threads}");
+                let bounds = crate::parallel::shard_bounds(n, threads);
+                let holds = (0..n).all(|node| {
+                    let s = node * threads / n;
+                    bounds[s] <= node && node < bounds[s + 1]
+                });
+                assert!(holds, "n={n} threads={threads} bounds={bounds:?}");
             }
         }
     }

@@ -1,597 +1,33 @@
-//! Parallel schedule execution: a multithreaded [`crate::Machine`]-equivalent.
+//! Contiguous-block sharding of `n` items across worker threads.
 //!
-//! The model is embarrassingly parallel within a round: every message has a
-//! distinct receiver (up to `capacity`), and local compute touches only one
-//! node's store. [`ParallelMachine`] exploits exactly that structure with
-//! std scoped threads and **no locks on the hot path**:
-//!
-//! 1. **Read phase** — all payloads of a round are gathered against the
-//!    immutable stores (shared `&` access across worker threads);
-//! 2. **Write phase** — deliveries are sharded by destination node into
-//!    contiguous node blocks, and each worker gets the `&mut` sub-slice of
-//!    stores for its block (`split_at_mut`), so no two threads ever touch
-//!    the same store;
-//! 3. **Compute phase** — local ops are sharded by node the same way.
-//!
-//! The result is bit-identical to the sequential executor (asserted by
-//! tests); the parallel engine exists for wall-clock speed on large
-//! instances, not for semantics.
-
-use std::collections::HashMap;
-use std::time::Instant;
-
-use lowband_faults::{mix64, FaultHook, NoopFaults, Tamper};
-use lowband_trace::{NoopTracer, RoundEvent, Tracer};
-
-use crate::recovery::{Checkpoint, RunWindow};
-use crate::schedule::{LocalOp, Merge, Step};
-use crate::{ExecutionStats, Key, ModelError, NodeId, Schedule, Semiring};
-
-/// A network executor that runs round payload work across worker threads.
-#[derive(Debug)]
-pub struct ParallelMachine<V: Semiring> {
-    stores: Vec<HashMap<Key, V>>,
-    threads: usize,
-}
-
-/// One unit of store mutation, carrying its absolute node index.
-enum WorkItem<V> {
-    Deliver {
-        node: usize,
-        key: Key,
-        merge: Merge,
-        value: V,
-    },
-    Op(LocalOp),
-}
-
-impl<V> WorkItem<V> {
-    fn node(&self) -> usize {
-        match self {
-            WorkItem::Deliver { node, .. } => *node,
-            WorkItem::Op(op) => op.node().index(),
-        }
-    }
-}
-
-/// Shard id for a node: contiguous blocks keep cache locality.
-pub(crate) fn shard_of(node: usize, n: usize, threads: usize) -> usize {
-    node * threads / n.max(1)
-}
+//! The executors themselves are single-threaded; parallelism lives one
+//! level up, where independent work is fanned out in contiguous blocks:
+//! value-sets across batch workers (`lowband-core`'s parallel batch mode),
+//! the admission backlog across `lowband-served`'s worker queues, and
+//! requests across `loadgen`'s connections. [`shard_bounds`] is the one
+//! partition they all share.
 
 /// First item of each shard (length `threads + 1`; shard `s` owns
-/// `bounds[s]..bounds[s+1]`). Public because the same contiguous-block
-/// partition shards nodes across executor workers *and* value-sets across
-/// batch workers (`lowband-core`'s parallel batch mode) *and* connections
-/// across `lowband-served`'s daemon workers.
+/// `bounds[s]..bounds[s+1]`). Item `i` lands in shard
+/// `i * threads / n`, so blocks are contiguous and differ in size by at
+/// most one.
 ///
 /// Degenerate shapes are well defined: `threads > n` yields `threads - n`
-/// empty trailing shards (never out-of-bounds), and `threads == 0` yields
+/// empty shards (never out-of-bounds), and `threads == 0` yields
 /// the zero-shard partition `[0]` — no shard owns anything, so a caller
 /// with `n > 0` items must reject zero workers up front (the batch
-/// executors raise [`ModelError::ZeroWorkers`]).
+/// executors raise [`crate::ModelError::ZeroWorkers`]).
 pub fn shard_bounds(n: usize, threads: usize) -> Vec<usize> {
     if threads == 0 {
         return vec![0];
     }
-    let mut bounds = vec![n; threads + 1];
-    bounds[0] = 0;
-    let mut cur = 0usize;
-    for node in 0..n {
-        let s = shard_of(node, n, threads);
-        while cur < s {
-            cur += 1;
-            bounds[cur] = node;
-        }
-    }
-    while cur < threads {
-        cur += 1;
-        bounds[cur] = n;
-    }
-    bounds[threads] = n;
-    bounds
-}
-
-fn apply_item<V: Semiring>(
-    store: &mut HashMap<Key, V>,
-    item: WorkItem<V>,
-    step: usize,
-) -> Result<(), ModelError> {
-    match item {
-        WorkItem::Deliver {
-            key, merge, value, ..
-        } => {
-            match merge {
-                Merge::Overwrite => {
-                    store.insert(key, value);
-                }
-                Merge::Add => {
-                    let entry = store.entry(key).or_insert_with(V::zero);
-                    *entry = entry.add(&value);
-                }
-            }
-            Ok(())
-        }
-        WorkItem::Op(op) => match op {
-            LocalOp::Mul {
-                node,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                let a = store.get(&lhs).cloned().ok_or(ModelError::MissingValue {
-                    node,
-                    key: lhs,
-                    step,
-                })?;
-                let b = store.get(&rhs).cloned().ok_or(ModelError::MissingValue {
-                    node,
-                    key: rhs,
-                    step,
-                })?;
-                store.insert(dst, a.mul(&b));
-                Ok(())
-            }
-            LocalOp::MulAdd {
-                node,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                let a = store.get(&lhs).cloned().ok_or(ModelError::MissingValue {
-                    node,
-                    key: lhs,
-                    step,
-                })?;
-                let b = store.get(&rhs).cloned().ok_or(ModelError::MissingValue {
-                    node,
-                    key: rhs,
-                    step,
-                })?;
-                let entry = store.entry(dst).or_insert_with(V::zero);
-                *entry = entry.add(&a.mul(&b));
-                Ok(())
-            }
-            LocalOp::AddAssign { node, dst, src } => {
-                let s = store.get(&src).cloned().ok_or(ModelError::MissingValue {
-                    node,
-                    key: src,
-                    step,
-                })?;
-                let entry = store.entry(dst).or_insert_with(V::zero);
-                *entry = entry.add(&s);
-                Ok(())
-            }
-            LocalOp::SubAssign { node, dst, src } => {
-                let s = store.get(&src).cloned().ok_or(ModelError::MissingValue {
-                    node,
-                    key: src,
-                    step,
-                })?;
-                let negated = s.try_neg().ok_or(ModelError::UnsupportedOp {
-                    node,
-                    step,
-                    what: "additive inverses (a ring)",
-                })?;
-                let entry = store.entry(dst).or_insert_with(V::zero);
-                *entry = entry.add(&negated);
-                Ok(())
-            }
-            LocalOp::BlockMulAdd {
-                dim,
-                a_ns,
-                b_ns,
-                c_ns,
-                ..
-            } => {
-                crate::machine::block_mul_add(store, dim as usize, a_ns, b_ns, c_ns);
-                Ok(())
-            }
-            LocalOp::Copy { node, dst, src } => {
-                let s = store.get(&src).cloned().ok_or(ModelError::MissingValue {
-                    node,
-                    key: src,
-                    step,
-                })?;
-                store.insert(dst, s);
-                Ok(())
-            }
-            LocalOp::Zero { dst, .. } => {
-                store.insert(dst, V::zero());
-                Ok(())
-            }
-            LocalOp::Free { key, .. } => {
-                store.remove(&key);
-                Ok(())
-            }
-        },
-    }
-}
-
-impl<V: Semiring> ParallelMachine<V> {
-    /// Create a parallel machine with `n` computers; `threads = 0` selects
-    /// the available parallelism.
-    pub fn new(n: usize, threads: usize) -> ParallelMachine<V> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .clamp(1, n.max(1));
-        ParallelMachine {
-            stores: vec![HashMap::new(); n],
-            threads,
-        }
-    }
-
-    /// Network size.
-    pub fn n(&self) -> usize {
-        self.stores.len()
-    }
-
-    /// Worker count in use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Place `value` under `key` at `node`.
-    pub fn load(&mut self, node: NodeId, key: Key, value: V) {
-        self.stores[node.index()].insert(key, value);
-    }
-
-    /// Read the value under `key` at `node`, if present.
-    pub fn get(&self, node: NodeId, key: Key) -> Option<&V> {
-        self.stores[node.index()].get(&key)
-    }
-
-    /// Read the value under `key` at `node`, or zero.
-    pub fn get_or_zero(&self, node: NodeId, key: Key) -> V {
-        self.get(node, key).cloned().unwrap_or_else(V::zero)
-    }
-
-    /// Shard the items by node block and apply them on worker threads, each
-    /// owning a disjoint `&mut` block of stores.
-    fn sharded_apply(
-        &mut self,
-        mut sharded: Vec<Vec<WorkItem<V>>>,
-        step: usize,
-    ) -> Result<(), ModelError> {
-        let n = self.n();
-        let threads = self.threads;
-        let bounds = shard_bounds(n, threads);
-        let results: Vec<Result<(), ModelError>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            let mut rest: &mut [HashMap<Key, V>] = &mut self.stores;
-            for (s, items) in sharded.drain(..).enumerate() {
-                let take = bounds[s + 1] - bounds[s];
-                let (block, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let base = bounds[s];
-                handles.push(scope.spawn(move || {
-                    for item in items {
-                        let rel = item.node() - base;
-                        apply_item(&mut block[rel], item, step)?;
-                    }
-                    Ok(())
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    // A worker that panicked (e.g. a value type whose
-                    // arithmetic panics) must surface as a typed error the
-                    // resilient driver can retry, never abort the process.
-                    h.join().unwrap_or(Err(ModelError::WorkerPanicked { step }))
-                })
-                .collect()
-        });
-        results.into_iter().collect()
-    }
-
-    /// Execute a schedule in parallel; final stores are identical to the
-    /// sequential [`crate::Machine`].
-    pub fn run(&mut self, schedule: &Schedule) -> Result<ExecutionStats, ModelError> {
-        self.run_traced(schedule, &mut NoopTracer)
-    }
-
-    /// [`ParallelMachine::run`] with an instrumentation sink; same event
-    /// stream as [`crate::Machine::run_traced`] (one [`RoundEvent`] per
-    /// round, `run.local_ops` per compute step, per-node loads at the
-    /// end). With [`NoopTracer`] this compiles to exactly
-    /// [`ParallelMachine::run`].
-    pub fn run_traced<T: Tracer>(
-        &mut self,
-        schedule: &Schedule,
-        tracer: &mut T,
-    ) -> Result<ExecutionStats, ModelError> {
-        let mut stats = ExecutionStats::default();
-        self.run_guarded(
-            schedule,
-            tracer,
-            &mut NoopFaults,
-            RunWindow::full(),
-            &mut stats,
-        )?;
-        Ok(stats)
-    }
-
-    /// Fault-guarded, windowed variant of [`ParallelMachine::run_traced`];
-    /// same contract as [`crate::Machine::run_guarded`]. Fault decisions are
-    /// made in the sequential shard-assembly loop (schedule transfer order),
-    /// so a given plan injects the **same faults** here as on the
-    /// sequential executor.
-    pub fn run_guarded<T: Tracer, F: FaultHook>(
-        &mut self,
-        schedule: &Schedule,
-        tracer: &mut T,
-        faults: &mut F,
-        window: RunWindow,
-        stats: &mut ExecutionStats,
-    ) -> Result<Option<usize>, ModelError> {
-        if schedule.n() != self.n() {
-            return Err(ModelError::SizeMismatch {
-                expected: schedule.n(),
-                actual: self.n(),
-            });
-        }
-        let start = Instant::now();
-        let result = self.run_window(schedule, tracer, faults, window, stats);
-        stats.elapsed += start.elapsed();
-        result
-    }
-
-    fn run_window<T: Tracer, F: FaultHook>(
-        &mut self,
-        schedule: &Schedule,
-        tracer: &mut T,
-        faults: &mut F,
-        window: RunWindow,
-        stats: &mut ExecutionStats,
-    ) -> Result<Option<usize>, ModelError> {
-        let n = self.n();
-        let threads = self.threads;
-        let cap = schedule.capacity() as u32;
-        let mut send_count = vec![0u32; n];
-        let mut recv_count = vec![0u32; n];
-        let (mut node_sends, mut node_recvs) = if T::ENABLED {
-            (vec![0u64; n], vec![0u64; n])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let mut ops_since_round = 0u64;
-        let mut window_rounds = 0usize;
-        let steps = schedule.steps();
-        let first = window.start_step.min(steps.len());
-
-        for (offset, step) in steps[first..].iter().enumerate() {
-            let step_idx = first + offset;
-            match step {
-                Step::Comm(round) => {
-                    // The window budget binds on every run, fault hook or
-                    // not (see `crate::Machine::run_window`).
-                    if window_rounds == window.max_rounds {
-                        if T::ENABLED {
-                            tracer.node_loads(&node_sends, &node_recvs);
-                        }
-                        return Ok(Some(step_idx));
-                    }
-                    window_rounds += 1;
-                    if F::ENABLED {
-                        if let Some(victim) = faults.crash(stats.rounds) {
-                            let victim = NodeId(victim);
-                            if victim.index() < n {
-                                if T::ENABLED {
-                                    tracer.fault("fault.injected.crash", stats.rounds as u64);
-                                }
-                                self.stores[victim.index()].clear();
-                                return Err(ModelError::NodeCrashed {
-                                    node: victim,
-                                    round: stats.rounds,
-                                });
-                            }
-                        }
-                    }
-                    let round_start = if T::ENABLED {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
-                    // Validation (sequential; cheap).
-                    send_count.iter_mut().for_each(|c| *c = 0);
-                    recv_count.iter_mut().for_each(|c| *c = 0);
-                    for t in &round.transfers {
-                        for node in [t.src, t.dst] {
-                            if node.index() >= n {
-                                return Err(ModelError::NodeOutOfRange { node, n });
-                            }
-                        }
-                        send_count[t.src.index()] += 1;
-                        if send_count[t.src.index()] > cap {
-                            return Err(ModelError::SendConflict {
-                                round: stats.rounds,
-                                node: t.src,
-                            });
-                        }
-                        recv_count[t.dst.index()] += 1;
-                        if recv_count[t.dst.index()] > cap {
-                            return Err(ModelError::ReceiveConflict {
-                                round: stats.rounds,
-                                node: t.dst,
-                            });
-                        }
-                        if T::ENABLED {
-                            node_sends[t.src.index()] += 1;
-                            node_recvs[t.dst.index()] += 1;
-                        }
-                    }
-
-                    // Read phase (parallel, immutable stores).
-                    let stores = &self.stores;
-                    let transfers = &round.transfers;
-                    let chunk = transfers.len().div_ceil(threads).max(1);
-                    let payloads: Vec<Result<V, ModelError>> = std::thread::scope(|scope| {
-                        let handles: Vec<_> = transfers
-                            .chunks(chunk)
-                            .map(|ts| {
-                                scope.spawn(move || {
-                                    ts.iter()
-                                        .map(|t| {
-                                            stores[t.src.index()].get(&t.src_key).cloned().ok_or(
-                                                ModelError::MissingValue {
-                                                    node: t.src,
-                                                    key: t.src_key,
-                                                    step: step_idx,
-                                                },
-                                            )
-                                        })
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                            .collect();
-                        // Join every handle (an unjoined panicked thread
-                        // would re-panic when the scope exits); if any
-                        // reader panicked, poison the whole round with a
-                        // typed error (the zip below stops at the first Err).
-                        let mut out = Vec::with_capacity(transfers.len());
-                        let mut panicked = false;
-                        for h in handles {
-                            match h.join() {
-                                Ok(part) => out.extend(part),
-                                Err(_) => panicked = true,
-                            }
-                        }
-                        if panicked {
-                            out.clear();
-                            out.resize_with(transfers.len(), || {
-                                Err(ModelError::WorkerPanicked { step: step_idx })
-                            });
-                        }
-                        out
-                    });
-
-                    // Write phase (parallel, sharded by destination). Fault
-                    // decisions happen in this sequential loop, which walks
-                    // the transfers in schedule order; the commutative
-                    // checksums mirror the sequential executor's.
-                    let (mut sent_sum, mut recv_sum) = (0u64, 0u64);
-                    let mut sharded: Vec<Vec<WorkItem<V>>> =
-                        (0..threads).map(|_| Vec::new()).collect();
-                    for (t, payload) in transfers.iter().zip(payloads) {
-                        let mut value = payload?;
-                        if F::ENABLED {
-                            sent_sum = sent_sum.wrapping_add(mix64(value.digest()));
-                            match faults.tamper(stats.rounds, t.src.0) {
-                                Tamper::None => {}
-                                Tamper::Drop => {
-                                    if T::ENABLED {
-                                        tracer.fault("fault.injected.drop", stats.rounds as u64);
-                                    }
-                                    continue;
-                                }
-                                Tamper::Corrupt => {
-                                    if T::ENABLED {
-                                        tracer.fault("fault.injected.corrupt", stats.rounds as u64);
-                                    }
-                                    value = value.corrupted();
-                                }
-                            }
-                            recv_sum = recv_sum.wrapping_add(mix64(value.digest()));
-                        }
-                        sharded[shard_of(t.dst.index(), n, threads)].push(WorkItem::Deliver {
-                            node: t.dst.index(),
-                            key: t.dst_key,
-                            merge: t.merge,
-                            value,
-                        });
-                    }
-                    self.sharded_apply(sharded, step_idx)?;
-                    if F::ENABLED && sent_sum != recv_sum {
-                        if T::ENABLED {
-                            tracer.fault("fault.detected", stats.rounds as u64);
-                        }
-                        return Err(ModelError::Corruption {
-                            round: stats.rounds,
-                        });
-                    }
-
-                    stats.record_round(round.transfers.len());
-                    if T::ENABLED {
-                        tracer.round(RoundEvent {
-                            index: (stats.rounds - 1) as u64,
-                            messages: round.transfers.len() as u64,
-                            local_ops: ops_since_round,
-                            nanos: round_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                        });
-                        ops_since_round = 0;
-                    }
-                }
-                Step::Compute(ops) => {
-                    let mut sharded: Vec<Vec<WorkItem<V>>> =
-                        (0..threads).map(|_| Vec::new()).collect();
-                    for op in ops {
-                        let node = op.node();
-                        if node.index() >= n {
-                            return Err(ModelError::NodeOutOfRange { node, n });
-                        }
-                        sharded[shard_of(node.index(), n, threads)].push(WorkItem::Op(*op));
-                    }
-                    self.sharded_apply(sharded, step_idx)?;
-                    stats.local_ops += ops.len();
-                    tracer.counter("run.local_ops", ops.len() as u64);
-                    if T::ENABLED {
-                        ops_since_round += ops.len() as u64;
-                    }
-                }
-            }
-        }
-        if T::ENABLED {
-            tracer.node_loads(&node_sends, &node_recvs);
-        }
-        Ok(None)
-    }
-
-    /// Clone of the full key–value store at `node` (for equivalence tests
-    /// and output extraction).
-    pub fn snapshot(&self, node: NodeId) -> HashMap<Key, V> {
-        self.stores[node.index()].clone()
-    }
-
-    /// Snapshot machine state into an executor-independent [`Checkpoint`].
-    pub fn checkpoint(&self, next_step: usize, stats: ExecutionStats) -> Checkpoint<V> {
-        Checkpoint::new(next_step, stats, self.stores.clone())
-    }
-
-    /// Restore every store from a [`Checkpoint`] taken on any executor
-    /// backend of the same network size.
-    pub fn restore(&mut self, ckpt: &Checkpoint<V>) -> Result<(), ModelError> {
-        if ckpt.n() != self.n() {
-            return Err(ModelError::SizeMismatch {
-                expected: ckpt.n(),
-                actual: self.n(),
-            });
-        }
-        for (store, saved) in self.stores.iter_mut().zip(ckpt.stores()) {
-            store.clone_from(saved);
-        }
-        Ok(())
-    }
-
-    /// Clear every store, returning the machine to its freshly-constructed
-    /// state.
-    pub fn reset(&mut self) {
-        for store in &mut self.stores {
-            store.clear();
-        }
-    }
+    // Shard `s` starts at the first item `i` with `i * threads >= s * n`.
+    (0..=threads).map(|s| (s * n).div_ceil(threads)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::Nat;
-    use crate::{Machine, ScheduleBuilder, Transfer};
 
     #[test]
     fn shard_bounds_zero_threads_is_the_empty_partition() {
@@ -625,108 +61,12 @@ mod tests {
             assert_eq!(bounds[0], 0);
             assert_eq!(bounds[threads], n);
             for node in 0..n {
-                let s = shard_of(node, n, threads);
+                let s = node * threads / n;
                 assert!(
                     bounds[s] <= node && node < bounds[s + 1],
                     "n={n} t={threads} node={node} shard={s} bounds={bounds:?}"
                 );
             }
         }
-    }
-
-    fn exchange_schedule(n: usize) -> crate::Schedule {
-        // Every node sends its value one step right, with an Add into a
-        // shared accumulator and a compute op on top.
-        let mut b = ScheduleBuilder::new(n);
-        for round in 0..3 {
-            let transfers = (0..n as u32)
-                .map(|i| Transfer {
-                    src: NodeId(i),
-                    src_key: Key::tmp(0, 0),
-                    dst: NodeId((i + 1 + round) % n as u32),
-                    dst_key: Key::x(0, 0),
-                    merge: Merge::Add,
-                })
-                .collect();
-            b.round(transfers).unwrap();
-        }
-        let ops = (0..n as u32)
-            .map(|i| LocalOp::MulAdd {
-                node: NodeId(i),
-                dst: Key::x(1, 1),
-                lhs: Key::tmp(0, 0),
-                rhs: Key::x(0, 0),
-            })
-            .collect();
-        b.compute(ops).unwrap();
-        b.build()
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        for threads in [1usize, 2, 3, 8] {
-            let n = 13;
-            let s = exchange_schedule(n);
-            let mut seq: Machine<Nat> = Machine::new(n);
-            let mut par: ParallelMachine<Nat> = ParallelMachine::new(n, threads);
-            for i in 0..n as u32 {
-                seq.load(NodeId(i), Key::tmp(0, 0), Nat(u64::from(i) + 1));
-                par.load(NodeId(i), Key::tmp(0, 0), Nat(u64::from(i) + 1));
-            }
-            let s1 = seq.run(&s).unwrap();
-            let s2 = par.run(&s).unwrap();
-            assert_eq!(s1, s2, "stats must agree");
-            for i in 0..n as u32 {
-                for key in [Key::tmp(0, 0), Key::x(0, 0), Key::x(1, 1)] {
-                    assert_eq!(
-                        seq.get(NodeId(i), key),
-                        par.get(NodeId(i), key),
-                        "threads={threads} node={i} key={key:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_enforces_constraints_too() {
-        let n = 4;
-        let mut b = ScheduleBuilder::with_capacity(n, 2);
-        b.round(vec![
-            Transfer {
-                src: NodeId(0),
-                src_key: Key::tmp(0, 0),
-                dst: NodeId(1),
-                dst_key: Key::tmp(0, 1),
-                merge: Merge::Overwrite,
-            },
-            Transfer {
-                src: NodeId(0),
-                src_key: Key::tmp(0, 0),
-                dst: NodeId(2),
-                dst_key: Key::tmp(0, 1),
-                merge: Merge::Overwrite,
-            },
-        ])
-        .unwrap();
-        let s = b.build();
-        // Capacity-2 schedule on the parallel machine: fine.
-        let mut par: ParallelMachine<Nat> = ParallelMachine::new(n, 2);
-        par.load(NodeId(0), Key::tmp(0, 0), Nat(1));
-        par.run(&s).unwrap();
-        // Missing value surfaces as an error, not a crash.
-        let mut empty: ParallelMachine<Nat> = ParallelMachine::new(n, 2);
-        assert!(matches!(
-            empty.run(&s),
-            Err(ModelError::MissingValue { .. })
-        ));
-    }
-
-    #[test]
-    fn thread_count_is_clamped() {
-        let m: ParallelMachine<Nat> = ParallelMachine::new(3, 64);
-        assert_eq!(m.threads(), 3, "never more threads than nodes");
-        let m: ParallelMachine<Nat> = ParallelMachine::new(8, 0);
-        assert!(m.threads() >= 1);
     }
 }

@@ -8,8 +8,8 @@
 //! one-shot faults guarantee progress.
 //!
 //! A checkpoint stores the **canonical hash-map representation** of every
-//! node's store (the same shape `snapshot` returns on all three executor
-//! backends), plus the step cursor and the statistics accumulated so far.
+//! node's store (the same shape `snapshot` returns on both scalar
+//! executors), plus the step cursor and the statistics accumulated so far.
 //! That makes checkpoints executor-independent: a checkpoint taken on the
 //! hash-map machine restores bit-for-bit onto the linked machine and vice
 //! versa, because `next_step` indexes the schedule's step list and linking

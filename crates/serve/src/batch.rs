@@ -12,8 +12,6 @@ use lowband_core::{
     Instance, RunReport,
 };
 use lowband_model::{ModelError, NoopTracer, Tracer};
-use lowband_trace::{FlightRecorder, Json, MetricsRegistry};
-use std::path::PathBuf;
 
 use crate::cache::{ScheduleCache, ServeError};
 
@@ -84,60 +82,6 @@ pub fn run_batch_elementwise<S: BatchElement>(
         mode,
         &mut NoopTracer,
     )
-}
-
-/// [`run_batch_elementwise_traced`] under a flight recorder: `recorder`
-/// and `metrics` observe the batch as a composed sink, and if the request
-/// fails at batch level (lint/compile/quarantine) — or **any element**
-/// fails — the recorder's ring is dumped to
-/// `results/postmortem/<label>-<seq>.trace.json` with the error, the
-/// cache accounting and the metrics snapshot in `otherData`. Healthy
-/// elements still come back: one `Result` per seed. Returns the batch
-/// result plus the dump path, if one was written.
-#[allow(clippy::too_many_arguments)]
-pub fn run_batch_recorded<S: BatchElement>(
-    cache: &mut ScheduleCache,
-    inst: &Instance,
-    algorithm: Algorithm,
-    seeds: &[u64],
-    compress: bool,
-    mode: BatchMode,
-    recorder: &mut FlightRecorder,
-    metrics: &mut MetricsRegistry,
-    label: &str,
-) -> (ElementwiseBatch, Option<PathBuf>) {
-    let result = {
-        let mut pair = (&mut *recorder, &mut *metrics);
-        run_batch_elementwise_traced::<S, _>(
-            cache, inst, algorithm, seeds, compress, mode, &mut pair,
-        )
-    };
-    let failure = match &result {
-        Ok(elements) => {
-            let failed = elements.iter().filter(|e| e.is_err()).count();
-            if failed == 0 {
-                None
-            } else {
-                let first = elements
-                    .iter()
-                    .find_map(|e| e.as_ref().err())
-                    .expect("counted a failed element");
-                Some(format!(
-                    "{failed}/{} element(s) failed: {first}",
-                    seeds.len()
-                ))
-            }
-        }
-        Err(e) => Some(e.to_string()),
-    };
-    let dump = failure.and_then(|reason| {
-        let extra = Json::obj()
-            .set("error", reason.as_str())
-            .set("cache", cache.stats().to_json())
-            .set("metrics", metrics.snapshot());
-        recorder.dump_postmortem(label, &reason, extra).ok()
-    });
-    (result, dump)
 }
 
 /// [`run_batch_traced`] without instrumentation.

@@ -1,4 +1,5 @@
-//! `disk` — the on-disk plan tier behind the in-memory [`ScheduleCache`].
+//! `disk` — the on-disk plan tier behind the in-memory
+//! [`ScheduleCache`](crate::ScheduleCache).
 //!
 //! A compiled plan is a function of instance *structure* only, so it can
 //! outlive the process that compiled it: the store keeps one

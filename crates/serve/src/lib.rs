@@ -38,10 +38,7 @@ pub mod disk;
 pub mod key;
 pub mod supervise;
 
-pub use batch::{
-    run_batch, run_batch_elementwise, run_batch_elementwise_traced, run_batch_recorded,
-    run_batch_traced,
-};
+pub use batch::{run_batch, run_batch_elementwise, run_batch_elementwise_traced, run_batch_traced};
 pub use cache::{CacheStats, ScheduleCache, ServeError};
 pub use disk::{decode_plan, encode_plan, PlanStore, StoreError};
 pub use key::StructureKey;

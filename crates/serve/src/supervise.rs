@@ -22,29 +22,27 @@
 //!    served plan-free at the bottom rung until
 //!    [`ScheduleCache::try_readmit_traced`] passes a clean lint + probe.
 //! 5. **Graceful degradation** — the ladder
-//!    [`Rung::Packed`] → [`Rung::Linked`] → [`Rung::HashMap`] →
-//!    [`Rung::Reference`], descending exactly one rung per supervised
-//!    failure. The bottom rung computes the sequential reference product
-//!    locally and cannot fail, so a request that keeps its deadline and
-//!    passes admission *always* produces the correct product — the rung
-//!    it landed on is recorded in [`RunReport::rung`].
+//!    [`Rung::Packed`] → [`Rung::Linked`] → [`Rung::Reference`],
+//!    descending exactly one rung per supervised failure. The bottom rung
+//!    computes the sequential reference product locally and cannot fail,
+//!    so a request that keeps its deadline and passes admission *always*
+//!    produces the correct product — the rung it landed on is recorded in
+//!    [`RunReport::rung`].
 //!
 //! The fault plan is created once per request and shared across rungs, so
 //! the one-shot faults drain as the ladder descends — exactly the
 //! behavior of a transient storm hitting one request.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::time::Duration;
 
 use lowband_core::{
-    run_hashmap_guarded_seeded_traced, run_packed_guarded_seeded_traced, run_reference_seeded,
-    run_resilient_plan_traced, Algorithm, Backoff, BatchElement, CompiledPlan, Deadline, Instance,
-    ResilientError, ResilientReport, RetryPolicy, RunReport, Rung, Supervision,
+    run_packed_guarded_seeded_traced, run_reference_seeded, run_resilient_plan_traced, Algorithm,
+    Backoff, BatchElement, CompiledPlan, Deadline, Instance, ResilientError, ResilientReport,
+    RetryPolicy, RunReport, Rung, Supervision,
 };
 use lowband_matrix::{reference_multiply, SparseMatrix};
 use lowband_model::{ExecutionStats, FaultSpec, Tracer};
-use lowband_trace::{FlightRecorder, Json, MetricsRegistry};
 use rand::SeedableRng;
 
 use crate::cache::{ScheduleCache, ServeError};
@@ -387,7 +385,7 @@ impl Supervisor {
         );
         // One fault plan for the whole request: its one-shot faults drain
         // as the ladder descends, like a storm hitting one request.
-        let mut faults = spec.plan(plan.schedule.rounds(), plan.schedule.n());
+        let mut faults = spec.plan(plan.linked.rounds(), plan.linked.n());
         let mut rung = self.config.start_rung;
 
         let result = loop {
@@ -447,16 +445,6 @@ impl Supervisor {
                         }
                     }
                 }
-                Rung::HashMap => run_hashmap_guarded_seeded_traced::<S, T, _>(
-                    inst,
-                    &plan,
-                    seed,
-                    &mut faults,
-                    out.as_deref_mut(),
-                    tracer,
-                )
-                .map_err(|e| format!("hashmap: {e:?}"))
-                .and_then(require_correct),
                 Rung::Reference => Ok(run_reference_seeded::<S>(
                     inst,
                     &plan,
@@ -528,61 +516,6 @@ impl Supervisor {
             out,
             &mut lowband_model::NoopTracer,
         )
-    }
-
-    /// [`Supervisor::run_supervised_traced`] under a flight recorder:
-    /// `recorder` and `metrics` observe the request as a composed sink,
-    /// and any supervision event worth a post-mortem — a typed error OR
-    /// a rung descent — dumps the recorder's ring to
-    /// `results/postmortem/<label>-<seq>.trace.json` with the failure
-    /// descriptions, landing rung, cache accounting and metrics snapshot
-    /// in `otherData`. Returns the outcome plus the dump path, if one was
-    /// written.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_supervised_recorded<S: BatchElement>(
-        &mut self,
-        inst: &Instance,
-        algorithm: Algorithm,
-        seed: u64,
-        compress: bool,
-        spec: &FaultSpec,
-        out: Option<&mut SparseMatrix<S>>,
-        recorder: &mut FlightRecorder,
-        metrics: &mut MetricsRegistry,
-        label: &str,
-    ) -> (SupervisedOutcome, Option<PathBuf>) {
-        let outcome = {
-            let mut pair = (&mut *recorder, &mut *metrics);
-            self.run_supervised_traced::<S, _>(
-                inst, algorithm, seed, compress, spec, out, &mut pair,
-            )
-        };
-        let dump = if outcome.result.is_err() || !outcome.failures.is_empty() {
-            let reason = match &outcome.result {
-                Ok(report) => format!(
-                    "degraded to {} after {} descent(s)",
-                    report.rung.as_str(),
-                    outcome.descents
-                ),
-                Err(e) => e.to_string(),
-            };
-            let fail_list: Vec<Json> = outcome
-                .failures
-                .iter()
-                .map(|f| Json::from(f.as_str()))
-                .collect();
-            let extra = Json::obj()
-                .set("error", reason.as_str())
-                .set("rung", outcome.rung.as_str())
-                .set("descents", outcome.descents)
-                .set("failures", fail_list)
-                .set("cache", self.cache.stats().to_json())
-                .set("metrics", metrics.snapshot());
-            recorder.dump_postmortem(label, &reason, extra).ok()
-        } else {
-            None
-        };
-        (outcome, dump)
     }
 }
 

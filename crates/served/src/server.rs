@@ -4,8 +4,8 @@
 //!
 //! One accept thread plus `workers` worker threads. Each worker owns a
 //! bounded connection queue; the queue capacities partition the total
-//! `backlog` budget with [`lowband_model::shard_bounds`] — the same
-//! contiguous-block sharding the batch executors use to split seeds
+//! `backlog` budget with [`lowband_model::parallel::shard_bounds`] — the
+//! same contiguous-block sharding the batch executors use to split seeds
 //! across threads, reused here to split admission slots across workers
 //! (a surplus worker simply owns an empty shard and sits idle). The
 //! accept thread dispatches round-robin, skipping full queues; when
@@ -108,7 +108,6 @@ struct Counters {
     quarantined: AtomicU64,
     rung_packed: AtomicU64,
     rung_linked: AtomicU64,
-    rung_hashmap: AtomicU64,
     rung_reference: AtomicU64,
 }
 
@@ -117,7 +116,6 @@ impl Counters {
         match rung {
             Rung::Packed => &self.rung_packed,
             Rung::Linked => &self.rung_linked,
-            Rung::HashMap => &self.rung_hashmap,
             Rung::Reference => &self.rung_reference,
         }
     }
@@ -139,7 +137,6 @@ impl Counters {
                 Json::obj()
                     .set("packed", get(&self.rung_packed))
                     .set("linked", get(&self.rung_linked))
-                    .set("hashmap", get(&self.rung_hashmap))
                     .set("reference", get(&self.rung_reference)),
             )
     }

@@ -515,11 +515,12 @@ const ST_STATS: u8 = 6;
 const ST_SHUTDOWN_ACK: u8 = 7;
 const ST_SHUTTING_DOWN: u8 = 8;
 
+// Tag 2 stays unassigned, so a frame from an older build that carries it
+// is refused instead of being misread as another rung.
 fn rung_tag(rung: Rung) -> u8 {
     match rung {
         Rung::Packed => 0,
         Rung::Linked => 1,
-        Rung::HashMap => 2,
         Rung::Reference => 3,
     }
 }
@@ -528,7 +529,6 @@ fn rung_from_tag(tag: u8) -> Result<Rung, WireError> {
     Ok(match tag {
         0 => Rung::Packed,
         1 => Rung::Linked,
-        2 => Rung::HashMap,
         3 => Rung::Reference,
         _ => return Err(WireError::Malformed("rung tag")),
     })
@@ -742,6 +742,13 @@ mod tests {
             Response::ShutdownAck { json: "{}".into() },
             Response::ShuttingDown,
         ];
+        // Byte 10 of an `Ok` frame is the rung tag; tag 2 is unassigned.
+        let mut unassigned = responses[0].encode();
+        unassigned[10] = 2;
+        assert!(matches!(
+            Response::decode(&unassigned),
+            Err(WireError::Malformed("rung tag"))
+        ));
         for resp in responses {
             let decoded = Response::decode(&resp.encode()).expect("roundtrip");
             assert_eq!(decoded, resp);

@@ -63,7 +63,7 @@ impl BudgetEntry {
     }
 
     /// `predicted / observed`, finite by construction: `observed == 0`
-    /// (bound holds vacuously) yields [`RATIO_CAP`].
+    /// (bound holds vacuously) yields the cap `1e12`.
     pub fn ratio(&self) -> f64 {
         if self.observed > 0.0 {
             (self.predicted / self.observed).min(RATIO_CAP)

@@ -32,7 +32,7 @@ const BUCKETS: usize = 65;
 /// * bucket `b ≥ 1` holds exactly `2^(b-1) ≤ v < 2^b` — so a value
 ///   exactly at a power of two `2^k` is the *first* value of bucket
 ///   `k + 1`, never the last value of bucket `k`;
-/// * bucket `64` (the last of the [`BUCKETS`]` = 65`) holds
+/// * bucket `64` (the last of the 65 buckets) holds
 ///   `2^63 ≤ v ≤ u64::MAX`; its inclusive upper bound is `u64::MAX`, not
 ///   `2^64` (which does not exist in `u64`).
 ///
@@ -82,7 +82,7 @@ impl Histogram {
     ///
     /// # Panics
     ///
-    /// If `b ≥ `[`BUCKETS`].
+    /// If `b ≥ 65` (there are 65 buckets).
     pub fn bucket_bounds(b: usize) -> (u64, u64) {
         assert!(b < BUCKETS, "bucket {b} out of range");
         match b {

@@ -1,7 +1,7 @@
-//! Cross-executor equivalence: the hash-map reference machine, the sharded
-//! parallel machine and the linked slot-store machine (sequential and
-//! parallel) must produce **identical** final stores and identical model
-//! statistics on arbitrary schedules.
+//! Cross-executor equivalence: the hash-map reference machine, the linked
+//! slot-store machine and the lane-plane packed machine (in every lane)
+//! must produce **identical** final stores and identical model statistics
+//! on arbitrary schedules.
 //!
 //! Schedules are generated randomly but validly: the generator tracks which
 //! keys are live on each node so every transfer and local-op read hits a
@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use lowband::model::algebra::Nat;
 use lowband::model::{
-    link, Key, LinkedMachine, LocalOp, Machine, Merge, NodeId, ParallelMachine, Schedule,
+    link, Key, LinkedMachine, LocalOp, Machine, Merge, NodeId, PackedLinkedMachine, Schedule,
     ScheduleBuilder, Transfer,
 };
 use rand::rngs::StdRng;
@@ -24,6 +24,9 @@ const CASES: u64 = 16;
 
 /// Keys every node starts out holding.
 const POOL: u64 = 6;
+
+/// Lane count of the packed machine.
+const LANES: usize = 4;
 
 fn pool_key(k: u64) -> Key {
     Key::tmp(1, k)
@@ -182,9 +185,10 @@ fn shuffle(rng: &mut StdRng, xs: &mut [u32]) {
     }
 }
 
-/// All four executor configurations agree bit-for-bit: final stores AND the
-/// model-level execution statistics (rounds, messages, busiest round,
-/// local ops — wall-clock time is excluded from stats equality).
+/// All executors agree bit-for-bit: final stores AND the model-level
+/// execution statistics (rounds, messages, busiest round, local ops —
+/// wall-clock time is excluded from stats equality). Every lane of the
+/// packed machine carries the same loads, so each must match.
 #[test]
 fn executors_agree_on_random_schedules() {
     for case in 0..CASES {
@@ -195,27 +199,22 @@ fn executors_agree_on_random_schedules() {
         let linked = link(&schedule).expect("generated schedules are valid");
 
         let mut hash: Machine<Nat> = Machine::new(n);
-        let mut sharded: ParallelMachine<Nat> = ParallelMachine::new(n, 3);
         let mut slot: LinkedMachine<Nat> = LinkedMachine::new(&linked);
-        let mut slot_par: LinkedMachine<Nat> = LinkedMachine::new(&linked);
+        let mut packed: PackedLinkedMachine<Nat, LANES> = PackedLinkedMachine::new(&linked);
         for &(node, key, v) in &loads {
             hash.load(NodeId(node), key, Nat(v));
-            sharded.load(NodeId(node), key, Nat(v));
             slot.load(NodeId(node), key, Nat(v));
-            slot_par.load(NodeId(node), key, Nat(v));
+            for lane in 0..LANES {
+                packed.load_lane(NodeId(node), key, lane, Nat(v));
+            }
         }
 
         let s_hash = hash.run(&schedule).expect("reference run");
-        let s_sharded = sharded.run(&schedule).expect("parallel run");
         let s_slot = slot.run().expect("linked run");
-        let s_slot_par = slot_par.run_parallel(3).expect("linked parallel run");
+        let s_packed = packed.run().expect("packed run");
 
-        assert_eq!(s_hash, s_sharded, "case {case}: sharded stats diverge");
         assert_eq!(s_hash, s_slot, "case {case}: linked stats diverge");
-        assert_eq!(
-            s_hash, s_slot_par,
-            "case {case}: linked-parallel stats diverge"
-        );
+        assert_eq!(s_hash, s_packed, "case {case}: packed stats diverge");
         assert_eq!(s_hash.rounds, schedule.rounds(), "case {case}");
         assert_eq!(s_hash.messages, schedule.messages(), "case {case}");
 
@@ -223,19 +222,16 @@ fn executors_agree_on_random_schedules() {
             let want = hash.snapshot(NodeId(node));
             assert_eq!(
                 want,
-                sharded.snapshot(NodeId(node)),
-                "case {case}: sharded store diverges at node {node}"
-            );
-            assert_eq!(
-                want,
                 slot.snapshot(NodeId(node)),
                 "case {case}: linked store diverges at node {node}"
             );
-            assert_eq!(
-                want,
-                slot_par.snapshot(NodeId(node)),
-                "case {case}: linked-parallel store diverges at node {node}"
-            );
+            for lane in 0..LANES {
+                assert_eq!(
+                    want,
+                    packed.snapshot_lane(NodeId(node), lane),
+                    "case {case}: packed lane {lane} diverges at node {node}"
+                );
+            }
         }
     }
 }

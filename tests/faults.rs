@@ -4,7 +4,7 @@
 //!
 //! * **cross-executor determinism** — one seeded [`FaultSpec`] produces the
 //!   same injected-fault log, the same outcome and (on capacity-1
-//!   schedules) bitwise-equal stores on all three executor backends;
+//!   schedules) bitwise-equal stores on the hash-map and linked executors;
 //! * **detection** — a dropped or corrupted message fails the round
 //!   checksum; a crash surfaces as [`ModelError::NodeCrashed`] with the
 //!   victim's store wiped;
@@ -23,7 +23,7 @@ use lowband::matrix::{gen, Fp, SparseMatrix};
 use lowband::model::algebra::Nat;
 use lowband::model::{
     link, ExecutionStats, Key, LinkedMachine, LocalOp, Machine, Merge, ModelError, NodeId,
-    NoopTracer, ParallelMachine, RunWindow, Schedule, ScheduleBuilder, Transfer,
+    NoopTracer, RunWindow, Schedule, ScheduleBuilder, Transfer,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,7 +75,7 @@ fn us_instance(n: usize, d: usize, seed: u64) -> Instance {
 }
 
 /// One seeded spec ⇒ identical fault log, outcome, stats and stores on the
-/// hash-map, sharded-parallel and linked executors.
+/// hash-map and linked executors.
 #[test]
 fn same_plan_same_outcome_across_executors() {
     let (n, rounds) = (8usize, 6usize);
@@ -101,18 +101,6 @@ fn same_plan_same_outcome_across_executors() {
             &mut stats_m,
         );
 
-        let mut p: ParallelMachine<Nat> = ParallelMachine::new(n, 3);
-        load_ring(&mut |node, key, v| p.load(node, key, v), n);
-        let mut plan_p = spec.plan(rounds, n);
-        let mut stats_p = ExecutionStats::default();
-        let res_p = p.run_guarded(
-            &s,
-            &mut NoopTracer,
-            &mut plan_p,
-            RunWindow::full(),
-            &mut stats_p,
-        );
-
         let mut l: LinkedMachine<Nat> = LinkedMachine::new(&linked);
         load_ring(&mut |node, key, v| l.load(node, key, v), n);
         let mut plan_l = spec.plan(rounds, n);
@@ -124,18 +112,10 @@ fn same_plan_same_outcome_across_executors() {
             &mut stats_l,
         );
 
-        assert_eq!(res_m, res_p, "case {case}: machine vs parallel outcome");
         assert_eq!(res_m, res_l, "case {case}: machine vs linked outcome");
-        assert_eq!(plan_m.log(), plan_p.log(), "case {case}: fault logs");
         assert_eq!(plan_m.log(), plan_l.log(), "case {case}: fault logs");
-        assert_eq!(stats_m, stats_p, "case {case}: stats");
         assert_eq!(stats_m, stats_l, "case {case}: stats");
         for i in 0..n as u32 {
-            assert_eq!(
-                m.snapshot(NodeId(i)),
-                p.snapshot(NodeId(i)),
-                "case {case}: node {i} store, machine vs parallel"
-            );
             assert_eq!(
                 m.snapshot(NodeId(i)),
                 l.snapshot(NodeId(i)),
@@ -285,20 +265,7 @@ fn checkpoints_are_executor_interchangeable() {
     let rewound: Vec<_> = (0..n as u32).map(|i| m.snapshot(NodeId(i))).collect();
     assert_ne!(moved, rewound, "restore must rewind state");
 
-    // Replay the tail from the same checkpoint on each backend.
-    let mut p: ParallelMachine<Nat> = ParallelMachine::new(n, 3);
-    p.restore(&ckpt).unwrap();
-    let mut pstats = ckpt.stats();
-    p.run_guarded(
-        &s,
-        &mut NoopTracer,
-        &mut no_faults,
-        RunWindow::new(ckpt.next_step(), usize::MAX),
-        &mut pstats,
-    )
-    .unwrap();
-    assert_eq!(pstats.rounds, rounds, "resumed stats stay global");
-
+    // Replay the tail from the same checkpoint on the linked backend.
     let mut l: LinkedMachine<Nat> = LinkedMachine::new(&linked);
     l.restore(&ckpt).unwrap();
     let mut lstats = ckpt.stats();
@@ -309,13 +276,9 @@ fn checkpoints_are_executor_interchangeable() {
         &mut lstats,
     )
     .unwrap();
+    assert_eq!(lstats.rounds, rounds, "resumed stats stay global");
 
     for i in 0..n as u32 {
-        assert_eq!(
-            p.snapshot(NodeId(i)),
-            final_stores[i as usize],
-            "parallel tail replay diverged at node {i}"
-        );
         assert_eq!(
             l.snapshot(NodeId(i)),
             final_stores[i as usize],
@@ -512,18 +475,6 @@ fn random_faulted_runs_never_panic_and_agree() {
             &mut stats_m,
         );
 
-        let mut p: ParallelMachine<Nat> = ParallelMachine::new(n, 2);
-        load_all(&mut |node, key, v| p.load(node, key, v));
-        let mut plan_p = spec.plan(rounds, n);
-        let mut stats_p = ExecutionStats::default();
-        let res_p = p.run_guarded(
-            &s,
-            &mut NoopTracer,
-            &mut plan_p,
-            RunWindow::full(),
-            &mut stats_p,
-        );
-
         let mut l: LinkedMachine<Nat> = LinkedMachine::new(&linked);
         load_all(&mut |node, key, v| l.load(node, key, v));
         let mut plan_l = spec.plan(rounds, n);
@@ -535,9 +486,7 @@ fn random_faulted_runs_never_panic_and_agree() {
             &mut stats_l,
         );
 
-        assert_eq!(res_m, res_p, "case {case}");
         assert_eq!(res_m, res_l, "case {case}");
-        assert_eq!(plan_m.log(), plan_p.log(), "case {case}");
         assert_eq!(plan_m.log(), plan_l.log(), "case {case}");
     }
 }

@@ -106,58 +106,6 @@ fn round_accounting_matches_schedule() {
 }
 
 #[test]
-fn parallel_executor_matches_sequential_on_real_algorithms() {
-    use lowband::model::ParallelMachine;
-    let n = 48;
-    let d = 4;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    let inst = Instance::new(
-        gen::uniform_sparse(n, d, &mut rng),
-        gen::uniform_sparse(n, d, &mut rng),
-        gen::uniform_sparse(n, d, &mut rng),
-    );
-    let ts = TriangleSet::enumerate(&inst);
-    let schedule =
-        lowband::core::lemma31::process_triangles(&inst, &ts.triangles, ts.kappa(n), 0).unwrap();
-    let a: SparseMatrix<Fp> = SparseMatrix::randomize(inst.ahat.clone(), &mut rng);
-    let b: SparseMatrix<Fp> = SparseMatrix::randomize(inst.bhat.clone(), &mut rng);
-
-    let mut seq = inst.load_machine(&a, &b);
-    let seq_stats = seq.run(&schedule).unwrap();
-    let want = inst.extract_x(&seq);
-
-    for threads in [1usize, 4, 0] {
-        let mut par: ParallelMachine<Fp> = ParallelMachine::new(n, threads);
-        for (i, j, v) in a.iter() {
-            par.load(
-                inst.placement.a.owner(i, j),
-                Key::a(u64::from(i), u64::from(j)),
-                *v,
-            );
-        }
-        for (j, k, v) in b.iter() {
-            par.load(
-                inst.placement.b.owner(j, k),
-                Key::b(u64::from(j), u64::from(k)),
-                *v,
-            );
-        }
-        let par_stats = par.run(&schedule).unwrap();
-        assert_eq!(seq_stats, par_stats);
-        for (i, k) in inst.xhat.iter() {
-            assert_eq!(
-                want.get(i, k),
-                par.get_or_zero(
-                    inst.placement.x.owner(i, k),
-                    Key::x(u64::from(i), u64::from(k))
-                ),
-                "threads = {threads}"
-            );
-        }
-    }
-}
-
-#[test]
 fn lemma31_respects_analytic_envelope() {
     // O(κ + L + log m) with explicit constants: measure the pieces on a
     // family where we control κ exactly.

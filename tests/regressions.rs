@@ -5,15 +5,25 @@
 //!    statically disabled (`NoopFaults`): a windowed plain run executed the
 //!    whole schedule instead of pausing at the boundary. The budget must
 //!    bind on every run, on every executor backend.
-//! 2. A panicking worker thread in the parallel executors aborted the whole
-//!    process (or re-panicked at scope exit); it must surface as the typed,
-//!    retryable `ModelError::WorkerPanicked`.
+//! 2. A panicking worker thread aborted the whole process (or re-panicked
+//!    at scope exit); in the parallel batch fan-out it must surface as the
+//!    typed `ModelError::WorkerPanicked`, for that worker's share only.
 
-use lowband::model::algebra::{Nat, Semiring};
-use lowband::model::{
-    link, ExecutionStats, Key, LinkedMachine, LocalOp, Machine, Merge, ModelError, NodeId,
-    NoopFaults, NoopTracer, ParallelMachine, RunWindow, ScheduleBuilder, Transfer,
+use std::sync::OnceLock;
+
+use lowband::core::{
+    compile_plan, run_plan_batch, run_plan_batch_elementwise_traced, Algorithm, BatchElement,
+    BatchMode, CompiledPlan, Instance, RunReport, Rung,
 };
+use lowband::matrix::{gen, SampleElement, SparseMatrix};
+use lowband::model::algebra::{Nat, Semiring};
+use lowband::model::parallel::shard_bounds;
+use lowband::model::{
+    link, ExecutionStats, FaultHook, Key, LinkedMachine, LocalOp, Machine, Merge, ModelError,
+    NodeId, NoopFaults, NoopTracer, RunWindow, ScheduleBuilder, Tracer, Transfer,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn transfer(src: u32, src_key: Key, dst: u32, dst_key: Key) -> Transfer {
     Transfer {
@@ -117,36 +127,6 @@ fn window_budget_binds_without_fault_hook() {
     }
 
     {
-        let mut m: ParallelMachine<Nat> = ParallelMachine::new(3, 2);
-        for &(node, key, v) in &loads {
-            m.load(NodeId(node), key, Nat(v));
-        }
-        let mut stats = ExecutionStats::default();
-        let paused = m.run_guarded(
-            &schedule,
-            &mut NoopTracer,
-            &mut NoopFaults,
-            RunWindow::new(0, 2),
-            &mut stats,
-        );
-        let cursor = check(paused, &stats, "ParallelMachine");
-        let done = m
-            .run_guarded(
-                &schedule,
-                &mut NoopTracer,
-                &mut NoopFaults,
-                RunWindow::new(cursor, usize::MAX),
-                &mut stats,
-            )
-            .unwrap();
-        assert_eq!(done, None);
-        assert_eq!(stats.rounds, 4);
-        for node in 0..3 {
-            assert_eq!(m.snapshot(NodeId(node)), reference.snapshot(NodeId(node)));
-        }
-    }
-
-    {
         let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
         for &(node, key, v) in &loads {
             m.load(NodeId(node), key, Nat(v));
@@ -175,22 +155,18 @@ fn window_budget_binds_without_fault_hook() {
     }
 }
 
-/// A value type whose arithmetic (or payload clone) panics on a sentinel —
-/// the minimal reproduction of a worker-thread panic inside the parallel
-/// executors.
-#[derive(Debug, PartialEq)]
+/// A value type whose `mul` panics on the first value [`POISON_SEED`]
+/// draws — the minimal reproduction of a worker-thread panic in the
+/// parallel batch fan-out.
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Boom(u64);
 
-/// `mul` involving this value panics (compute-phase worker).
-const POISON_MUL: u64 = 13;
-/// Cloning this value panics (communication read-phase worker).
-const POISON_CLONE: u64 = 99;
+/// The seed whose value-set poisons `mul`.
+const POISON_SEED: u64 = 4;
 
-impl Clone for Boom {
-    fn clone(&self) -> Boom {
-        assert!(self.0 != POISON_CLONE, "poisoned clone");
-        Boom(self.0)
-    }
+fn poison() -> u64 {
+    static POISON: OnceLock<u64> = OnceLock::new();
+    *POISON.get_or_init(|| Boom::sample_nonzero(&mut StdRng::seed_from_u64(POISON_SEED)).0)
 }
 
 impl Semiring for Boom {
@@ -204,77 +180,88 @@ impl Semiring for Boom {
         Boom(self.0.wrapping_add(rhs.0))
     }
     fn mul(&self, rhs: &Boom) -> Boom {
-        assert!(
-            self.0 != POISON_MUL && rhs.0 != POISON_MUL,
-            "poisoned multiply"
-        );
+        assert!(self.0 != poison() && rhs.0 != poison(), "poisoned multiply");
         Boom(self.0.wrapping_mul(rhs.0))
     }
-    fn digest(&self) -> u64 {
-        self.0
+}
+
+impl SampleElement for Boom {
+    fn sample_nonzero<R: Rng + ?Sized>(rng: &mut R) -> Boom {
+        Boom(rng.gen::<u64>() | 1)
     }
 }
 
-/// Compute-phase worker panic: `ParallelMachine` must return the typed
-/// `WorkerPanicked` error instead of aborting the process.
-#[test]
-fn compute_worker_panic_is_a_typed_error() {
-    let mut b = ScheduleBuilder::new(2);
-    b.compute(vec![LocalOp::Mul {
-        node: NodeId(0),
-        dst: Key::tmp(0, 2),
-        lhs: Key::tmp(0, 0),
-        rhs: Key::tmp(0, 1),
-    }])
-    .unwrap();
-    let schedule = b.build();
-    let linked = link(&schedule).unwrap();
+/// Scalar batches only: `Boom` has no packed monomorphization.
+impl BatchElement for Boom {
+    const LANE_WIDTHS: &'static [usize] = &[];
+    const DEFAULT_LANES: usize = 1;
 
-    let mut m: ParallelMachine<Boom> = ParallelMachine::new(2, 2);
-    m.load(NodeId(0), Key::tmp(0, 0), Boom(POISON_MUL));
-    m.load(NodeId(0), Key::tmp(0, 1), Boom(3));
-    let err = m.run(&schedule).unwrap_err();
-    assert!(
-        matches!(err, ModelError::WorkerPanicked { step: 0 }),
-        "expected WorkerPanicked, got {err:?}"
-    );
+    fn run_packed_batch_traced<T: Tracer>(
+        _: &Instance,
+        _: &CompiledPlan,
+        _: &[u64],
+        lanes: usize,
+        _: &mut T,
+    ) -> Result<Vec<RunReport>, ModelError> {
+        Err(ModelError::PackedLanesUnsupported { lanes })
+    }
 
-    let mut m: LinkedMachine<Boom> = LinkedMachine::new(&linked);
-    m.load(NodeId(0), Key::tmp(0, 0), Boom(POISON_MUL));
-    m.load(NodeId(0), Key::tmp(0, 1), Boom(3));
-    let err = m.run_parallel(2).unwrap_err();
-    assert!(
-        matches!(err, ModelError::WorkerPanicked { step: 0 }),
-        "expected WorkerPanicked, got {err:?}"
-    );
+    fn run_packed_guarded_traced<T: Tracer, F: FaultHook>(
+        _: &Instance,
+        _: &CompiledPlan,
+        _: u64,
+        lanes: usize,
+        _: &mut F,
+        _: Option<&mut SparseMatrix<Boom>>,
+        _: &mut T,
+    ) -> Result<RunReport, ModelError> {
+        Err(ModelError::PackedLanesUnsupported { lanes })
+    }
 }
 
-/// Read-phase worker panic (payload clone blows up): previously the
-/// unjoined sibling threads re-panicked when the scope exited, taking the
-/// process down even though the panic had been "caught".
+/// Compute-phase worker panic in the parallel batch fan-out: the batch
+/// returns the typed `WorkerPanicked` error instead of aborting the
+/// process, and with per-element isolation only the panicking worker's
+/// share fails.
 #[test]
-fn read_phase_worker_panic_is_a_typed_error() {
-    let mut b = ScheduleBuilder::new(2);
-    b.round(vec![transfer(0, Key::tmp(0, 0), 1, Key::tmp(0, 1))])
+fn compute_worker_panic_is_a_typed_error() {
+    // Block-diagonal A = B = X: every A entry, the poisoned seed's first
+    // draw included, takes part in some product.
+    let s = gen::block_diagonal(8, 2);
+    let inst = Instance::new(s.clone(), s.clone(), s);
+    let plan = compile_plan(&inst, Algorithm::BoundedTriangles, false).unwrap();
+    let seeds: Vec<u64> = (0..6).collect();
+    let threads = 3;
+    let mode = BatchMode::Parallel { threads };
+
+    let err = run_plan_batch::<Boom>(&inst, &plan, &seeds, mode).unwrap_err();
+    assert_eq!(err, ModelError::WorkerPanicked { step: 0 });
+
+    let results =
+        run_plan_batch_elementwise_traced::<Boom, _>(&inst, &plan, &seeds, mode, &mut NoopTracer)
+            .unwrap();
+    assert_eq!(results.len(), seeds.len());
+    let bounds = shard_bounds(seeds.len(), threads);
+    let poisoned = (0..threads)
+        .map(|w| bounds[w]..bounds[w + 1])
+        .find(|share| share.contains(&(POISON_SEED as usize)))
         .unwrap();
-    let schedule = b.build();
-    let linked = link(&schedule).unwrap();
-
-    let mut m: ParallelMachine<Boom> = ParallelMachine::new(2, 2);
-    m.load(NodeId(0), Key::tmp(0, 0), Boom(POISON_CLONE));
-    let err = m.run(&schedule).unwrap_err();
-    assert!(
-        matches!(err, ModelError::WorkerPanicked { step: 0 }),
-        "expected WorkerPanicked, got {err:?}"
-    );
-
-    let mut m: LinkedMachine<Boom> = LinkedMachine::new(&linked);
-    m.load(NodeId(0), Key::tmp(0, 0), Boom(POISON_CLONE));
-    let err = m.run_parallel(2).unwrap_err();
-    assert!(
-        matches!(err, ModelError::WorkerPanicked { step: 0 }),
-        "expected WorkerPanicked, got {err:?}"
-    );
+    assert!(poisoned.len() < seeds.len(), "some share must stay healthy");
+    for (i, result) in results.iter().enumerate() {
+        if poisoned.contains(&i) {
+            assert_eq!(
+                result,
+                &Err(ModelError::WorkerPanicked { step: 0 }),
+                "seed {i}"
+            );
+        } else {
+            let report = result
+                .as_ref()
+                .unwrap_or_else(|e| panic!("seed {i}: {e:?}"));
+            assert!(report.correct, "seed {i} must verify");
+            assert_eq!(report.rung, Rung::Linked);
+        }
+    }
 }
 
 /// Text-format loader regressions (fixed alongside the binary plan

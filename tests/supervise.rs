@@ -87,10 +87,10 @@ fn storm_lands_on_reference_with_bit_identical_output() {
     assert_eq!(report.rung, Rung::Reference, "storm must bottom the ladder");
     assert!(report.correct);
     assert_eq!(
-        outcome.descents, 3,
-        "one descent per distributed rung: packed, linked, hashmap"
+        outcome.descents, 2,
+        "one descent per distributed rung: packed, linked"
     );
-    assert_eq!(outcome.failures.len(), 3);
+    assert_eq!(outcome.failures.len(), 2);
     assert!(
         !outcome.fault_log.is_empty(),
         "the storm must actually have fired"
