@@ -28,6 +28,11 @@
 //!   near 0.9);
 //! * **serving** — `warm_over_cold`: amortized per-run cost of a cached
 //!   batch vs per-run recompilation;
+//! * **supervision** — `supervised_over_batch`: one fault-free, warm
+//!   `Supervisor::run_supervised` request entering at the linked rung, as
+//!   the daemon does, over the per-member cost of the warm batch above
+//!   (about 1.3 when fault-free requests take no checkpoint; snapshots
+//!   after load and every 32 rounds put it at 4.5–5);
 //! * **packing** — `packed_over_sequential`: per-member cost of the lane
 //!   plane executor vs the sequential warm path.
 //!
@@ -55,10 +60,13 @@ use lowband_core::budget::entries_for_observed;
 use lowband_core::cluster::extract_clusters;
 use lowband_core::densemm::DenseEngine;
 use lowband_core::{
-    compile_plan, compile_schedule, run_algorithm, Algorithm, BatchMode, TriangleSet,
+    compile_plan, compile_schedule, run_algorithm, Algorithm, BatchMode, Rung, TriangleSet,
 };
 use lowband_matrix::{Fp, SparseMatrix, Wrap64};
-use lowband_serve::{decode_plan, encode_plan, run_batch, ScheduleCache};
+use lowband_model::FaultSpec;
+use lowband_serve::{
+    decode_plan, encode_plan, run_batch, ScheduleCache, Supervisor, SupervisorConfig,
+};
 use lowband_trace::baseline::{all_pass, gate, probes_from_json, probes_to_json, Probe};
 use rand::SeedableRng;
 
@@ -221,6 +229,27 @@ fn measure(k: usize) -> Measurements {
     }) / seeds.len() as f64;
     reservoirs.push(("perfgate.warm_batch_nanos".to_string(), res));
     probe("warm_over_cold", warm_ns / cold_ns);
+
+    // ---- supervision probe: a daemon-shaped request vs a batch member ----
+    let mut supervisor = Supervisor::new(SupervisorConfig {
+        start_rung: Rung::Linked,
+        ..SupervisorConfig::default()
+    });
+    let clean = FaultSpec::none(0);
+    let mut supervise = |seed: u64| {
+        let outcome = supervisor.run_supervised::<Fp>(&small, algorithm, seed, false, &clean, None);
+        assert_eq!(outcome.rung, Rung::Linked, "a clean request lands linked");
+        outcome.result.expect("supervised request")
+    };
+    supervise(seeds[0]); // priming compile
+    let mut res = Reservoir::new(k);
+    let supervised_ns = median_ns(k, &mut res, || {
+        for &s in &seeds {
+            std::hint::black_box(supervise(s));
+        }
+    }) / seeds.len() as f64;
+    reservoirs.push(("perfgate.supervised_request_nanos".to_string(), res));
+    probe("supervised_over_batch", supervised_ns / warm_ns);
 
     // ---- packing probe: lane planes vs sequential -------------------------
     let lanes = <Fp as lowband_core::BatchElement>::LANE_WIDTHS

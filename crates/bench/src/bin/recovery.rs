@@ -8,8 +8,9 @@
 //!
 //! 1. **Checkpoint overhead, no faults** — the resilient driver with a
 //!    fault-free spec vs the plain pipeline, across checkpoint cadences.
-//!    The only extra work is the periodic store snapshot, so this isolates
-//!    the cost of *being ready* to recover.
+//!    Snapshots are paid only while a planned fault can still fire, so a
+//!    fault-free run takes none at any cadence: this measures what
+//!    *being ready* to recover costs when nothing is planned.
 //! 2. **Recovery cost under faults** — failure rates × checkpoint cadence:
 //!    how many rollbacks, how many replayed rounds, and the wall-clock
 //!    price, with every run verified against the sequential reference.
@@ -144,8 +145,9 @@ fn checkpoint_overhead(
         ]);
     }
     println!(
-        "\nthe overhead is the periodic store snapshot: denser cadences pay more,\n\
-         but buy shorter replays when faults do land (next table)."
+        "\nsnapshots are paid only while a planned fault can still fire, so a\n\
+         fault-free run takes none at any cadence; when faults do land, denser\n\
+         cadences buy shorter replays (next table)."
     );
 }
 

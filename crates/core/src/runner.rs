@@ -13,8 +13,9 @@ use lowband_matrix::{
 use lowband_model::faults::{Fault, FaultKind};
 use lowband_model::parallel::shard_bounds;
 use lowband_model::{
-    ExecutionStats, FaultHook, FaultPlan, FaultSpec, LinkedMachine, LinkedSchedule, ModelError,
-    NoopTracer, PackedLinkedMachine, PackedSemiring, RunWindow, Schedule, Semiring, Tracer,
+    Checkpoint, ExecutionStats, FaultHook, FaultPlan, FaultSpec, LinkedMachine, LinkedSchedule,
+    ModelError, NoopFaults, NoopTracer, PackedLinkedMachine, PackedSemiring, RunWindow, Schedule,
+    Semiring, Tracer,
 };
 use lowband_trace::{FlightRecorder, Json, MetricsRegistry};
 use rand::SeedableRng;
@@ -712,7 +713,11 @@ pub fn run_algorithm_batch_traced<S: BatchElement, T: Tracer>(
 /// When to checkpoint and when to give up during a fault-injected run.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// Checkpoint every `k` communication rounds (0 is treated as 1).
+    /// Window length in communication rounds (0 is treated as 1). The
+    /// deadline is checked before every window, and a window boundary is
+    /// checkpointed while a planned fault can still fire
+    /// ([`FaultPlan::pending_from`]); past the last one, windows run
+    /// without snapshots.
     pub checkpoint_every: usize,
     /// Give up after this many detected failures.
     pub max_attempts: usize,
@@ -746,7 +751,9 @@ pub struct ResilientReport {
     pub failures: usize,
     /// Rounds re-executed across all rollbacks.
     pub replayed_rounds: usize,
-    /// Checkpoints taken (the initial post-load snapshot included).
+    /// Checkpoints taken: the post-load snapshot and one per window
+    /// boundary, each only while a planned fault could still fire. A run
+    /// whose plan holds no fault takes none.
     pub checkpoints: usize,
     /// The faults the plan injected, in plan order — identical for every
     /// executor and every run with the same spec.
@@ -771,12 +778,15 @@ pub fn run_resilient<S: Semiring + SampleElement>(
 /// rollback.
 ///
 /// The run executes on the linked sequential backend in windows of
-/// `policy.checkpoint_every` rounds. A window that ends cleanly is
-/// checkpointed; a window that surfaces [`ModelError::Corruption`] or
-/// [`ModelError::NodeCrashed`] is rolled back to the last checkpoint and
-/// replayed (injected faults are one-shot, so replays make progress). Any
-/// other error — and a fault budget overrun per [`RetryPolicy`] — aborts
-/// with the underlying error.
+/// `policy.checkpoint_every` rounds. While a planned fault can still fire,
+/// the loaded inputs and every cleanly ended window are checkpointed (each
+/// under a `"checkpoint"` span); a window that surfaces
+/// [`ModelError::Corruption`] or [`ModelError::NodeCrashed`] is rolled
+/// back to the last checkpoint and replayed (injected faults are one-shot,
+/// so replays make progress). Once no fault is pending, the remaining
+/// windows run with [`NoopFaults`] and take no snapshot, so a fault-free
+/// spec costs what the plain pipeline does. Any other error — and a fault
+/// budget overrun per [`RetryPolicy`] — aborts with the underlying error.
 pub fn run_resilient_traced<S: Semiring + SampleElement, T: Tracer>(
     inst: &Instance,
     algorithm: Algorithm,
@@ -840,9 +850,9 @@ pub fn fill_fault_kinds(stats: &mut ExecutionStats, log: &[Fault]) {
 
 /// The supervised core of [`run_resilient_traced`]: execute one seeded
 /// value-set through an already-compiled plan on the linked sequential
-/// backend in checkpointed windows, rolling back and replaying on every
-/// detected fault, under an externally owned [`FaultPlan`], [`Deadline`]
-/// and optional [`Backoff`].
+/// backend in windows — checkpointed only while a planned fault can still
+/// fire — rolling back and replaying on every detected fault, under an
+/// externally owned [`FaultPlan`], [`Deadline`] and optional [`Backoff`].
 ///
 /// The caller owns the fault plan so one plan can span several attempts
 /// (the degradation ladder drains its one-shot faults across rungs). On
@@ -868,13 +878,23 @@ pub fn run_resilient_plan_traced<S: Semiring + SampleElement, T: Tracer>(
     tracer.span_exit("load");
 
     let window_rounds = sup.policy.checkpoint_every.max(1);
-    // The initial checkpoint covers the freshly loaded inputs, so even a
-    // first-round fault rolls back to a complete state.
-    let mut ckpt = machine.checkpoint(0, ExecutionStats::default());
-    let mut checkpoints = 1usize;
+    let mut stats = ExecutionStats::default();
+    // Where the next window starts; a rollback rewinds it to `ckpt`.
+    let mut next_step = 0usize;
+    // Snapshots are taken only while a planned fault can still fire.
+    // Faults are one-shot and only a fired one fails a window, so once
+    // none is pending no rollback can need a newer checkpoint — and a
+    // fault-free request takes none at all.
+    let mut ckpt = None;
+    let mut checkpoints = 0usize;
     let mut failures = 0usize;
     let mut replayed_rounds = 0usize;
-    let mut stats = ExecutionStats::default();
+    // The post-load checkpoint covers the freshly loaded inputs, so even
+    // a first-round fault rolls back to a complete state.
+    if faults.pending_from(0) {
+        ckpt = Some(checkpoint_traced(&machine, 0, stats, tracer));
+        checkpoints += 1;
+    }
 
     // Snapshot the progress so far into a (partial or final) report. The
     // executors never touch the fault counters (single writer): the
@@ -923,14 +943,31 @@ pub fn run_resilient_plan_traced<S: Semiring + SampleElement, T: Tracer>(
                 )),
             });
         }
-        let window = RunWindow::new(ckpt.next_step(), window_rounds);
-        match machine.run_guarded(tracer, faults, window, &mut stats) {
+        let window = RunWindow::new(next_step, window_rounds);
+        // With no fault left to fire, the window runs without the hook:
+        // its round checksums could only disagree after a tamper.
+        let outcome = if faults.pending_from(stats.rounds) {
+            machine.run_guarded(tracer, faults, window, &mut stats)
+        } else {
+            machine.run_guarded(tracer, &mut NoopFaults, window, &mut stats)
+        };
+        match outcome {
             Ok(None) => break,
-            Ok(Some(next_step)) => {
-                ckpt = machine.checkpoint(next_step, stats);
-                checkpoints += 1;
+            Ok(Some(step)) => {
+                next_step = step;
+                if faults.pending_from(stats.rounds) {
+                    ckpt = Some(checkpoint_traced(&machine, step, stats, tracer));
+                    checkpoints += 1;
+                }
             }
             Err(e @ (ModelError::Corruption { .. } | ModelError::NodeCrashed { .. })) => {
+                // Only a fired fault raises these, and a fault fires only
+                // in a window that began with a checkpoint. Without one
+                // there is nothing to roll back to: report, never panic.
+                let Some(ckpt) = ckpt.as_ref() else {
+                    tracer.span_exit("run");
+                    return Err(ResilientError::Fatal { error: e });
+                };
                 failures += 1;
                 replayed_rounds += stats.rounds - ckpt.stats().rounds;
                 let shift = (failures - 1).min(32) as u32;
@@ -953,11 +990,12 @@ pub fn run_resilient_plan_traced<S: Semiring + SampleElement, T: Tracer>(
                         )),
                     });
                 }
-                if let Err(restore_err) = machine.restore(&ckpt) {
+                if let Err(restore_err) = machine.restore(ckpt) {
                     tracer.span_exit("run");
                     return Err(ResilientError::Fatal { error: restore_err });
                 }
                 stats = ckpt.stats();
+                next_step = ckpt.next_step();
                 tracer.fault("fault.recovered", stats.rounds as u64);
                 if let Some(backoff) = sup.backoff.as_deref_mut() {
                     let delay = backoff.pause(sup.deadline);
@@ -989,6 +1027,20 @@ pub fn run_resilient_plan_traced<S: Semiring + SampleElement, T: Tracer>(
         *o = got;
     }
     Ok(resilient)
+}
+
+/// [`LinkedMachine::checkpoint`] under a `"checkpoint"` span, so snapshot
+/// time shows on its own instead of inside `"run"`.
+fn checkpoint_traced<S: Semiring, T: Tracer>(
+    machine: &LinkedMachine<'_, S>,
+    next_step: usize,
+    stats: ExecutionStats,
+    tracer: &mut T,
+) -> Checkpoint<S> {
+    tracer.span_enter("checkpoint");
+    let ckpt = machine.checkpoint(next_step, stats);
+    tracer.span_exit("checkpoint");
+    ckpt
 }
 
 /// The packed rung of the degradation ladder: one seeded value-set in

@@ -218,6 +218,12 @@ impl FaultSpec {
 /// executor replays its round after a checkpoint restore. [`FaultPlan::log`]
 /// reports the fired faults in plan order — an executor-independent record
 /// (see the module docs for why decisions key on `(round, node)`).
+///
+/// [`FaultPlan::pending_from`] tells a driver whether any fault can still
+/// fire from a given round on. Rounds only move forward between
+/// rollbacks, and only a fired fault causes a rollback, so once it turns
+/// false it stays false for the rest of the run: the resilient driver
+/// stops checkpointing and runs the remaining rounds without the hook.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
@@ -279,6 +285,15 @@ impl FaultPlan {
     /// drive a fresh run from scratch.
     pub fn rearm(&mut self) {
         self.fired.fill(false);
+    }
+
+    /// `true` while an unfired fault targets `round` or a later round —
+    /// that is, while a run now at `round` can still be faulted.
+    pub fn pending_from(&self, round: usize) -> bool {
+        self.faults
+            .iter()
+            .zip(&self.fired)
+            .any(|(f, &fired)| !fired && f.round >= round)
     }
 
     fn fire_matching(&mut self, round: usize, pred: impl Fn(&Fault) -> bool) -> Option<Fault> {
@@ -382,6 +397,24 @@ mod tests {
         plan.rearm();
         assert_eq!(plan.injected(), 0);
         assert_eq!(plan.crash(3), Some(1), "rearmed faults fire again");
+    }
+
+    #[test]
+    fn pending_from_tracks_unfired_faults_at_or_after_a_round() {
+        assert!(!FaultPlan::new(Vec::new()).pending_from(0), "empty plan");
+        let mut plan = FaultPlan::new(vec![Fault {
+            round: 5,
+            node: 0,
+            kind: FaultKind::Crash,
+        }]);
+        for round in 0..=5 {
+            assert!(plan.pending_from(round), "round {round}");
+        }
+        assert!(!plan.pending_from(6), "the fault lies behind round 6");
+        assert_eq!(plan.crash(5), Some(0));
+        assert!(!plan.pending_from(0), "a fired fault is no longer pending");
+        plan.rearm();
+        assert!(plan.pending_from(0), "rearm makes it pending again");
     }
 
     #[test]

@@ -28,12 +28,13 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// or hostile length prefix must not OOM the daemon.
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Decode failures. `Malformed` covers both truncated payloads and
-/// out-of-range discriminants.
+/// Decode failures. `Malformed` covers truncated payloads, out-of-range
+/// discriminants and bytes left over after the last field.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum WireError {
-    /// The frame or payload ended before the field did, or a
-    /// discriminant had no decoding.
+    /// The frame or payload ended before the field did, a count declared
+    /// more entries than the payload holds, a discriminant had no
+    /// decoding, or bytes followed the last field.
     Malformed(&'static str),
     /// The peer speaks a different protocol version.
     Version { theirs: u8 },
@@ -131,6 +132,16 @@ impl<'a> Reader<'a> {
             return Err(WireError::Oversized { len });
         }
         String::from_utf8(self.take(len, what)?.to_vec()).map_err(|_| WireError::Malformed(what))
+    }
+
+    /// Succeed only if every payload byte was consumed: no encoder emits
+    /// bytes after the last field, so any are a malformed frame.
+    fn finish(self) -> Result<(), WireError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(WireError::Malformed("trailing bytes"))
+        }
     }
 }
 
@@ -294,6 +305,11 @@ fn read_support(r: &mut Reader<'_>, n: u32) -> Result<Vec<(u32, u32)>, WireError
     if nnz > MAX_FRAME / 8 {
         return Err(WireError::Oversized { len: nnz * 8 });
     }
+    // Each entry is 8 bytes: a count the payload cannot hold is refused
+    // before it sizes an allocation.
+    if nnz > r.buf.len() / 8 {
+        return Err(WireError::Malformed("support entries"));
+    }
     let mut entries = Vec::with_capacity(nnz);
     for _ in 0..nnz {
         let i = r.u32("support row")?;
@@ -412,9 +428,9 @@ impl Request {
         if version != PROTOCOL_VERSION {
             return Err(WireError::Version { theirs: version });
         }
-        match r.u8("request opcode")? {
-            OP_STATS => Ok(Request::Stats),
-            OP_SHUTDOWN => Ok(Request::Shutdown),
+        let request = match r.u8("request opcode")? {
+            OP_STATS => Request::Stats,
+            OP_SHUTDOWN => Request::Shutdown,
             OP_EXECUTE => {
                 let n = r.u32("network size")?;
                 let ahat = read_support(&mut r, n)?;
@@ -429,7 +445,7 @@ impl Request {
                 let drop_rate = r.f64("drop rate")?;
                 let corrupt_rate = r.f64("corrupt rate")?;
                 let crash_rate = r.f64("crash rate")?;
-                Ok(Request::Execute(Box::new(ExecuteRequest {
+                Request::Execute(Box::new(ExecuteRequest {
                     n,
                     ahat,
                     bhat,
@@ -443,10 +459,12 @@ impl Request {
                     drop_rate,
                     corrupt_rate,
                     crash_rate,
-                })))
+                }))
             }
-            _ => Err(WireError::Malformed("request opcode")),
-        }
+            _ => return Err(WireError::Malformed("request opcode")),
+        };
+        r.finish()?;
+        Ok(request)
     }
 }
 
@@ -591,7 +609,7 @@ impl Response {
         if version != PROTOCOL_VERSION {
             return Err(WireError::Version { theirs: version });
         }
-        Ok(match r.u8("response status")? {
+        let response = match r.u8("response status")? {
             ST_OK => Response::Ok {
                 digest: r.u64("digest")?,
                 rung: rung_from_tag(r.u8("rung tag")?)?,
@@ -619,8 +637,10 @@ impl Response {
                 json: r.str("shutdown snapshot")?,
             },
             ST_SHUTTING_DOWN => Response::ShuttingDown,
-            _ => Err(WireError::Malformed("response status"))?,
-        })
+            _ => return Err(WireError::Malformed("response status")),
+        };
+        r.finish()?;
+        Ok(response)
     }
 }
 

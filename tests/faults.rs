@@ -354,6 +354,63 @@ fn resilient_with_no_faults_is_clean() {
     assert_eq!(r.replayed_rounds, 0);
     assert!(r.fault_log.is_empty());
     assert_eq!(r.stats.faults_injected, 0);
+    assert_eq!(
+        r.checkpoints, 0,
+        "no planned fault, nothing to roll back to"
+    );
+}
+
+/// Every snapshot sits in a `checkpoint` span, so a traced run accounts
+/// for each checkpoint it reports — and a fault-free run records none.
+#[test]
+fn checkpoint_spans_count_the_checkpoints_taken() {
+    use lowband::core::run_resilient_traced;
+    use lowband::model::trace::MetricsRegistry;
+
+    let inst = us_instance(32, 3, 0xB001);
+    let policy = RetryPolicy {
+        checkpoint_every: 4,
+        max_attempts: 500,
+        base_round_budget: 1 << 16,
+    };
+    let spec = FaultSpec {
+        seed: 9,
+        drop_rate: 0.3,
+        corrupt_rate: 0.3,
+        crash_rate: 0.2,
+    };
+    let mut metrics = MetricsRegistry::new();
+    let faulted = run_resilient_traced::<Fp, _>(
+        &inst,
+        Algorithm::BoundedTriangles,
+        5,
+        &spec,
+        policy,
+        &mut metrics,
+    )
+    .unwrap();
+    assert!(faulted.report.correct);
+    assert!(faulted.checkpoints > 0, "this spec must plan faults");
+    let spans = metrics.span_stats("checkpoint").expect("checkpoint spans");
+    assert_eq!(spans.count as usize, faulted.checkpoints);
+
+    let mut metrics = MetricsRegistry::new();
+    let clean = run_resilient_traced::<Fp, _>(
+        &inst,
+        Algorithm::BoundedTriangles,
+        5,
+        &FaultSpec::none(1),
+        policy,
+        &mut metrics,
+    )
+    .unwrap();
+    assert!(clean.report.correct);
+    assert_eq!(clean.checkpoints, 0);
+    assert!(metrics.span_stats("checkpoint").is_none());
+    assert!(
+        metrics.span_stats("run").is_some(),
+        "the run itself is traced"
+    );
 }
 
 /// An unrecoverable regime (every retry re-faults past the budget) gives
@@ -615,11 +672,12 @@ fn replay_budget_boundary_is_exact() {
     ));
 }
 
-/// A checkpoint cadence far beyond the round count leaves only the initial
-/// post-load snapshot — clean runs take no mid-run checkpoints, and a
-/// faulted run rolls all the way back to the start and still recovers.
+/// A checkpoint cadence far beyond the round count leaves one window: a
+/// clean run takes no checkpoint at all, and a faulted run takes only the
+/// post-load snapshot, rolls all the way back to the start and still
+/// recovers.
 #[test]
-fn cadence_beyond_round_count_keeps_only_the_initial_checkpoint() {
+fn cadence_beyond_round_count_checkpoints_only_a_faulted_run() {
     let inst = us_instance(24, 3, 0xED6E);
     let plan = compile_plan(&inst, Algorithm::BoundedTriangles, false).unwrap();
     let policy = RetryPolicy {
@@ -629,7 +687,7 @@ fn cadence_beyond_round_count_keeps_only_the_initial_checkpoint() {
     };
     let clean = resilient_with(&inst, &plan, Vec::new(), policy).expect("clean run");
     assert!(clean.report.correct);
-    assert_eq!(clean.checkpoints, 1, "only the post-load snapshot");
+    assert_eq!(clean.checkpoints, 0, "no planned fault, no snapshot");
     assert_eq!(clean.replayed_rounds, 0);
 
     let faulted =
@@ -641,6 +699,39 @@ fn cadence_beyond_round_count_keeps_only_the_initial_checkpoint() {
         faulted.replayed_rounds > 0,
         "rollback to round 0 replays the whole prefix"
     );
+}
+
+/// Checkpoints stop once the last planned fault has fired: a lone crash
+/// at round `r` under cadence 4 is covered by the snapshots at rounds 0,
+/// 4, …, `4·⌊r/4⌋` and no later one, while failures, replayed rounds and
+/// the product are exactly what checkpointing every window gives.
+#[test]
+fn checkpoints_stop_after_the_last_fault() {
+    let inst = us_instance(24, 3, 0xED6E);
+    let plan = compile_plan(&inst, Algorithm::BoundedTriangles, false).unwrap();
+    let policy = RetryPolicy {
+        checkpoint_every: 4,
+        max_attempts: 4,
+        base_round_budget: 1 << 16,
+    };
+    let clean = resilient_with(&inst, &plan, Vec::new(), policy).expect("clean run");
+    assert_eq!(
+        clean.report.rounds, 14,
+        "the schedule this test is sized for"
+    );
+    for r in 0..14 {
+        let run = resilient_with(&inst, &plan, vec![crash(r, 0)], policy)
+            .unwrap_or_else(|e| panic!("crash at round {r}: {e}"));
+        assert!(run.report.correct, "crash at round {r}");
+        assert_eq!(run.failures, 1, "crash at round {r}");
+        assert_eq!(run.replayed_rounds, r % 4, "crash at round {r}");
+        assert_eq!(run.checkpoints, 1 + r / 4, "crash at round {r}");
+        assert_eq!(run.stats.rounds, clean.stats.rounds, "crash at round {r}");
+        assert_eq!(
+            run.stats.messages, clean.stats.messages,
+            "crash at round {r}"
+        );
+    }
 }
 
 /// Backoff arithmetic at the extremes (ISSUE 9 satellite): with `cap`
