@@ -25,7 +25,12 @@
 //!   pass on the batch-n1024 benchmark structure (n = 1024, two-phase
 //!   d = 16) over that structure's whole compile (the extraction indexes
 //!   the pool once per call; per-cluster whole-pool rebuilds put the ratio
-//!   near 0.9);
+//!   near 0.9); and `compress_link_over_compile`: the fused
+//!   compress-and-link pass (`lowband_model::compress_and_link_traced`) on that
+//!   structure's compiled schedule, cloned before the timer starts, over
+//!   the same compile (about 0.95–1.3 when compression runs on the slot ids
+//!   linking interned; compressing by key and then linking again puts it
+//!   near 2.5–3);
 //! * **serving** — `warm_over_cold`: amortized per-run cost of a cached
 //!   batch vs per-run recompilation;
 //! * **supervision** — `supervised_over_batch`: one fault-free, warm
@@ -63,7 +68,7 @@ use lowband_core::{
     compile_plan, compile_schedule, run_algorithm, Algorithm, BatchMode, Rung, TriangleSet,
 };
 use lowband_matrix::{Fp, SparseMatrix, Wrap64};
-use lowband_model::FaultSpec;
+use lowband_model::{compress_and_link_traced, FaultSpec, NoopTracer};
 use lowband_serve::{
     decode_plan, encode_plan, run_batch, ScheduleCache, Supervisor, SupervisorConfig,
 };
@@ -83,10 +88,22 @@ fn median(mut v: Vec<f64>) -> f64 {
 /// Median-of-`k` wall clock of `f`, in nanoseconds, with every sample
 /// also pushed into `samples` for the baseline's `percentiles` section.
 fn median_ns<R>(k: usize, samples: &mut Reservoir, mut f: impl FnMut() -> R) -> f64 {
+    median_ns_from(k, samples, || (), |()| f())
+}
+
+/// [`median_ns`] of `f(setup())`, where only `f` is timed — for passes
+/// that consume their input.
+fn median_ns_from<S, R>(
+    k: usize,
+    samples: &mut Reservoir,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> R,
+) -> f64 {
     let mut times = Vec::with_capacity(k);
     for _ in 0..k {
+        let input = setup();
         let t0 = Instant::now();
-        std::hint::black_box(f());
+        std::hint::black_box(f(input));
         let ns = t0.elapsed().as_nanos() as f64;
         samples.record(ns as u64);
         times.push(ns);
@@ -192,6 +209,18 @@ fn measure(k: usize) -> Measurements {
     });
     reservoirs.push(("perfgate.extract_clusters_nanos".to_string(), res));
     probe("extract_over_compile", extract_ns / two_phase_ns);
+
+    let compiled = compile_schedule(&mixed, two_phase).expect("compiles");
+    let mut res = Reservoir::new(k);
+    let fused_ns = median_ns_from(
+        k,
+        &mut res,
+        || compiled.clone(),
+        |s| compress_and_link_traced(s, &mut NoopTracer).expect("links"),
+    );
+    reservoirs.push(("perfgate.compress_link_nanos".to_string(), res));
+    probe("compress_link_over_compile", fused_ns / two_phase_ns);
+    drop(compiled);
 
     // ---- serving probe: warm vs cold amortized per-run --------------------
     let small = block_workload(4, 8);

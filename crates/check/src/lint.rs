@@ -19,8 +19,8 @@ use std::collections::{HashMap, HashSet};
 
 use lowband_model::key::KeyKind;
 use lowband_model::{
-    Key, LinkedOp, LinkedSchedule, LinkedStepView, LinkedTransfer, LocalOp, Merge, NodeId,
-    Schedule, Step, Transfer,
+    sort_by_node, Key, LinkedOp, LinkedSchedule, LinkedStepView, LinkedTransfer, LocalOp, Merge,
+    NodeId, Schedule, Step, Transfer,
 };
 use lowband_trace::Tracer;
 
@@ -550,11 +550,12 @@ fn lint_linked_op(
 }
 
 /// The source indices of `items` in the order the linker emits them: a
-/// stable sort by `node_of` (destination for transfers, node for ops).
+/// stable sort by `node_of` (destination for transfers, node for ops),
+/// through the model's own link-order sort.
 fn link_order<T>(order: &mut Vec<usize>, items: &[T], node_of: impl Fn(&T) -> u32) {
     order.clear();
     order.extend(0..items.len());
-    order.sort_by_key(|&i| node_of(&items[i]));
+    sort_by_node(order, |&i| node_of(&items[i]));
 }
 
 /// `true` when `node`'s `slot` exists and interns `key`.
@@ -562,10 +563,20 @@ fn slot_holds(linked: &LinkedSchedule, node: u32, slot: u32, key: Key) -> bool {
     linked.key_at(node, slot) == Some(key)
 }
 
+/// Whether linked transfer `t` is source transfer `s` exactly: endpoints,
+/// merge, and both slots interning the source keys.
+fn transfer_agrees(linked: &LinkedSchedule, s: &Transfer, t: &LinkedTransfer) -> bool {
+    t.src == s.src.0
+        && t.dst == s.dst.0
+        && t.merge == s.merge
+        && slot_holds(linked, t.src, t.src_slot, s.src_key)
+        && slot_holds(linked, t.dst, t.dst_slot, s.dst_key)
+}
+
 /// The fast path for one round: pair the linked transfers with the
 /// source transfers in link `order` and require each pair to agree
-/// exactly (endpoints, merge, and both slots interning the source keys).
-/// `true` means the matcher would find nothing to report for this round.
+/// exactly. `true` means the matcher would find nothing to report for
+/// this round.
 fn round_agrees_in_order(
     linked: &LinkedSchedule,
     src_round: &[Transfer],
@@ -573,14 +584,40 @@ fn round_agrees_in_order(
     order: &[usize],
 ) -> bool {
     src_round.len() == transfers.len()
-        && transfers.iter().zip(order).all(|(t, &i)| {
-            let s = &src_round[i];
-            t.src == s.src.0
-                && t.dst == s.dst.0
-                && t.merge == s.merge
-                && slot_holds(linked, t.src, t.src_slot, s.src_key)
-                && slot_holds(linked, t.dst, t.dst_slot, s.dst_key)
+        && transfers
+            .iter()
+            .zip(order)
+            .all(|(t, &i)| transfer_agrees(linked, &src_round[i], t))
+}
+
+/// [`round_agrees_in_order`] for a source round already in link order —
+/// as a plan's schedule always is — where link order is the identity:
+/// one scan checks the order and the pairs together, with no index sort.
+fn round_agrees_as_is(
+    linked: &LinkedSchedule,
+    src_round: &[Transfer],
+    transfers: &[LinkedTransfer],
+) -> bool {
+    let mut prev = 0;
+    src_round.len() == transfers.len()
+        && transfers.iter().zip(src_round).all(|(t, s)| {
+            let sorted = s.dst.0 >= prev;
+            prev = s.dst.0;
+            sorted && transfer_agrees(linked, s, t)
         })
+}
+
+/// Whether a compute block's source ops are already in link order and
+/// the linked ops run on the same nodes position by position — then link
+/// order is the identity and the pairs can be checked as they stand.
+fn block_nodes_as_is(src_ops: &[LocalOp], ops: &[LinkedOp]) -> bool {
+    let mut prev = 0;
+    ops.iter().zip(src_ops).all(|(op, s)| {
+        let node = s.node().0;
+        let sorted = node >= prev;
+        prev = node;
+        sorted && op.node() == node
+    })
 }
 
 /// The matcher for one compute block whose ops are not in link order:
@@ -624,10 +661,13 @@ fn lint_linked_block_by_node(
 ///
 /// Linking stable-sorts each round's transfers by destination and each
 /// block's ops by node, so the linter recomputes that order from the
-/// source with an index sort and compares the pairs directly — no hashing.
-/// Only a round or block whose pairs disagree falls back to the
-/// order-free matcher, which produces the report; a linked schedule in
-/// any other valid order therefore lints exactly as before.
+/// source and compares the pairs directly — no hashing. A source step
+/// already in link order (a plan's schedule always is) pairs by
+/// position, checked in the same scan; any other source step gets an
+/// index sort ([`lowband_model::sort_by_node`]). Only a round or block
+/// whose pairs disagree falls back to the order-free matcher, which
+/// produces the report; a linked schedule in any other valid order
+/// therefore lints exactly as before.
 pub fn lint_linked(schedule: &Schedule, linked: &LinkedSchedule) -> CheckReport {
     lint_linked_with(schedule, linked, true)
 }
@@ -669,11 +709,13 @@ fn lint_linked_with(schedule: &Schedule, linked: &LinkedSchedule, fast: bool) ->
         }
         match (&schedule.steps()[i], view) {
             (Step::Comm(round), LinkedStepView::Comm { transfers, .. }) => {
-                if fast {
-                    link_order(&mut order, &round.transfers, |t| t.dst.0);
-                    if round_agrees_in_order(linked, &round.transfers, transfers, &order) {
-                        continue;
-                    }
+                if fast
+                    && (round_agrees_as_is(linked, &round.transfers, transfers) || {
+                        link_order(&mut order, &round.transfers, |t| t.dst.0);
+                        round_agrees_in_order(linked, &round.transfers, transfers, &order)
+                    })
+                {
+                    continue;
                 }
                 lint_linked_round(&mut report, linked, i, &round.transfers, transfers);
             }
@@ -689,6 +731,12 @@ fn lint_linked_with(schedule: &Schedule, linked: &LinkedSchedule, fast: bool) ->
                 // When the linked block's node sequence is the source's in
                 // link order, the by-node matcher's pairing *is* that
                 // order, so checking the pairs directly reports the same.
+                if fast && block_nodes_as_is(src_ops, ops) {
+                    for (op, src) in ops.iter().zip(src_ops) {
+                        lint_linked_op(&mut report, linked, i, src, op);
+                    }
+                    continue;
+                }
                 if fast {
                     link_order(&mut order, src_ops, |op| op.node().0);
                     if ops

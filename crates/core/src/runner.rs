@@ -84,12 +84,13 @@ pub fn run_algorithm<S: Semiring + SampleElement>(
 }
 
 /// [`run_algorithm`] with two extra controls: an optional schedule
-/// [compression](fn@lowband_model::compress) pass between compile and link,
-/// and an instrumentation sink observing the whole pipeline.
+/// [compression](fn@lowband_model::compress) pass, fused with linking, and
+/// an instrumentation sink observing the whole pipeline.
 ///
-/// The sink sees one span per phase — `"compile"`, `"compress"` (only if
-/// requested), `"link"`, `"load"`, `"run"`, `"verify"` — plus artifact
-/// sizes as counters (`schedule.rounds`, `schedule.messages`,
+/// The sink sees one span per phase — `"compile"`, `"link"`, then
+/// `"compress"` (only if requested: compression places events on the
+/// slot ids linking interned), `"load"`, `"run"`, `"verify"` — plus
+/// artifact sizes as counters (`schedule.rounds`, `schedule.messages`,
 /// `compress.*`, `link.*`) and the executor's per-round event stream (see
 /// [`lowband_model::Machine::run_traced`]).
 pub fn run_algorithm_traced<S: Semiring + SampleElement, T: Tracer>(
@@ -113,9 +114,14 @@ pub fn run_algorithm_traced<S: Semiring + SampleElement, T: Tracer>(
 /// stream seeded value-sets through one of them.
 #[derive(Clone, Debug)]
 pub struct CompiledPlan {
-    /// The compiled (and, if requested, compressed) source schedule — kept
-    /// so external validators (`lowband-check::lint_linked`) and the
-    /// hash-map reference executor can be run against the cached artifact.
+    /// The compiled (and, if requested, compressed) source schedule, every
+    /// step in link order — each round's transfers stable-sorted by
+    /// destination, each compute block's ops by node — so it pairs with
+    /// `linked` event by event. Kept so external validators
+    /// (`lowband-check::lint_linked`) and the hash-map reference executor
+    /// can be run against the cached artifact. An uncompressed plan keeps
+    /// the compiler's keys; a compressed plan's is the de-link of
+    /// `linked`, as is every plan loaded from a plan file.
     pub schedule: Schedule,
     /// The linked, slot-addressed form the executors run.
     pub linked: LinkedSchedule,
@@ -129,8 +135,16 @@ pub struct CompiledPlan {
 /// Compile + (optionally) compress + link one instance into a reusable
 /// [`CompiledPlan`] — the structure-dependent prefix of
 /// [`run_algorithm_traced`], with the identical span/counter protocol
-/// (`"compile"`, `"compress"` if requested, `"link"`, plus the
+/// (`"compile"`, `"link"`, `"compress"` if requested, plus the
 /// `schedule.*`/`compress.*`/`link.*` counters).
+///
+/// Linking interns keys to dense slots and validates the model
+/// constraints once; every later execution is hash-free. A compressed
+/// plan is compressed on those slot ids
+/// ([`lowband_model::compress_and_link_traced`]: the `"link"` span covers
+/// interning, the `"compress"` span placement, emission and the de-link).
+/// An uncompressed plan is linked as it is, then its schedule is
+/// stable-sorted into link order.
 pub fn compile_plan_traced<T: Tracer>(
     inst: &Instance,
     algorithm: Algorithm,
@@ -140,15 +154,15 @@ pub fn compile_plan_traced<T: Tracer>(
     tracer.span_enter("compile");
     let compiled = compile(inst, algorithm);
     tracer.span_exit("compile");
-    let (ts_len, mut schedule, modeled) = compiled?;
+    let (ts_len, schedule, modeled) = compiled?;
     tracer.counter("schedule.rounds", schedule.rounds() as u64);
     tracer.counter("schedule.messages", schedule.messages() as u64);
-    if compress {
-        schedule = lowband_model::compress_traced(&schedule, tracer);
-    }
-    // Link once (interning keys to dense slots and validating the model
-    // constraints); every later execution is hash-free.
-    let linked = lowband_model::link_traced(&schedule, tracer)?;
+    let (schedule, linked) = if compress {
+        lowband_model::compress_and_link_traced(schedule, tracer)?
+    } else {
+        let linked = lowband_model::link_traced(&schedule, tracer)?;
+        (schedule.into_link_order(), linked)
+    };
     Ok(CompiledPlan {
         schedule,
         linked,

@@ -2,9 +2,12 @@
 //!
 //! The v1 text format (`serial.rs`) persists a [`Schedule`]; reloading one
 //! still pays the full linking pass. This module persists the *linked*
-//! artifact too, so a reload costs a linear byte scan instead of interning,
+//! artifact, so a reload costs a linear byte scan instead of interning,
 //! sorting and validation — the difference between a cold compile and a
-//! disk hit in `lowband-serve`'s tiered plan store.
+//! disk hit in `lowband-serve`'s tiered plan store. Since version 4 the
+//! linked schedule is the only program a plan file stores: [`delink`]
+//! rebuilds the key-addressed source schedule from it on load, in link
+//! order, through [`ScheduleBuilder`].
 //!
 //! ## Envelope
 //!
@@ -37,26 +40,27 @@
 //! Decoding returns a typed [`BinSerError`] carrying the byte offset of
 //! the problem — it never panics and never allocates proportionally to a
 //! corrupted length field (declared counts are checked against the bytes
-//! actually present before any buffer is reserved). Decoded [`Schedule`]s
-//! are rebuilt through [`ScheduleBuilder`], re-validating the bandwidth
-//! constraint. Decoded [`LinkedSchedule`]s get a full structural check
-//! before they are returned: each node's key run must be strictly
-//! ascending (the slot numbering [`LinkedSchedule::slot_of`] searches,
-//! which also rules out a key interned twice — one comparison per key,
-//! no map is built), and nodes, slots, step ranges and block tables must
-//! be in bounds. Each key run and the transfer and op tables are taken
-//! as one bounds-checked slice and decoded at a fixed 16- or 20-byte
-//! stride. Semantic fidelity between the two — that the linked events
-//! really are the schedule's events — is deliberately *not* re-proved
-//! here: that is `lowband-check::lint_linked`'s job, and the serving
-//! layer's disk tier runs it on every load before admission.
+//! actually present before any buffer is reserved). Decoded
+//! [`LinkedSchedule`]s get a full structural check before they are
+//! returned: each node's key run must be strictly ascending (the slot
+//! numbering [`LinkedSchedule::slot_of`] searches, which also rules out a
+//! key interned twice — one comparison per key, no map is built), nodes,
+//! slots, step ranges and block tables must be in bounds, and no compute
+//! step may be empty. Each key run and the transfer and op tables are
+//! taken as one bounds-checked slice and decoded at a fixed 16- or
+//! 20-byte stride. [`delink`] then rebuilds the source [`Schedule`]
+//! through [`ScheduleBuilder`], re-proving the bandwidth constraint, and
+//! refuses a `BlockMulAdd` whose cells are not one namespace's
+//! `Key::tmp(ns, 0..dim²)`. `lowband-check::lint_linked` still runs on
+//! every disk load before admission; against a de-linked schedule it
+//! re-checks totals, step indices and per-step counts.
 
 use std::ops::Range;
 
 use lowband_faults::mix64;
 
 use crate::link::{BlockSlots, LinkedStep};
-use crate::schedule::{LocalOp, Merge, Round, Step};
+use crate::schedule::{LocalOp, Merge};
 use crate::{
     Key, LinkedOp, LinkedSchedule, LinkedTransfer, ModelError, NodeId, Schedule, ScheduleBuilder,
     Transfer,
@@ -70,8 +74,10 @@ pub const BINSER_MAGIC: [u8; 8] = *b"LBPLAN\r\n";
 /// Version 2 changed the checksum fold to four lanes and narrowed the end
 /// record to the headers and section checksums; version 3 requires each
 /// node's linked key run to be strictly ascending (slot ids follow key
-/// order). Older files are refused as [`BinSerError::UnsupportedVersion`].
-pub const BINSER_VERSION: u8 = 3;
+/// order); version 4 drops the source-schedule section from plan files,
+/// which hold only the linked schedule (and refuse empty compute steps).
+/// Older files are refused as [`BinSerError::UnsupportedVersion`].
+pub const BINSER_VERSION: u8 = 4;
 
 /// Tag of the end record closing every file.
 pub const TAG_END: [u8; 4] = *b"ENDF";
@@ -585,253 +591,6 @@ fn le_u32(record: &[u8], i: usize) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Schedule payload codec
-// ---------------------------------------------------------------------------
-
-const STEP_COMM: u8 = 0;
-const STEP_COMPUTE: u8 = 1;
-
-const OP_MUL: u8 = 0;
-const OP_ADD_ASSIGN: u8 = 1;
-const OP_MUL_ADD: u8 = 2;
-const OP_SUB_ASSIGN: u8 = 3;
-const OP_BLOCK_MUL_ADD: u8 = 4;
-const OP_COPY: u8 = 5;
-const OP_ZERO: u8 = 6;
-const OP_FREE: u8 = 7;
-
-/// Append the schedule payload (record-wise, not alignment-sensitive:
-/// schedules decode through [`ScheduleBuilder`], never zero-copy).
-pub fn encode_schedule(s: &Schedule, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(s.n() as u64).to_le_bytes());
-    out.extend_from_slice(&(s.capacity() as u64).to_le_bytes());
-    out.extend_from_slice(&(s.steps().len() as u64).to_le_bytes());
-    for step in s.steps() {
-        match step {
-            Step::Comm(Round { transfers }) => {
-                out.push(STEP_COMM);
-                out.extend_from_slice(&(transfers.len() as u64).to_le_bytes());
-                for t in transfers {
-                    out.extend_from_slice(&t.src.0.to_le_bytes());
-                    out.extend_from_slice(&t.dst.0.to_le_bytes());
-                    out.push(match t.merge {
-                        Merge::Overwrite => 0,
-                        Merge::Add => 1,
-                    });
-                    out.extend_from_slice(&t.src_key.to_raw().to_le_bytes());
-                    out.extend_from_slice(&t.dst_key.to_raw().to_le_bytes());
-                }
-            }
-            Step::Compute(ops) => {
-                out.push(STEP_COMPUTE);
-                out.extend_from_slice(&(ops.len() as u64).to_le_bytes());
-                for op in ops {
-                    encode_local_op(op, out);
-                }
-            }
-        }
-    }
-}
-
-fn encode_local_op(op: &LocalOp, out: &mut Vec<u8>) {
-    let key = |k: Key, out: &mut Vec<u8>| out.extend_from_slice(&k.to_raw().to_le_bytes());
-    match *op {
-        LocalOp::Mul {
-            node,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            out.push(OP_MUL);
-            out.extend_from_slice(&node.0.to_le_bytes());
-            key(dst, out);
-            key(lhs, out);
-            key(rhs, out);
-        }
-        LocalOp::AddAssign { node, dst, src } => {
-            out.push(OP_ADD_ASSIGN);
-            out.extend_from_slice(&node.0.to_le_bytes());
-            key(dst, out);
-            key(src, out);
-        }
-        LocalOp::MulAdd {
-            node,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            out.push(OP_MUL_ADD);
-            out.extend_from_slice(&node.0.to_le_bytes());
-            key(dst, out);
-            key(lhs, out);
-            key(rhs, out);
-        }
-        LocalOp::SubAssign { node, dst, src } => {
-            out.push(OP_SUB_ASSIGN);
-            out.extend_from_slice(&node.0.to_le_bytes());
-            key(dst, out);
-            key(src, out);
-        }
-        LocalOp::BlockMulAdd {
-            node,
-            dim,
-            a_ns,
-            b_ns,
-            c_ns,
-        } => {
-            out.push(OP_BLOCK_MUL_ADD);
-            out.extend_from_slice(&node.0.to_le_bytes());
-            out.extend_from_slice(&dim.to_le_bytes());
-            out.extend_from_slice(&a_ns.to_le_bytes());
-            out.extend_from_slice(&b_ns.to_le_bytes());
-            out.extend_from_slice(&c_ns.to_le_bytes());
-        }
-        LocalOp::Copy { node, dst, src } => {
-            out.push(OP_COPY);
-            out.extend_from_slice(&node.0.to_le_bytes());
-            key(dst, out);
-            key(src, out);
-        }
-        LocalOp::Zero { node, dst } => {
-            out.push(OP_ZERO);
-            out.extend_from_slice(&node.0.to_le_bytes());
-            key(dst, out);
-        }
-        LocalOp::Free { node, key: k } => {
-            out.push(OP_FREE);
-            out.extend_from_slice(&node.0.to_le_bytes());
-            key(k, out);
-        }
-    }
-}
-
-/// Decode a schedule payload, rebuilding through [`ScheduleBuilder`] so
-/// the bandwidth constraint is re-proved on load. `base` is the payload's
-/// absolute file offset (0 for standalone payloads).
-pub fn decode_schedule(payload: &[u8], base: usize) -> Result<Schedule, BinSerError> {
-    let mut rd = ByteReader::new(payload, base);
-    let n_at = rd.offset();
-    let n = rd.u64()?;
-    if n > u64::from(u32::MAX) {
-        return Err(malformed(
-            n_at,
-            format!("n = {n} exceeds the u32 node space"),
-        ));
-    }
-    let cap_at = rd.offset();
-    let capacity = rd.u64()?;
-    if capacity == 0 {
-        return Err(malformed(cap_at, "capacity must be at least 1"));
-    }
-    if capacity > u64::from(u32::MAX) {
-        return Err(malformed(
-            cap_at,
-            format!("capacity {capacity} out of range"),
-        ));
-    }
-    let steps = rd.count(9)?; // each step is at least kind(1) + count(8)
-    let mut b = ScheduleBuilder::with_capacity(n as usize, capacity as usize);
-    for _ in 0..steps {
-        let kind_at = rd.offset();
-        match rd.u8()? {
-            STEP_COMM => {
-                let count = rd.count(41)?; // src+dst(8) merge(1) keys(32)
-                let mut transfers = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let src = rd.u32()?;
-                    let dst = rd.u32()?;
-                    let merge_at = rd.offset();
-                    let merge = match rd.u8()? {
-                        0 => Merge::Overwrite,
-                        1 => Merge::Add,
-                        other => return Err(malformed(merge_at, format!("bad merge tag {other}"))),
-                    };
-                    let src_key = Key::from_raw(rd.u128()?);
-                    let dst_key = Key::from_raw(rd.u128()?);
-                    transfers.push(Transfer {
-                        src: NodeId(src),
-                        src_key,
-                        dst: NodeId(dst),
-                        dst_key,
-                        merge,
-                    });
-                }
-                b.round(transfers)?;
-            }
-            STEP_COMPUTE => {
-                let count_at = rd.offset();
-                let count = rd.count(5)?; // tag(1) + node(4) minimum
-                if count == 0 {
-                    // ScheduleBuilder drops empty compute blocks, so an
-                    // empty section could never round-trip — reject it.
-                    return Err(malformed(count_at, "empty compute section"));
-                }
-                let mut ops = Vec::with_capacity(count);
-                for _ in 0..count {
-                    ops.push(decode_local_op(&mut rd)?);
-                }
-                b.compute(ops)?;
-            }
-            other => return Err(malformed(kind_at, format!("bad step kind {other}"))),
-        }
-    }
-    rd.done()?;
-    Ok(b.build())
-}
-
-fn decode_local_op(rd: &mut ByteReader<'_>) -> Result<LocalOp, BinSerError> {
-    let tag_at = rd.offset();
-    let tag = rd.u8()?;
-    let node = NodeId(rd.u32()?);
-    let op = match tag {
-        OP_MUL => LocalOp::Mul {
-            node,
-            dst: Key::from_raw(rd.u128()?),
-            lhs: Key::from_raw(rd.u128()?),
-            rhs: Key::from_raw(rd.u128()?),
-        },
-        OP_ADD_ASSIGN => LocalOp::AddAssign {
-            node,
-            dst: Key::from_raw(rd.u128()?),
-            src: Key::from_raw(rd.u128()?),
-        },
-        OP_MUL_ADD => LocalOp::MulAdd {
-            node,
-            dst: Key::from_raw(rd.u128()?),
-            lhs: Key::from_raw(rd.u128()?),
-            rhs: Key::from_raw(rd.u128()?),
-        },
-        OP_SUB_ASSIGN => LocalOp::SubAssign {
-            node,
-            dst: Key::from_raw(rd.u128()?),
-            src: Key::from_raw(rd.u128()?),
-        },
-        OP_BLOCK_MUL_ADD => LocalOp::BlockMulAdd {
-            node,
-            dim: rd.u32()?,
-            a_ns: rd.u64()?,
-            b_ns: rd.u64()?,
-            c_ns: rd.u64()?,
-        },
-        OP_COPY => LocalOp::Copy {
-            node,
-            dst: Key::from_raw(rd.u128()?),
-            src: Key::from_raw(rd.u128()?),
-        },
-        OP_ZERO => LocalOp::Zero {
-            node,
-            dst: Key::from_raw(rd.u128()?),
-        },
-        OP_FREE => LocalOp::Free {
-            node,
-            key: Key::from_raw(rd.u128()?),
-        },
-        other => return Err(malformed(tag_at, format!("bad op tag {other}"))),
-    };
-    Ok(op)
-}
-
-// ---------------------------------------------------------------------------
 // LinkedSchedule payload codec
 // ---------------------------------------------------------------------------
 
@@ -949,6 +708,12 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
     if capacity == 0 {
         return Err(malformed(cap_at, "capacity must be at least 1"));
     }
+    if capacity > u64::from(u32::MAX) {
+        return Err(malformed(
+            cap_at,
+            format!("capacity {capacity} out of range"),
+        ));
+    }
     let capacity = capacity as usize;
     let rounds = rd.u64()? as usize;
     let messages = rd.u64()? as usize;
@@ -1005,6 +770,11 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
         let src_step = rd.u64()? as usize;
         if kind > 1 {
             return Err(malformed(kind_at, format!("bad step kind {kind}")));
+        }
+        if kind == 1 && start == end {
+            // ScheduleBuilder drops empty compute blocks, so linking never
+            // emits one and the de-link could not round-trip it.
+            return Err(malformed(end_at, "empty compute step"));
         }
         raw_steps.push((kind, start..end, src_step, kind_at));
     }
@@ -1241,6 +1011,113 @@ fn malformed_at(offset: usize) -> usize {
     offset
 }
 
+/// De-link: rebuild the key-addressed [`Schedule`] a linked schedule
+/// runs, by looking each slot up in its node's key run. Steps, transfers
+/// and ops keep the linked order, so the result is in link order, and
+/// linking it reproduces `ls` byte for byte.
+///
+/// Rounds go through [`ScheduleBuilder`], which re-proves the bandwidth
+/// constraint. A `BlockMulAdd` recovers its three namespaces from its
+/// cells' keys and must be shaped `Key::tmp(ns, 0..dim²)` per block
+/// (a dim-0 block names no cell and de-links with namespace 0). Any
+/// violation is a typed error reported at `base` (the linked payload's
+/// file offset; 0 for an in-memory schedule), never a panic. Slots are
+/// assumed in bounds, which [`decode_linked`] and linking both establish.
+pub fn delink(ls: &LinkedSchedule, base: usize) -> Result<Schedule, BinSerError> {
+    let key = |node: u32, slot: u32| ls.node_keys[node as usize][slot as usize];
+    let mut b = ScheduleBuilder::with_capacity(ls.n, ls.capacity);
+    for step in &ls.steps {
+        match step {
+            LinkedStep::Comm { transfers, .. } => {
+                let linked = &ls.transfers[transfers.clone()];
+                let mut round = Vec::with_capacity(linked.len());
+                for t in linked {
+                    round.push(Transfer {
+                        src: NodeId(t.src),
+                        src_key: key(t.src, t.src_slot),
+                        dst: NodeId(t.dst),
+                        dst_key: key(t.dst, t.dst_slot),
+                        merge: t.merge,
+                    });
+                }
+                b.round(round)?;
+            }
+            LinkedStep::Compute { ops, .. } => {
+                let linked = &ls.ops[ops.clone()];
+                let mut block = Vec::with_capacity(linked.len());
+                for op in linked {
+                    block.push(delink_op(ls, op, base)?);
+                }
+                b.compute(block)?;
+            }
+        }
+    }
+    Ok(b.build())
+}
+
+/// One op of [`delink`].
+fn delink_op(ls: &LinkedSchedule, op: &LinkedOp, base: usize) -> Result<LocalOp, BinSerError> {
+    let keys = &ls.node_keys[op.node() as usize];
+    let k = |slot: u32| keys[slot as usize];
+    let node = NodeId(op.node());
+    Ok(match *op {
+        LinkedOp::Mul { dst, lhs, rhs, .. } => LocalOp::Mul {
+            node,
+            dst: k(dst),
+            lhs: k(lhs),
+            rhs: k(rhs),
+        },
+        LinkedOp::AddAssign { dst, src, .. } => LocalOp::AddAssign {
+            node,
+            dst: k(dst),
+            src: k(src),
+        },
+        LinkedOp::MulAdd { dst, lhs, rhs, .. } => LocalOp::MulAdd {
+            node,
+            dst: k(dst),
+            lhs: k(lhs),
+            rhs: k(rhs),
+        },
+        LinkedOp::SubAssign { dst, src, .. } => LocalOp::SubAssign {
+            node,
+            dst: k(dst),
+            src: k(src),
+        },
+        LinkedOp::BlockMulAdd { block, .. } => {
+            let spec = &ls.blocks[block as usize];
+            let ns = |run: &[u32], what: &str| -> Result<u64, BinSerError> {
+                let ns = run.first().map_or(0, |&slot| k(slot).fst());
+                for (idx, &slot) in run.iter().enumerate() {
+                    if k(slot) != Key::tmp(ns, idx as u64) {
+                        return Err(malformed(
+                            base,
+                            format!(
+                                "block {block} {what} cell {idx} holds {:?}, not T({ns},{idx})",
+                                k(slot)
+                            ),
+                        ));
+                    }
+                }
+                Ok(ns)
+            };
+            LocalOp::BlockMulAdd {
+                node,
+                dim: spec.dim,
+                a_ns: ns(&spec.a, "A")?,
+                b_ns: ns(&spec.b, "B")?,
+                c_ns: ns(&spec.c, "C")?,
+            }
+        }
+        LinkedOp::Copy { dst, src, .. } => LocalOp::Copy {
+            node,
+            dst: k(dst),
+            src: k(src),
+        },
+        LinkedOp::Zero { dst, .. } => LocalOp::Zero { node, dst: k(dst) },
+        LinkedOp::Free { slot, .. } => LocalOp::Free { node, key: k(slot) },
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1294,21 +1171,36 @@ mod tests {
         b.build()
     }
 
-    fn roundtrip_file(s: &Schedule) -> Vec<u8> {
+    fn linked_payload(s: &Schedule) -> Vec<u8> {
         let mut payload = Vec::new();
-        encode_schedule(s, &mut payload);
+        encode_linked(&link(s).unwrap(), &mut payload);
+        payload
+    }
+
+    fn roundtrip_file(s: &Schedule) -> Vec<u8> {
         let mut w = FileWriter::new();
-        w.section(*b"SCHD", &payload);
+        w.section(*b"LNKD", &linked_payload(s));
         w.finish()
     }
 
+    /// Decode a linked payload and de-link it, as a plan load does.
+    fn decode_and_delink(payload: &[u8], base: usize) -> Result<Schedule, BinSerError> {
+        delink(&decode_linked(payload, base)?, base)
+    }
+
     #[test]
-    fn schedule_payload_roundtrip() {
+    fn delink_roundtrips_the_link_ordered_schedule() {
         let s = sample_schedule();
-        let mut payload = Vec::new();
-        encode_schedule(&s, &mut payload);
-        let back = decode_schedule(&payload, 0).unwrap();
-        assert_eq!(back, s);
+        let back = decode_and_delink(&linked_payload(&s), 0).unwrap();
+        assert_eq!(back, s.clone().into_link_order());
+        assert_ne!(back, s, "the sample's rounds are not in link order");
+        let mut again = Vec::new();
+        encode_linked(&link(&back).unwrap(), &mut again);
+        assert_eq!(
+            again,
+            linked_payload(&s),
+            "relinking the de-link moved bytes"
+        );
     }
 
     #[test]
@@ -1354,10 +1246,10 @@ mod tests {
         let s = sample_schedule();
         let bytes = roundtrip_file(&s);
         let r = FileReader::new(&bytes).unwrap();
-        let (payload, base) = r.require(*b"SCHD").unwrap();
+        let (payload, base) = r.require(*b"LNKD").unwrap();
         assert_eq!(base % 8, 0, "payloads are 8-aligned");
-        let back = decode_schedule(payload, base).unwrap();
-        assert_eq!(back, s);
+        let back = decode_and_delink(payload, base).unwrap();
+        assert_eq!(back, s.into_link_order());
         let spans = r.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[1].tag, TAG_END);
@@ -1390,8 +1282,8 @@ mod tests {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
             let outcome = FileReader::new(&corrupt)
-                .and_then(|r| r.require(*b"SCHD").map(|(p, b)| (p.to_vec(), b)))
-                .and_then(|(p, b)| decode_schedule(&p, b));
+                .and_then(|r| r.require(*b"LNKD").map(|(p, b)| (p.to_vec(), b)))
+                .and_then(|(p, b)| decode_and_delink(&p, b));
             assert!(outcome.is_err(), "flip at byte {i} went undetected");
         }
     }
@@ -1438,7 +1330,7 @@ mod tests {
     fn inflated_length_field_is_rejected_without_allocation() {
         let s = sample_schedule();
         let mut bytes = roundtrip_file(&s);
-        // The SCHD payload_len lives at offset 24 (header 16 + tag 4 +
+        // The LNKD payload_len lives at offset 24 (header 16 + tag 4 +
         // reserved 4). Inflate it to an absurd value: the reader must
         // refuse with LengthOverflow before sizing anything from it.
         bytes[24..32].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
@@ -1451,12 +1343,12 @@ mod tests {
     #[test]
     fn inflated_record_count_is_rejected_without_allocation() {
         let s = sample_schedule();
-        let mut payload = Vec::new();
-        encode_schedule(&s, &mut payload);
-        // Step-count word (third u64): inflate it.
-        payload[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut payload = linked_payload(&s);
+        // Node 0's key-run count (the word after the four header words):
+        // inflate it.
+        payload[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            decode_schedule(&payload, 0),
+            decode_linked(&payload, 0),
             Err(BinSerError::LengthOverflow { .. })
         ));
     }
@@ -1464,11 +1356,10 @@ mod tests {
     #[test]
     fn duplicate_and_missing_sections_are_typed() {
         let s = sample_schedule();
-        let mut payload = Vec::new();
-        encode_schedule(&s, &mut payload);
+        let payload = linked_payload(&s);
         let mut w = FileWriter::new();
-        w.section(*b"SCHD", &payload);
-        w.section(*b"SCHD", &payload);
+        w.section(*b"LNKD", &payload);
+        w.section(*b"LNKD", &payload);
         assert!(matches!(
             FileReader::new(&w.finish()),
             Err(BinSerError::DuplicateSection { .. })
@@ -1478,23 +1369,58 @@ mod tests {
         let bytes = w.finish();
         let r = FileReader::new(&bytes).unwrap();
         assert!(matches!(
-            r.require(*b"SCHD"),
+            r.require(*b"LNKD"),
             Err(BinSerError::MissingSection { .. })
         ));
     }
 
+    /// Hand-build a linked payload: `n` nodes with the given key runs,
+    /// then `steps` as `(kind, start, end)`, then the transfer table; no
+    /// ops and no blocks.
+    fn hand_linked(
+        n: u64,
+        capacity: u64,
+        runs: &[&[Key]],
+        steps: &[(u32, u64, u64)],
+        transfers: &[[u32; 5]],
+    ) -> Vec<u8> {
+        let mut p = Vec::new();
+        let rounds = steps.iter().filter(|s| s.0 == 0).count() as u64;
+        for word in [n, capacity, rounds, transfers.len() as u64] {
+            p.extend_from_slice(&word.to_le_bytes());
+        }
+        for run in runs {
+            p.extend_from_slice(&(run.len() as u64).to_le_bytes());
+            for k in run.iter() {
+                p.extend_from_slice(&k.to_raw().to_le_bytes());
+            }
+        }
+        p.extend_from_slice(&(steps.len() as u64).to_le_bytes());
+        for (i, &(kind, start, end)) in steps.iter().enumerate() {
+            p.extend_from_slice(&kind.to_le_bytes());
+            p.extend_from_slice(&0u32.to_le_bytes());
+            for word in [start, end, i as u64] {
+                p.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        p.extend_from_slice(&(transfers.len() as u64).to_le_bytes());
+        for t in transfers {
+            for w in t {
+                p.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        p.extend_from_slice(&0u64.to_le_bytes()); // ops
+        p.extend_from_slice(&0u64.to_le_bytes()); // blocks
+        p
+    }
+
     #[test]
     fn empty_compute_section_is_rejected() {
-        // Hand-build a payload: n=1, capacity=1, one compute step with a
-        // zero op count — the builder would silently drop it, so the
-        // decoder must refuse it instead of round-tripping asymmetrically.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        payload.push(STEP_COMPUTE);
-        payload.extend_from_slice(&0u64.to_le_bytes());
-        let e = decode_schedule(&payload, 0).unwrap_err();
+        // One compute step over an empty op range: the builder would
+        // silently drop it, so the decoder must refuse it instead of
+        // round-tripping asymmetrically.
+        let payload = hand_linked(1, 1, &[&[]], &[(1, 0, 0)], &[]);
+        let e = decode_linked(&payload, 0).unwrap_err();
         assert!(matches!(e, BinSerError::Malformed { .. }), "{e}");
         assert!(e.to_string().contains("empty compute"));
     }
@@ -1527,24 +1453,46 @@ mod tests {
 
     #[test]
     fn decoded_schedule_revalidates_capacity() {
-        // Two sends from node 0 in one round at capacity 1: encodable by
-        // hand, must be rejected by the builder on decode.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&3u64.to_le_bytes()); // n
-        payload.extend_from_slice(&1u64.to_le_bytes()); // capacity
-        payload.extend_from_slice(&1u64.to_le_bytes()); // steps
-        payload.push(STEP_COMM);
-        payload.extend_from_slice(&2u64.to_le_bytes());
-        for dst in [1u32, 2u32] {
-            payload.extend_from_slice(&0u32.to_le_bytes()); // src
-            payload.extend_from_slice(&dst.to_le_bytes());
-            payload.push(0); // overwrite
-            payload.extend_from_slice(&Key::a(0, 0).to_raw().to_le_bytes());
-            payload.extend_from_slice(&Key::a(0, 0).to_raw().to_le_bytes());
-        }
+        // Two sends from node 0 in one round at capacity 1: the linked
+        // decoder only bounds-checks, so the de-link's builder must
+        // reject it.
+        let k = Key::a(0, 0);
+        let payload = hand_linked(
+            3,
+            1,
+            &[&[k], &[k], &[k]],
+            &[(0, 0, 2)],
+            &[[0, 0, 1, 0, 0], [0, 0, 2, 0, 0]],
+        );
+        let linked = decode_linked(&payload, 0).expect("structurally sound");
         assert!(matches!(
-            decode_schedule(&payload, 0),
-            Err(BinSerError::Model(_))
+            delink(&linked, 0),
+            Err(BinSerError::Model(ModelError::SendConflict { .. }))
         ));
+    }
+
+    #[test]
+    fn misshapen_block_is_a_typed_delink_error() {
+        // A BlockMulAdd whose A cells are not T(ns, 0..dim²) cannot name
+        // its namespace: the de-link must say so, not panic.
+        let mut b = ScheduleBuilder::new(1);
+        b.compute(vec![LocalOp::BlockMulAdd {
+            node: NodeId(0),
+            dim: 2,
+            a_ns: 5,
+            b_ns: 6,
+            c_ns: 7,
+        }])
+        .unwrap();
+        let s = b.build();
+        let mut ls = link(&s).unwrap();
+        assert_eq!(delink(&ls, 0).unwrap(), s);
+        let block = &mut ls.blocks[0];
+        block.a.swap(0, 1);
+        let e = delink(&ls, 40).unwrap_err();
+        assert!(
+            matches!(&e, BinSerError::Malformed { offset: 40, what } if what.contains("block 0 A")),
+            "{e}"
+        );
     }
 }

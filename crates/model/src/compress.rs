@@ -4,7 +4,7 @@
 //! kick, broadcast, deliver, …), each scheduled tightly on its own but
 //! strictly after the previous one. Messages of a later phase that do not
 //! depend on the earlier phase's values could travel earlier — phases can
-//! *overlap*. [`compress`] performs that pipelining: it list-schedules every
+//! *overlap*. Compression performs that pipelining: it list-schedules every
 //! event at the earliest round consistent with
 //!
 //! * **flow dependencies** — a value must be fully written strictly before
@@ -22,17 +22,44 @@
 //! first round). Reads act at the start of their time point, writes at the
 //! end, which encodes the read-before-write round semantics exactly.
 //!
+//! ## One pass with the linker
+//!
+//! Compression and linking share their interning.
+//! [`compress_and_link_traced`] runs compile → intern → compress on slot
+//! ids → link order:
+//!
+//! 1. **Intern** the compiled schedule once, in source order
+//!    (`LinkedSchedule::intern` — linking without its per-step sorts).
+//!    Every `(node, key)` becomes one global slot id, and the source
+//!    schedule can be dropped.
+//! 2. **Place** every event on those ids: a flat clock vector holds each
+//!    slot's last read and write time, a generation-stamped array finds
+//!    hazard rounds, and per-node `u64` bitmasks of full rounds make the
+//!    first-fit round search a `trailing_zeros` per 64 rounds. Placing a
+//!    transfer or op allocates nothing; each records only its round or
+//!    compute slot.
+//! 3. **Emit** the compressed [`LinkedSchedule`] from those placements
+//!    and sort it into link order (`LinkedSchedule::sort_into_link_order`).
+//!    Its bytes equal linking the separately compressed schedule.
+//! 4. **De-link** it ([`crate::binser::delink`]) into the compressed
+//!    source [`Schedule`], which is therefore in link order too.
+//!
+//! [`compress`] is the same pass for callers holding only a [`Schedule`].
+//!
 //! Correctness relies only on the machine semantics (it is checked by
 //! property tests that compressed and original schedules produce identical
-//! stores); it does *not* assume the semiring is commutative beyond what
-//! [`Merge::Add`] already requires.
+//! stores, and by an oracle test against the original key-addressed
+//! compressor); it does *not* assume the semiring is commutative beyond
+//! what [`Merge::Add`] already requires.
 
-use std::collections::HashMap;
+use lowband_trace::Tracer;
 
-use crate::schedule::{LocalOp, Merge, Round, Step};
-use crate::{Key, NodeId, Schedule, ScheduleBuilder};
+use crate::binser::delink;
+use crate::link::{BlockSlots, LinkedStep};
+use crate::schedule::Merge;
+use crate::{LinkedOp, LinkedSchedule, LinkedTransfer, ModelError, Schedule};
 
-/// Per-(node, key) dependency clock.
+/// Per-slot dependency clock.
 #[derive(Clone, Copy, Default)]
 struct KeyClock {
     /// Time of the last scheduled write (0 = initial load / never).
@@ -73,94 +100,182 @@ fn slot_at_or_after(t: u64) -> usize {
     t.saturating_sub(1).div_ceil(2) as usize
 }
 
-struct Compressor {
-    n: usize,
-    capacity: u32,
-    /// Per-node key interner: `(node, key)` → dense clock slot. This is the
-    /// same interning the schedule linker performs — hashing happens once
-    /// per key reference here, and every subsequent clock access is a plain
-    /// index into the flat `clocks` vector.
-    slot_ids: Vec<HashMap<Key, u32>>,
-    /// Flat clock storage, indexed by the interned slot id.
-    clocks: Vec<KeyClock>,
-    /// Per-round send/receive counts, flat-indexed by node (index round − 1).
-    send_used: Vec<Vec<u32>>,
-    recv_used: Vec<Vec<u32>>,
-    /// The new rounds and compute slots being assembled.
-    rounds: Vec<Vec<crate::Transfer>>,
-    slots: Vec<Vec<LocalOp>>, // slot s runs after round s (slot 0 first)
+/// Call `f(clock, is_write)` for every slot `op` reads or writes, where
+/// `clock` is the slot's global id (`base[node] + slot`). A slot an op both
+/// reads and writes (an accumulator) is visited once each way.
+fn for_each_access(
+    op: &LinkedOp,
+    base: &[usize],
+    blocks: &[BlockSlots],
+    mut f: impl FnMut(usize, bool),
+) {
+    let at = |slot: u32| base[op.node() as usize] + slot as usize;
+    match *op {
+        LinkedOp::Mul { dst, lhs, rhs, .. } => {
+            f(at(lhs), false);
+            f(at(rhs), false);
+            f(at(dst), true);
+        }
+        LinkedOp::MulAdd { dst, lhs, rhs, .. } => {
+            f(at(lhs), false);
+            f(at(rhs), false);
+            f(at(dst), false);
+            f(at(dst), true);
+        }
+        LinkedOp::AddAssign { dst, src, .. } | LinkedOp::SubAssign { dst, src, .. } => {
+            f(at(src), false);
+            f(at(dst), false);
+            f(at(dst), true);
+        }
+        LinkedOp::BlockMulAdd { block, .. } => {
+            let b = &blocks[block as usize];
+            for ((&a, &b), &c) in b.a.iter().zip(&b.b).zip(&b.c) {
+                f(at(a), false);
+                f(at(b), false);
+                f(at(c), false);
+                f(at(c), true);
+            }
+        }
+        LinkedOp::Copy { dst, src, .. } => {
+            f(at(src), false);
+            f(at(dst), true);
+        }
+        LinkedOp::Zero { dst, .. } => f(at(dst), true),
+        LinkedOp::Free { slot, .. } => f(at(slot), true),
+    }
 }
 
-impl Compressor {
-    fn new(n: usize, capacity: u32) -> Compressor {
-        Compressor {
+/// List-scheduling state over global slot ids. Rounds are 1-based, as in
+/// the timing model; round `r`'s per-node tables sit at row `r − 1`.
+struct Placer {
+    n: usize,
+    capacity: u32,
+    /// First global slot id of each node: node `v`'s slot `s` is clock
+    /// `base[v] + s`.
+    base: Vec<usize>,
+    /// Flat clock storage, indexed by global slot id.
+    clocks: Vec<KeyClock>,
+    /// Per global slot: the generation of the last round that writes it —
+    /// the hazard check's set, cleared by bumping `generation`.
+    written_in: Vec<u32>,
+    generation: u32,
+    /// Rounds opened so far.
+    rounds: usize,
+    /// Send/receive counts, flat-indexed `(r − 1)·n + node`.
+    send_used: Vec<u32>,
+    recv_used: Vec<u32>,
+    /// Full-round bitmasks: bit `(r − 1) mod 64` of word
+    /// `⌊(r − 1)/64⌋·n + node` is set once `node` has no send (receive)
+    /// capacity left in round `r`.
+    send_full: Vec<u64>,
+    recv_full: Vec<u64>,
+    /// Per-node demand of the hazard round being placed atomically; all
+    /// zero between rounds.
+    demand_send: Vec<u32>,
+    demand_recv: Vec<u32>,
+}
+
+impl Placer {
+    fn new(source: &LinkedSchedule) -> Placer {
+        let n = source.n();
+        let mut base = Vec::with_capacity(n);
+        let mut slots = 0usize;
+        for keys in &source.node_keys {
+            base.push(slots);
+            slots += keys.len();
+        }
+        Placer {
             n,
-            capacity,
-            slot_ids: vec![HashMap::new(); n],
-            clocks: Vec::new(),
+            capacity: source.capacity() as u32,
+            base,
+            clocks: vec![KeyClock::default(); slots],
+            written_in: vec![0; slots],
+            generation: 0,
+            rounds: 0,
             send_used: Vec::new(),
             recv_used: Vec::new(),
-            rounds: Vec::new(),
-            slots: vec![Vec::new()],
+            send_full: Vec::new(),
+            recv_full: Vec::new(),
+            demand_send: vec![0; n],
+            demand_recv: vec![0; n],
         }
     }
 
-    /// Intern `(node, key)` into its dense clock slot (allocating a fresh
-    /// zeroed clock on first sight). The single hash lookup per event lives
-    /// here.
-    fn slot(&mut self, node: NodeId, key: Key) -> usize {
-        let clocks = &mut self.clocks;
-        *self.slot_ids[node.index()].entry(key).or_insert_with(|| {
-            let id = clocks.len() as u32;
-            clocks.push(KeyClock::default());
-            id
-        }) as usize
+    fn clock(&self, node: u32, slot: u32) -> usize {
+        self.base[node as usize] + slot as usize
     }
 
-    fn ensure_round(&mut self, r: usize) {
-        while self.rounds.len() < r {
-            self.rounds.push(Vec::new());
-            self.send_used.push(vec![0; self.n]);
-            self.recv_used.push(vec![0; self.n]);
-        }
-        while self.slots.len() <= self.rounds.len() {
-            self.slots.push(Vec::new());
+    /// Open rounds up to `r` (fresh rounds are empty).
+    fn open(&mut self, r: usize) {
+        while self.rounds < r {
+            if self.rounds.is_multiple_of(64) {
+                self.send_full.resize(self.send_full.len() + self.n, 0);
+                self.recv_full.resize(self.recv_full.len() + self.n, 0);
+            }
+            self.rounds += 1;
+            self.send_used.resize(self.rounds * self.n, 0);
+            self.recv_used.resize(self.rounds * self.n, 0);
         }
     }
 
-    fn round_has_slot(&self, r: usize, src: NodeId, dst: NodeId) -> bool {
-        if r > self.rounds.len() {
-            return true; // fresh round
+    /// First round `≥ r` in which `src` can still send and `dst` can
+    /// still receive: one bitmask word per 64 rounds. Rounds not yet
+    /// opened have clear bits, so the search ends at the first fresh
+    /// round at the latest.
+    fn first_fit(&self, r: usize, src: usize, dst: usize) -> usize {
+        let n = self.n;
+        let words = self.send_full.len() / n;
+        let mut w = (r - 1) / 64;
+        let mut from = !0u64 << ((r - 1) % 64);
+        while w < words {
+            let free = !(self.send_full[w * n + src] | self.recv_full[w * n + dst]) & from;
+            if free != 0 {
+                return 64 * w + free.trailing_zeros() as usize + 1;
+            }
+            w += 1;
+            from = !0;
         }
-        self.send_used[r - 1][src.index()] < self.capacity
-            && self.recv_used[r - 1][dst.index()] < self.capacity
+        r.max(64 * words + 1)
     }
 
-    fn place_transfer(&mut self, t: crate::Transfer) {
-        let src_id = self.slot(t.src, t.src_key);
-        let dst_id = self.slot(t.dst, t.dst_key);
+    /// Charge one send of `src` and one receive of `dst` to round `r`.
+    fn take(&mut self, r: usize, src: usize, dst: usize) {
+        let row = (r - 1) * self.n;
+        let (word, bit) = ((r - 1) / 64 * self.n, 1u64 << ((r - 1) % 64));
+        self.send_used[row + src] += 1;
+        if self.send_used[row + src] == self.capacity {
+            self.send_full[word + src] |= bit;
+        }
+        self.recv_used[row + dst] += 1;
+        if self.recv_used[row + dst] == self.capacity {
+            self.recv_full[word + dst] |= bit;
+        }
+    }
+
+    /// Earliest round `t`'s dependencies admit.
+    fn earliest(&self, t: &LinkedTransfer) -> usize {
+        let src = self.clocks[self.clock(t.src, t.src_slot)];
+        let dst = self.clocks[self.clock(t.dst, t.dst_slot)];
         // Flow: source value fully written strictly before the round fires.
-        let src_written = self.clocks[src_id].write;
-        let mut r = round_strictly_after(src_written);
-        // Anti dependency: a write may not overtake a read of the old value
-        // (ties are fine — within a round all reads precede all writes).
-        let dst_clock = self.clocks[dst_id];
-        r = r.max(round_at_or_after(dst_clock.read));
-        // Output dependency: strictly after any earlier write to the same
-        // key (two same-round writes have no defined order once capacity
-        // exceeds 1).
-        r = r.max(round_strictly_after(dst_clock.write));
-        while !self.round_has_slot(r, t.src, t.dst) {
-            r += 1;
-        }
-        self.ensure_round(r);
-        self.send_used[r - 1][t.src.index()] += 1;
-        self.recv_used[r - 1][t.dst.index()] += 1;
-        self.rounds[r - 1].push(t);
+        round_strictly_after(src.write)
+            // Anti dependency: a write may not overtake a read of the old
+            // value (ties are fine — within a round all reads precede all
+            // writes).
+            .max(round_at_or_after(dst.read))
+            // Output dependency: strictly after any earlier write to the
+            // same key (two same-round writes have no defined order once
+            // capacity exceeds 1).
+            .max(round_strictly_after(dst.write))
+    }
+
+    /// Advance `t`'s clocks to round `r`.
+    fn touch(&mut self, t: &LinkedTransfer, r: usize) {
         let time = 2 * r as u64;
-        let sc = &mut self.clocks[src_id];
+        let src = self.clock(t.src, t.src_slot);
+        let dst = self.clock(t.dst, t.dst_slot);
+        let sc = &mut self.clocks[src];
         sc.read = sc.read.max(time);
-        let dc = &mut self.clocks[dst_id];
+        let dc = &mut self.clocks[dst];
         dc.write = dc.write.max(time);
         if t.merge == Merge::Add {
             // An Add also "reads" the accumulator.
@@ -168,209 +283,263 @@ impl Compressor {
         }
     }
 
-    /// Place one original communication round.
+    /// Whether round `r` has room for the whole hazard round whose
+    /// per-node demand is staged in `demand_send`/`demand_recv`.
+    fn fits(&self, r: usize, transfers: &[LinkedTransfer]) -> bool {
+        let row = (r - 1) * self.n;
+        transfers.iter().all(|t| {
+            let (src, dst) = (t.src as usize, t.dst as usize);
+            self.send_used[row + src] + self.demand_send[src] <= self.capacity
+                && self.recv_used[row + dst] + self.demand_recv[dst] <= self.capacity
+        })
+    }
+
+    /// Place one source communication round, writing each transfer's
+    /// round into `placed`.
     ///
     /// Within a round the machine reads **all** payloads before delivering
     /// any, so a transfer may read a key that another transfer of the same
     /// round overwrites — it sees the *old* value regardless of list order.
     /// Per-transfer list scheduling would serialize such a pair and flip the
     /// read to the new value. When a round contains such a hazard (some
-    /// `(node, key)` is both a source and a destination within the round) we
+    /// slot is both a source and a destination within the round) we
     /// therefore place the whole round atomically in one new round, which
     /// reproduces the read-barrier semantics exactly. Hazard-free rounds
     /// (the overwhelmingly common case for compiled phases) still pipeline
     /// transfer by transfer.
-    fn place_round(&mut self, transfers: &[crate::Transfer]) {
-        let written: std::collections::HashSet<(u32, Key)> =
-            transfers.iter().map(|t| (t.dst.0, t.dst_key)).collect();
+    fn place_round(&mut self, transfers: &[LinkedTransfer], placed: &mut [u32]) {
+        self.generation += 1;
+        for t in transfers {
+            let dst = self.clock(t.dst, t.dst_slot);
+            self.written_in[dst] = self.generation;
+        }
         let hazard = transfers
             .iter()
-            .any(|t| written.contains(&(t.src.0, t.src_key)));
+            .any(|t| self.written_in[self.clock(t.src, t.src_slot)] == self.generation);
         if !hazard {
-            for t in transfers {
-                self.place_transfer(*t);
+            for (t, at) in transfers.iter().zip(placed) {
+                let r = self.first_fit(self.earliest(t), t.src as usize, t.dst as usize);
+                self.open(r);
+                self.take(r, t.src as usize, t.dst as usize);
+                self.touch(t, r);
+                *at = (r - 1) as u32;
             }
             return;
         }
 
-        // Atomic placement: earliest round satisfying every transfer's flow,
-        // anti and output dependencies...
-        let mut r = 1usize;
+        // Atomic placement: earliest round satisfying every transfer's
+        // dependencies and with simultaneous send/receive capacity for all
+        // of them. A fresh round always fits (the source round was valid),
+        // so the search terminates.
+        let mut r = transfers
+            .iter()
+            .map(|t| self.earliest(t))
+            .fold(1, usize::max);
         for t in transfers {
-            let src_id = self.slot(t.src, t.src_key);
-            let dst_id = self.slot(t.dst, t.dst_key);
-            let src_written = self.clocks[src_id].write;
-            r = r.max(round_strictly_after(src_written));
-            let dst_clock = self.clocks[dst_id];
-            r = r.max(round_at_or_after(dst_clock.read));
-            r = r.max(round_strictly_after(dst_clock.write));
+            self.demand_send[t.src as usize] += 1;
+            self.demand_recv[t.dst as usize] += 1;
         }
-        // ...and with simultaneous send/receive capacity for all of them.
-        // A fresh round always fits (the original round was valid), so this
-        // terminates.
-        'search: loop {
-            if r <= self.rounds.len() {
-                let mut send = vec![0u32; self.n];
-                let mut recv = vec![0u32; self.n];
-                for t in transfers {
-                    send[t.src.index()] += 1;
-                    recv[t.dst.index()] += 1;
-                }
-                for v in 0..self.n {
-                    if self.send_used[r - 1][v] + send[v] > self.capacity
-                        || self.recv_used[r - 1][v] + recv[v] > self.capacity
-                    {
-                        r += 1;
-                        continue 'search;
-                    }
-                }
-            }
-            break;
+        while r <= self.rounds && !self.fits(r, transfers) {
+            r += 1;
         }
-        self.ensure_round(r);
-        let time = 2 * r as u64;
         for t in transfers {
-            self.send_used[r - 1][t.src.index()] += 1;
-            self.recv_used[r - 1][t.dst.index()] += 1;
-            self.rounds[r - 1].push(*t);
+            self.demand_send[t.src as usize] = 0;
+            self.demand_recv[t.dst as usize] = 0;
+        }
+        self.open(r);
+        for t in transfers {
+            self.take(r, t.src as usize, t.dst as usize);
         }
         // Clock updates after all placements: reads and writes of the round
         // share the same time point, exactly like the machine's semantics.
         for t in transfers {
-            let src_id = self.slot(t.src, t.src_key);
-            let sc = &mut self.clocks[src_id];
-            sc.read = sc.read.max(time);
-            let dst_id = self.slot(t.dst, t.dst_key);
-            let dc = &mut self.clocks[dst_id];
-            dc.write = dc.write.max(time);
-            if t.merge == Merge::Add {
-                dc.read = dc.read.max(time);
-            }
+            self.touch(t, r);
         }
+        placed.fill((r - 1) as u32);
     }
 
-    fn place_compute(&mut self, op: LocalOp) {
-        let node = op.node();
-        let (reads, writes): (Vec<Key>, Vec<Key>) = match op {
-            LocalOp::Mul { dst, lhs, rhs, .. } => (vec![lhs, rhs], vec![dst]),
-            LocalOp::MulAdd { dst, lhs, rhs, .. } => (vec![lhs, rhs, dst], vec![dst]),
-            LocalOp::AddAssign { dst, src, .. } => (vec![src, dst], vec![dst]),
-            LocalOp::SubAssign { dst, src, .. } => (vec![src, dst], vec![dst]),
-            LocalOp::BlockMulAdd {
-                dim,
-                a_ns,
-                b_ns,
-                c_ns,
-                ..
-            } => {
-                let dim = dim as u64;
-                let mut reads = Vec::with_capacity(3 * (dim * dim) as usize);
-                let mut writes = Vec::with_capacity((dim * dim) as usize);
-                for idx in 0..dim * dim {
-                    reads.push(Key::tmp(a_ns, idx));
-                    reads.push(Key::tmp(b_ns, idx));
-                    reads.push(Key::tmp(c_ns, idx));
-                    writes.push(Key::tmp(c_ns, idx));
-                }
-                (reads, writes)
-            }
-            LocalOp::Copy { dst, src, .. } => (vec![src], vec![dst]),
-            LocalOp::Zero { dst, .. } => (vec![], vec![dst]),
-            LocalOp::Free { key, .. } => (vec![], vec![key]),
-        };
-        // Intern each referenced key once; the clock passes below are plain
-        // indexed loads/stores on the flat clock vector.
-        let read_ids: Vec<usize> = reads.iter().map(|&k| self.slot(node, k)).collect();
-        let write_ids: Vec<usize> = writes.iter().map(|&k| self.slot(node, k)).collect();
-        // Slot s acts at time 2s + 1; needs inputs written at ≤ 2s + 1 and
-        // write deps ≤ 2s + 1.
-        let mut need: u64 = 0;
-        for &id in &read_ids {
-            need = need.max(self.clocks[id].write);
-        }
-        for &id in &write_ids {
+    /// Place one local op in the earliest compute slot its clocks admit
+    /// and return the slot. Slot `s` acts at time `2s + 1`: inputs must be
+    /// written, and the written slots read and written, by then.
+    fn place_op(&mut self, op: &LinkedOp, blocks: &[BlockSlots]) -> u32 {
+        let mut need = 0u64;
+        for_each_access(op, &self.base, blocks, |id, write| {
             let c = self.clocks[id];
-            need = need.max(c.read).max(c.write);
-        }
+            need = need.max(if write { c.read.max(c.write) } else { c.write });
+        });
         let s = slot_at_or_after(need);
-        while self.slots.len() <= s {
-            self.slots.push(Vec::new());
-        }
-        self.slots[s].push(op);
         let time = 2 * s as u64 + 1;
-        for &id in &read_ids {
-            let c = &mut self.clocks[id];
-            c.read = c.read.max(time);
-        }
-        for &id in &write_ids {
-            let c = &mut self.clocks[id];
-            c.write = c.write.max(time);
-        }
+        let clocks = &mut self.clocks;
+        for_each_access(op, &self.base, blocks, |id, write| {
+            let c = &mut clocks[id];
+            if write {
+                c.write = c.write.max(time);
+            } else {
+                c.read = c.read.max(time);
+            }
+        });
+        s as u32
     }
+}
 
-    fn finish(mut self) -> Schedule {
-        self.ensure_round(self.rounds.len());
-        let mut b = ScheduleBuilder::with_capacity(self.n, self.capacity as usize);
-        let num_rounds = self.rounds.len();
-        for r in 0..=num_rounds {
-            if r < self.slots.len() {
-                b.compute(std::mem::take(&mut self.slots[r]))
-                    .expect("ops were valid in the source schedule");
-            }
-            if r < num_rounds {
-                b.round(std::mem::take(&mut self.rounds[r]))
-                    .expect("capacity was respected during placement");
-            }
-        }
-        // Any trailing compute slots beyond the last round.
-        for s in (num_rounds + 1)..self.slots.len() {
-            let ops = std::mem::take(&mut self.slots[s]);
-            b.compute(ops)
-                .expect("ops were valid in the source schedule");
-        }
-        b.build()
+/// Stable counting sort of `0..keys.len()` by key: group `g` is
+/// `order[starts[g]..starts[g + 1]]`, in index order.
+fn group_by(keys: &[u32], groups: usize) -> (Vec<u32>, Vec<usize>) {
+    let mut starts = vec![0usize; groups + 1];
+    for &k in keys {
+        starts[k as usize + 1] += 1;
     }
+    for g in 1..=groups {
+        starts[g] += starts[g - 1];
+    }
+    let mut next = starts.clone();
+    let mut order = vec![0u32; keys.len()];
+    for (i, &k) in keys.iter().enumerate() {
+        order[next[k as usize]] = i as u32;
+        next[k as usize] += 1;
+    }
+    (order, starts)
+}
+
+/// Compress an interned schedule (events in source order, as
+/// `LinkedSchedule::intern` leaves them) and return the compressed
+/// linked schedule in link order.
+///
+/// Each compressed round holds its transfers in source order, and each
+/// compute slot its ops, so placements are recorded as one round or slot
+/// number per event and emitted by a counting sort. Emission walks slot 0,
+/// round 1, slot 1, … — the compressed schedule's step order, skipping
+/// empty compute slots — and gives each `BlockMulAdd` its block in that
+/// order, exactly as linking the compressed schedule would.
+fn place_and_emit(mut source: LinkedSchedule) -> LinkedSchedule {
+    let mut placer = Placer::new(&source);
+    let mut round_of = vec![0u32; source.transfers.len()];
+    let mut slot_of = vec![0u32; source.ops.len()];
+    for step in &source.steps {
+        match step {
+            LinkedStep::Comm { transfers, .. } => placer.place_round(
+                &source.transfers[transfers.clone()],
+                &mut round_of[transfers.clone()],
+            ),
+            LinkedStep::Compute { ops, .. } => {
+                for (op, at) in source.ops[ops.clone()]
+                    .iter()
+                    .zip(&mut slot_of[ops.clone()])
+                {
+                    *at = placer.place_op(op, &source.blocks);
+                }
+            }
+        }
+    }
+    let rounds = placer.rounds;
+    drop(placer);
+
+    let slots = slot_of
+        .iter()
+        .map(|&s| s as usize + 1)
+        .fold(rounds + 1, usize::max);
+    let (by_round, round_starts) = group_by(&round_of, rounds);
+    let (by_slot, slot_starts) = group_by(&slot_of, slots);
+    drop((round_of, slot_of));
+    let mut out = LinkedSchedule {
+        n: source.n,
+        capacity: source.capacity,
+        rounds,
+        messages: source.messages,
+        node_keys: std::mem::take(&mut source.node_keys),
+        steps: Vec::with_capacity(2 * rounds + 1),
+        transfers: Vec::with_capacity(source.transfers.len()),
+        ops: Vec::with_capacity(source.ops.len()),
+        blocks: Vec::with_capacity(source.blocks.len()),
+    };
+    for s in 0..slots {
+        let ops = &by_slot[slot_starts[s]..slot_starts[s + 1]];
+        if !ops.is_empty() {
+            let start = out.ops.len();
+            for &i in ops {
+                let mut op = source.ops[i as usize];
+                if let LinkedOp::BlockMulAdd { block, .. } = &mut op {
+                    // Interning gives every BlockMulAdd a block of its own.
+                    out.blocks
+                        .push(std::mem::take(&mut source.blocks[*block as usize]));
+                    *block = (out.blocks.len() - 1) as u32;
+                }
+                out.ops.push(op);
+            }
+            let step = out.steps.len();
+            out.steps.push(LinkedStep::Compute {
+                ops: start..out.ops.len(),
+                step,
+            });
+        }
+        if s < rounds {
+            let start = out.transfers.len();
+            out.transfers.extend(
+                by_round[round_starts[s]..round_starts[s + 1]]
+                    .iter()
+                    .map(|&i| source.transfers[i as usize]),
+            );
+            let step = out.steps.len();
+            out.steps.push(LinkedStep::Comm {
+                transfers: start..out.transfers.len(),
+                step,
+            });
+        }
+    }
+    drop(source);
+    out.sort_into_link_order();
+    out
+}
+
+/// The fused compress-and-link pass: intern `schedule` once (dropping it
+/// right after), compress on slot ids, emit the linked schedule in link
+/// order, and de-link it into the compressed source schedule. Returns
+/// `(compressed schedule, its linked form)`; the schedule equals
+/// [`compress`]'s, and the linked form equals [`crate::link()`] of it.
+///
+/// The tracer sees the `"link"` span around interning and the
+/// `"compress"` span around placement, emission, the link-order sort and
+/// the de-link, plus the `compress.rounds_in`/`compress.rounds_out`/
+/// `compress.messages` and `link.*` counters. Fails like
+/// [`crate::link()`] on a schedule that violates node ranges or capacity.
+pub fn compress_and_link_traced<T: Tracer>(
+    schedule: Schedule,
+    tracer: &mut T,
+) -> Result<(Schedule, LinkedSchedule), ModelError> {
+    tracer.span_enter("link");
+    let interned = LinkedSchedule::intern(&schedule);
+    tracer.span_exit("link");
+    let rounds_in = schedule.rounds();
+    drop(schedule);
+    let source = interned?;
+    tracer.span_enter("compress");
+    let linked = place_and_emit(source);
+    let compressed = delink(&linked, 0).expect("an interned schedule de-links");
+    tracer.counter("compress.rounds_in", rounds_in as u64);
+    tracer.counter("compress.rounds_out", linked.rounds() as u64);
+    tracer.counter("compress.messages", linked.messages() as u64);
+    tracer.span_exit("compress");
+    linked.count_into(tracer);
+    Ok((compressed, linked))
 }
 
 /// Pipeline a schedule: produce an equivalent schedule (identical final
 /// machine state for every input) with at most — and usually far fewer
-/// than — the original number of rounds.
+/// than — the original number of rounds, every step in link order.
 pub fn compress(schedule: &Schedule) -> Schedule {
-    let mut c = Compressor::new(schedule.n(), schedule.capacity() as u32);
-    for step in schedule.steps() {
-        match step {
-            Step::Comm(Round { transfers }) => {
-                c.place_round(transfers);
-            }
-            Step::Compute(ops) => {
-                for op in ops {
-                    c.place_compute(*op);
-                }
-            }
-        }
-    }
-    c.finish()
+    let source = LinkedSchedule::intern(schedule).expect("a built schedule links");
+    delink(&place_and_emit(source), 0).expect("an interned schedule de-links")
 }
 
-/// [`compress`] with an instrumentation sink: wraps the pass in a
-/// `"compress"` span and records the input and output round counts (the
-/// pass's whole purpose is the `rounds_in → rounds_out` drop) plus the
-/// message total, which compression must preserve.
-pub fn compress_traced<T: lowband_trace::Tracer>(schedule: &Schedule, tracer: &mut T) -> Schedule {
-    tracer.span_enter("compress");
-    let out = compress(schedule);
-    tracer.counter("compress.rounds_in", schedule.rounds() as u64);
-    tracer.counter("compress.rounds_out", out.rounds() as u64);
-    tracer.counter("compress.messages", out.messages() as u64);
-    tracer.span_exit("compress");
-    out
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algebra::Nat;
-    use crate::{Machine, Transfer};
+    use crate::schedule::LocalOp;
+    use crate::{Key, Machine, NodeId, ScheduleBuilder, Transfer};
 
     fn t(src: u32, sk: Key, dst: u32, dk: Key, merge: Merge) -> Transfer {
         Transfer {
@@ -710,5 +879,213 @@ mod tests {
             &s,
             &[(2, Key::tmp(0, 9))],
         );
+    }
+
+    /// A small seeded generator (mix64 over a counter).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            lowband_faults::mix64(self.0) % bound
+        }
+    }
+
+    /// A random valid schedule over a tiny key pool, so that hazard
+    /// rounds, `Merge::Add` chains and write-after-read pairs are common:
+    /// rounds (some empty) fill each node's capacity at random, compute
+    /// blocks mix every op kind, `BlockMulAdd` included, and a compute
+    /// block may trail the last round.
+    fn random_schedule(seed: u64) -> Schedule {
+        let mut rng = Rng(seed);
+        let n = 2 + rng.below(7) as usize;
+        let capacity = 1 + rng.below(3) as usize;
+        let pool = |rng: &mut Rng| match rng.below(3) {
+            0 => Key::a(0, rng.below(3)),
+            1 => Key::tmp(1, rng.below(4)),
+            _ => Key::x(0, rng.below(2)),
+        };
+        let mut b = ScheduleBuilder::with_capacity(n, capacity);
+        for _ in 0..rng.below(48) {
+            if rng.below(3) > 0 {
+                let (mut sends, mut recvs) = (vec![0; n], vec![0; n]);
+                let mut round = Vec::new();
+                for _ in 0..rng.below((n * capacity) as u64 + 1) {
+                    let (src, dst) = (rng.below(n as u64) as usize, rng.below(n as u64) as usize);
+                    if sends[src] == capacity || recvs[dst] == capacity {
+                        continue;
+                    }
+                    sends[src] += 1;
+                    recvs[dst] += 1;
+                    let merge = if rng.below(3) == 0 {
+                        Merge::Add
+                    } else {
+                        Merge::Overwrite
+                    };
+                    round.push(t(
+                        src as u32,
+                        pool(&mut rng),
+                        dst as u32,
+                        pool(&mut rng),
+                        merge,
+                    ));
+                }
+                b.round(round).unwrap();
+            } else {
+                let mut ops = Vec::new();
+                for _ in 0..1 + rng.below(6) {
+                    let node = NodeId(rng.below(n as u64) as u32);
+                    let (dst, lhs, rhs) = (pool(&mut rng), pool(&mut rng), pool(&mut rng));
+                    ops.push(match rng.below(8) {
+                        0 => LocalOp::Mul {
+                            node,
+                            dst,
+                            lhs,
+                            rhs,
+                        },
+                        1 => LocalOp::MulAdd {
+                            node,
+                            dst,
+                            lhs,
+                            rhs,
+                        },
+                        2 => LocalOp::AddAssign {
+                            node,
+                            dst,
+                            src: lhs,
+                        },
+                        3 => LocalOp::SubAssign {
+                            node,
+                            dst,
+                            src: lhs,
+                        },
+                        4 => LocalOp::Copy {
+                            node,
+                            dst,
+                            src: lhs,
+                        },
+                        5 => LocalOp::Zero { node, dst },
+                        6 => LocalOp::Free { node, key: dst },
+                        _ => LocalOp::BlockMulAdd {
+                            node,
+                            dim: 1 + rng.below(3) as u32,
+                            a_ns: 20 + rng.below(2),
+                            b_ns: 21 + rng.below(2),
+                            c_ns: 1 + rng.below(2),
+                        },
+                    });
+                }
+                b.compute(ops).unwrap();
+            }
+        }
+        b.build()
+    }
+
+    /// Long schedules whose first-fit searches cross bitmask words: node 0
+    /// sends `fan` independent values (one round each at capacity 1),
+    /// then a relay of `hops` dependent hops runs through node 1, and
+    /// later sends from node 0 and an Add chain into node 1 must skip every
+    /// full round — well past round 64 and 128 — to find room.
+    fn long_schedule(fan: u64, hops: u64, capacity: usize) -> Schedule {
+        let n = 4;
+        let mut b = ScheduleBuilder::with_capacity(n, capacity);
+        for i in 0..fan {
+            b.round(vec![t(
+                0,
+                Key::a(0, i),
+                2,
+                Key::tmp(5, i),
+                Merge::Overwrite,
+            )])
+            .unwrap();
+        }
+        for h in 0..hops {
+            let (src, dst) = if h % 2 == 0 { (1, 3) } else { (3, 1) };
+            b.round(vec![t(
+                src,
+                Key::tmp(6, h),
+                dst,
+                Key::tmp(6, h + 1),
+                Merge::Overwrite,
+            )])
+            .unwrap();
+        }
+        b.round(vec![]).unwrap();
+        for i in 0..fan / 2 {
+            b.round(vec![
+                t(0, Key::a(1, i), 3, Key::tmp(7, i), Merge::Overwrite),
+                t(2, Key::tmp(5, i), 1, Key::x(0, 0), Merge::Add),
+            ])
+            .unwrap();
+        }
+        b.compute(vec![LocalOp::Copy {
+            node: NodeId(1),
+            dst: Key::tmp(9, 0),
+            src: Key::x(0, 0),
+        }])
+        .unwrap();
+        b.build()
+    }
+
+    /// The hand-written schedules above, as the oracle's fixed cases.
+    fn fixed_cases() -> Vec<Schedule> {
+        let swap = {
+            let mut b = ScheduleBuilder::new(2);
+            b.round(vec![
+                t(0, Key::tmp(0, 0), 1, Key::tmp(0, 0), Merge::Overwrite),
+                t(1, Key::tmp(0, 0), 0, Key::tmp(0, 0), Merge::Overwrite),
+            ])
+            .unwrap();
+            b.build()
+        };
+        let read_of_overwritten = {
+            let mut b = ScheduleBuilder::with_capacity(3, 2);
+            b.round(vec![t(2, Key::a(0, 0), 0, Key::a(0, 1), Merge::Overwrite)])
+                .unwrap();
+            b.round(vec![
+                t(0, Key::a(0, 0), 1, Key::tmp(0, 0), Merge::Overwrite),
+                t(1, Key::tmp(0, 0), 2, Key::tmp(0, 1), Merge::Add),
+                t(0, Key::a(0, 1), 2, Key::tmp(0, 2), Merge::Overwrite),
+            ])
+            .unwrap();
+            b.build()
+        };
+        vec![
+            ScheduleBuilder::new(2).build(),
+            ScheduleBuilder::with_capacity(3, 2).build(),
+            swap,
+            read_of_overwritten,
+            long_schedule(70, 10, 1),
+            long_schedule(140, 140, 1),
+            long_schedule(140, 30, 2),
+            long_schedule(200, 5, 3),
+        ]
+    }
+
+    /// The fused pass against the key-addressed reference: its linked
+    /// bytes equal linking the reference's output, and its schedule is the
+    /// reference's, stable-sorted into link order.
+    #[test]
+    fn fused_pass_matches_the_reference_compressor() {
+        let seeded = (0..400u64).map(random_schedule);
+        for (case, s) in fixed_cases().into_iter().chain(seeded).enumerate() {
+            let want = reference::compress(&s);
+            let mut want_bytes = Vec::new();
+            crate::binser::encode_linked(&crate::link(&want).unwrap(), &mut want_bytes);
+            let (fused, linked) =
+                compress_and_link_traced(s.clone(), &mut lowband_trace::NoopTracer).unwrap();
+            let mut got_bytes = Vec::new();
+            crate::binser::encode_linked(&linked, &mut got_bytes);
+            assert!(got_bytes == want_bytes, "case {case}: linked bytes differ");
+            assert_eq!(
+                fused,
+                want.into_link_order(),
+                "case {case}: schedule differs"
+            );
+            assert_eq!(compress(&s), fused, "case {case}: compress disagrees");
+        }
+        // The long cases really cross one and two bitmask words.
+        let deep = compress(&long_schedule(140, 140, 1));
+        assert!(deep.rounds() > 128, "{} rounds", deep.rounds());
     }
 }

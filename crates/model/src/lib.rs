@@ -68,12 +68,12 @@ pub mod stats;
 
 pub use algebra::{PackedSemiring, Semiring};
 pub use binser::BinSerError;
-pub use compress::{compress, compress_traced};
+pub use compress::{compress, compress_and_link_traced};
 pub use error::ModelError;
 pub use key::Key;
 pub use link::{
-    link, link_traced, LinkedMachine, LinkedOp, LinkedSchedule, LinkedStepView, LinkedTransfer,
-    PackedLinkedMachine,
+    link, link_traced, sort_by_node, LinkedMachine, LinkedOp, LinkedSchedule, LinkedStepView,
+    LinkedTransfer, PackedLinkedMachine,
 };
 pub use machine::{ExecutionStats, Machine};
 pub use recovery::{Checkpoint, RunWindow};

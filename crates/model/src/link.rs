@@ -22,13 +22,18 @@
 //! `LinkedSchedule` is a certificate that the program fits the model, and
 //! the runtime loop carries no per-round validation at all.
 //!
-//! Within each round the linked transfers are stable-sorted by destination
-//! node. This groups each node's deliveries together while preserving the
-//! relative order of deliveries to the *same* destination — which,
-//! combined with the same read-all-then-write-all round semantics as the
-//! reference executor, makes the final stores bit-identical between the
-//! hash-map and slot-store backends (asserted by tests and by the
-//! cross-executor equivalence suite).
+//! Linking is two passes. `LinkedSchedule::intern` rewrites every event
+//! onto slot ids in source order; `LinkedSchedule::sort_into_link_order`
+//! then puts every step into *link order*: each round's transfers
+//! stable-sorted by destination node, each compute block's ops by node
+//! ([`sort_by_node`], the one owner of that order). This groups each
+//! node's deliveries together while preserving the relative order of
+//! deliveries to the *same* destination — which, combined with the same
+//! read-all-then-write-all round semantics as the reference executor,
+//! makes the final stores bit-identical between the hash-map and
+//! slot-store backends (asserted by tests and by the cross-executor
+//! equivalence suite). Compression ([`mod@crate::compress`]) runs between the
+//! two passes, on slot ids, so a compressed plan is interned once.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -152,7 +157,7 @@ impl LinkedOp {
 
 /// Pre-interned slot vectors of one `BlockMulAdd`'s `A`/`B`/`C` blocks, in
 /// row-major `r·dim + c` order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct BlockSlots {
     pub(crate) dim: u32,
     pub(crate) a: Vec<u32>,
@@ -228,12 +233,23 @@ fn intern(keys: &mut Vec<Key>, slots: &mut HashMap<Key, u32>, key: Key) -> u32 {
 pub type BlockSlotsRef<'a> = (u32, &'a [u32], &'a [u32], &'a [u32]);
 
 impl LinkedSchedule {
-    /// Link a schedule: one pass of interning, rewriting and validation,
-    /// then one pass renumbering each node's slots into key order.
-    /// Fails with the same errors the [`crate::ScheduleBuilder`] would raise
-    /// if the schedule violates node ranges or the bandwidth constraint
-    /// (relevant for schedules built by other means, e.g. deserialized).
+    /// Link a schedule: `LinkedSchedule::intern`, then
+    /// `LinkedSchedule::sort_into_link_order`. Fails with the same
+    /// errors the [`crate::ScheduleBuilder`] would raise if the schedule
+    /// violates node ranges or the bandwidth constraint (relevant for
+    /// schedules built by other means, e.g. deserialized).
     pub fn link(schedule: &Schedule) -> Result<LinkedSchedule, ModelError> {
+        let mut ls = LinkedSchedule::intern(schedule)?;
+        ls.sort_into_link_order();
+        Ok(ls)
+    }
+
+    /// The interning pass of [`LinkedSchedule::link`]: one pass of
+    /// interning, rewriting and validation, then one pass renumbering each
+    /// node's slots into key order. Every event keeps its source position
+    /// — one linked step per source step, transfers and ops in program
+    /// order — which is the form compression places from.
+    pub(crate) fn intern(schedule: &Schedule) -> Result<LinkedSchedule, ModelError> {
         let n = schedule.n();
         let cap = schedule.capacity() as u32;
         // Per node: key → first-seen slot id. Local to linking; the
@@ -304,10 +320,6 @@ impl LinkedSchedule {
                             merge: t.merge,
                         });
                     }
-                    // Stable sort groups deliveries by destination while
-                    // keeping same-destination deliveries in program
-                    // order — required for bit-identical stores.
-                    ls.transfers[start..].sort_by_key(|t| t.dst);
                     ls.rounds += 1;
                     ls.messages += transfers.len();
                     ls.steps.push(LinkedStep::Comm {
@@ -385,10 +397,6 @@ impl LinkedSchedule {
                         };
                         ls.ops.push(linked);
                     }
-                    // Stable sort by node: ops on distinct nodes touch
-                    // disjoint stores and commute; per-node program order is
-                    // preserved.
-                    ls.ops[start..].sort_by_key(|op| op.node());
                     ls.steps.push(LinkedStep::Compute {
                         ops: start..ls.ops.len(),
                         step: step_idx,
@@ -399,6 +407,24 @@ impl LinkedSchedule {
         drop(interned);
         ls.renumber_in_key_order();
         Ok(ls)
+    }
+
+    /// Put every step into link order: each round's transfers stable-sorted
+    /// by destination (grouping deliveries while keeping same-destination
+    /// deliveries in program order — required for bit-identical stores),
+    /// each compute block's ops by node (ops on distinct nodes touch
+    /// disjoint stores and commute; per-node program order is preserved).
+    pub(crate) fn sort_into_link_order(&mut self) {
+        for step in &self.steps {
+            match step {
+                LinkedStep::Comm { transfers, .. } => {
+                    sort_by_node(&mut self.transfers[transfers.clone()], |t| t.dst)
+                }
+                LinkedStep::Compute { ops, .. } => {
+                    sort_by_node(&mut self.ops[ops.clone()], LinkedOp::node)
+                }
+            }
+        }
     }
 
     /// Renumber every node's slots so slot ids ascend with keys: sort each
@@ -563,12 +589,65 @@ impl LinkedSchedule {
             .map(|b| (b.dim, &b.a[..], &b.b[..], &b.c[..]))
     }
 
+    /// Record the artifact's size as the `link.*` counters.
+    pub(crate) fn count_into<T: Tracer>(&self, tracer: &mut T) {
+        tracer.counter("link.rounds", self.rounds() as u64);
+        tracer.counter("link.transfers", self.messages() as u64);
+        tracer.counter("link.ops", self.ops.len() as u64);
+        tracer.counter("link.slots", self.total_slots() as u64);
+    }
+
     fn missing(&self, node: u32, slot: u32, step: usize) -> ModelError {
         ModelError::MissingValue {
             node: NodeId(node),
             key: self.node_keys[node as usize][slot as usize],
             step,
         }
+    }
+}
+
+/// Stable counting sort of `items` by `node_of` — the one owner of link
+/// order. [`link`] sorts each round's transfers by destination and each
+/// compute block's ops by node with it, [`Schedule::into_link_order`]
+/// puts a source schedule into the same order, and `lowband-check`'s
+/// linked lint recomputes the order with it.
+///
+/// Equal nodes keep their relative order, so the result is exactly
+/// `items.sort_by_key(node_of)`. An already-sorted slice (a plan's
+/// schedule, which is stored in link order) costs one scan and no
+/// allocation; otherwise the sort counts over the slice's node span, or
+/// falls back to the comparison sort when that span dwarfs the slice.
+pub fn sort_by_node<T: Copy>(items: &mut [T], node_of: impl Fn(&T) -> u32) {
+    let (mut lo, mut hi, mut sorted) = (u32::MAX, 0u32, true);
+    for (i, item) in items.iter().enumerate() {
+        let v = node_of(item);
+        if i > 0 && v < hi {
+            sorted = false;
+        }
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    if sorted {
+        return;
+    }
+    let span = (hi - lo) as usize + 1;
+    if span > 4 * items.len() {
+        items.sort_by_key(node_of);
+        return;
+    }
+    // `next[v - lo]` is the output position of node `v`'s next item.
+    let mut next = vec![0usize; span + 1];
+    for item in items.iter() {
+        next[(node_of(item) - lo) as usize + 1] += 1;
+    }
+    for v in 1..span {
+        next[v] += next[v - 1];
+    }
+    let source = items.to_vec();
+    for item in source {
+        let at = &mut next[(node_of(&item) - lo) as usize];
+        items[*at] = item;
+        *at += 1;
     }
 }
 
@@ -587,10 +666,7 @@ pub fn link_traced<T: Tracer>(
     tracer.span_enter("link");
     let result = LinkedSchedule::link(schedule);
     if let Ok(ls) = &result {
-        tracer.counter("link.rounds", ls.rounds() as u64);
-        tracer.counter("link.transfers", ls.messages() as u64);
-        tracer.counter("link.ops", ls.ops.len() as u64);
-        tracer.counter("link.slots", ls.total_slots() as u64);
+        ls.count_into(tracer);
     }
     tracer.span_exit("link");
     result
@@ -1617,6 +1693,35 @@ mod tests {
         assert_eq!(l.rounds(), s.rounds());
         assert_eq!(l.messages(), s.messages());
         assert!(l.total_slots() > 0);
+    }
+
+    /// The counting sort is exactly the stable comparison sort: on random
+    /// inputs of every shape — sorted, reversed, narrow and wide node
+    /// spans (the latter take the comparison fallback), many ties.
+    #[test]
+    fn sort_by_node_equals_stable_sort_by_key() {
+        let mut state = 0x5EED_u64;
+        let mut below = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            lowband_faults::mix64(state) % bound
+        };
+        for case in 0..500 {
+            let len = below(80) as usize;
+            let span = [1, 2, 7, 64, 1000, u32::MAX as u64][case % 6];
+            let base = below(1 << 20) as u32;
+            let mut items: Vec<(u32, usize)> = (0..len)
+                .map(|i| (base.saturating_add(below(span) as u32), i))
+                .collect();
+            match case % 5 {
+                0 => items.sort_by_key(|&(v, _)| v),
+                1 => items.sort_by_key(|&(v, _)| std::cmp::Reverse(v)),
+                _ => {}
+            }
+            let mut want = items.clone();
+            want.sort_by_key(|&(v, _)| v);
+            sort_by_node(&mut items, |&(v, _)| v);
+            assert_eq!(items, want, "case {case}: len {len}, span {span}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! The round count of the schedule — [`Schedule::rounds`] — is the paper's
 //! complexity measure.
 
+use crate::link::sort_by_node;
 use crate::{Key, ModelError, NodeId};
 
 /// How an arriving message is combined with the destination key's current
@@ -198,6 +199,23 @@ impl Schedule {
     /// The steps, in execution order.
     pub fn steps(&self) -> &[Step] {
         &self.steps
+    }
+
+    /// This schedule with every step stable-sorted into *link order*: each
+    /// round's transfers by destination node, each compute block's ops by
+    /// node ([`crate::link::sort_by_node`]). Within a round all reads
+    /// precede all writes and same-destination deliveries keep their
+    /// order; within a block ops on distinct nodes commute. So the sorted
+    /// schedule leaves every store exactly as the original does, and it
+    /// pairs with its [`crate::LinkedSchedule`] event by event.
+    pub fn into_link_order(mut self) -> Schedule {
+        for step in &mut self.steps {
+            match step {
+                Step::Comm(round) => sort_by_node(&mut round.transfers, |t| t.dst.0),
+                Step::Compute(ops) => sort_by_node(ops, |op| op.node().0),
+            }
+        }
+        self
     }
 
     /// Concatenate another schedule after this one (both must be compiled

@@ -18,17 +18,21 @@
 //!    digest over the headers and section order, and structural bounds
 //!    checks ([`lowband_model::binser`]); any failure is a typed
 //!    [`BinSerError`], never a panic or an unbounded allocation.
-//! 2. **Key equality** — the file embeds the [`StructureKey`] it was
+//! 2. **De-link** — a plan file stores one program, the linked schedule
+//!    (`META` and `LNKD` sections, binser v4). [`decode_plan`] rebuilds
+//!    the plan's source schedule from it ([`lowband_model::binser::delink`])
+//!    through `ScheduleBuilder`, which re-proves the bandwidth constraint
+//!    round by round, and refuses malformed `BlockMulAdd` blocks.
+//! 3. **Key equality** — the file embeds the [`StructureKey`] it was
 //!    saved under; a renamed or mis-published file is rejected even when
 //!    its contents are internally consistent.
-//! 3. **`lint_linked`** — the full schedule/link fidelity lint from
-//!    `lowband-check`, the same check a fresh compile must pass before
-//!    insertion. The binser decoder proves the linked artifact is
-//!    *executable* (all indices in bounds); only the lint proves it is
-//!    *the schedule's* execution. Skipping it would let an adversary (or
-//!    a bit-rotted sector) swap the linked body under an intact schedule.
-//!    On a file the linker wrote, the lint pairs every event in link
-//!    order without hashing, so it costs one linear pass.
+//! 4. **`lint_linked`** — the schedule/link lint from `lowband-check`,
+//!    the same check a fresh compile must pass before insertion. Against
+//!    a de-linked schedule it re-checks the totals, the step indices and
+//!    kinds and the per-step counts; key fidelity to the compiler's
+//!    schedule is proved at compile time and by per-request
+//!    verification, not re-proved per load. The schedule is in link
+//!    order, so the lint pairs every event without hashing or sorting.
 //!
 //! A file failing any step degrades to a cache miss — the caller
 //! recompiles and overwrites, so a corrupt store heals itself and can
@@ -52,14 +56,12 @@ use std::process;
 use lowband_check::lint_linked;
 use lowband_core::CompiledPlan;
 use lowband_model::binser::{
-    decode_linked, decode_schedule, encode_linked, encode_schedule, BinSerError, ByteReader,
-    FileReader, FileWriter,
+    decode_linked, delink, encode_linked, BinSerError, ByteReader, FileReader, FileWriter,
 };
 
 use crate::key::StructureKey;
 
 const TAG_META: [u8; 4] = *b"META";
-const TAG_SCHEDULE: [u8; 4] = *b"SCHD";
 const TAG_LINKED: [u8; 4] = *b"LNKD";
 
 /// Errors of the disk tier. Every variant means "treat as a miss" to the
@@ -122,26 +124,26 @@ impl From<BinSerError> for StoreError {
 }
 
 /// Serialize a compiled plan (with the structure key it is stored under)
-/// into a standalone binser file.
+/// into a standalone binser file: the `META` section and the linked
+/// schedule. `plan.schedule` is not stored; it is the de-link of
+/// `plan.linked`, which [`decode_plan`] rebuilds.
 pub fn encode_plan(key: u128, plan: &CompiledPlan) -> Vec<u8> {
     let mut meta = Vec::with_capacity(32);
     meta.extend_from_slice(&key.to_le_bytes());
     meta.extend_from_slice(&plan.modeled_rounds.to_bits().to_le_bytes());
     meta.extend_from_slice(&(plan.triangles as u64).to_le_bytes());
-    let mut schedule = Vec::new();
-    encode_schedule(&plan.schedule, &mut schedule);
     let mut linked = Vec::new();
     encode_linked(&plan.linked, &mut linked);
     let mut w = FileWriter::new();
     w.section(TAG_META, &meta);
-    w.section(TAG_SCHEDULE, &schedule);
     w.section(TAG_LINKED, &linked);
     w.finish()
 }
 
-/// Decode a plan file: envelope, checksums and structural validation
-/// only. The embedded key is returned for the caller to check; semantic
-/// fidelity (lint) is the admission gate's next step, not this one.
+/// Decode a plan file: envelope, checksums, structural validation and
+/// the de-link that rebuilds `schedule` (re-proving capacity). The
+/// embedded key is returned for the caller to check; the lint is the
+/// admission gate's next step, not this one.
 pub fn decode_plan(bytes: &[u8]) -> Result<(u128, CompiledPlan), BinSerError> {
     let r = FileReader::new(bytes)?;
     let (meta, meta_base) = r.require(TAG_META)?;
@@ -164,10 +166,9 @@ pub fn decode_plan(bytes: &[u8]) -> Result<(u128, CompiledPlan), BinSerError> {
         });
     }
     rd.done()?;
-    let (sp, sb) = r.require(TAG_SCHEDULE)?;
-    let schedule = decode_schedule(sp, sb)?;
     let (lp, lb) = r.require(TAG_LINKED)?;
     let linked = decode_linked(lp, lb)?;
+    let schedule = delink(&linked, lb)?;
     Ok((
         key,
         CompiledPlan {

@@ -233,7 +233,7 @@ fn count_field_inflation_behind_valid_checksums_is_rejected() {
     }
 }
 
-/// v3 numbers each node's slots in key order, so its linked key run must
+/// Since v3 each node's slots are numbered in key order, so its linked key run must
 /// ascend strictly. Swap two adjacent keys of one run, or repeat a key,
 /// and re-seal the file: the decoder must refuse it as `Malformed` at the
 /// offending key's file offset — not admit it, not panic.
@@ -297,7 +297,7 @@ fn magic_constant_is_stable() {
     // The on-disk contract: changing these is a format break and must come
     // with a version bump, not a silent re-interpretation.
     assert_eq!(&BINSER_MAGIC, b"LBPLAN\r\n");
-    assert_eq!(BINSER_VERSION, 3);
+    assert_eq!(BINSER_VERSION, 4);
 }
 
 /// The end record covers section order: swapping two whole section
@@ -309,7 +309,7 @@ fn swapped_sections_are_rejected_by_the_end_record() {
         let reader = FileReader::new(&bytes).expect("pristine envelope");
         let records: Vec<_> = reader.spans().iter().map(|s| s.record.clone()).collect();
         drop(reader);
-        // Swap the last two sections before the end record (SCHD and
+        // Swap the last two sections before the end record (META and
         // LNKD): splice the file back together in the new order.
         let [.., first, second, end] = &records[..] else {
             panic!("{name}: expected at least two sections");
@@ -400,12 +400,13 @@ const CASES: u64 = 128;
 const CASES: u64 = 32;
 
 /// Wrap a generated schedule (optionally re-scheduled by `compress`) into
-/// a `CompiledPlan` the way `compile_plan` does.
+/// a `CompiledPlan` the way `compile_plan` does: linked, with the schedule
+/// kept in link order.
 fn plan_of(schedule: lowband::model::Schedule) -> CompiledPlan {
     let linked = lowband::model::link(&schedule).expect("generated schedule links");
     let modeled_rounds = schedule.rounds() as f64;
     CompiledPlan {
-        schedule,
+        schedule: schedule.into_link_order(),
         linked,
         modeled_rounds,
         triangles: 0,

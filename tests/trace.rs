@@ -126,7 +126,8 @@ fn chrome_trace_is_structurally_valid() {
     }
 
     // The pipeline spans appear by name, including the compress phase
-    // (enabled above) between compile and link.
+    // (enabled above), which runs after link's interning pass on the slot
+    // ids it assigned.
     let names: std::collections::BTreeSet<&str> = events
         .iter()
         .filter(|e| e.get("ph").and_then(Json::as_str) == Some("B"))
