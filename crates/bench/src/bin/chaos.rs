@@ -7,10 +7,11 @@
 //! Drives a [`lowband_serve::Supervisor`] through an escalating
 //! fault-intensity ladder (clean → light → storm → max, mixing drops,
 //! corruptions and crashes) × three structure classes (scattered, block,
-//! mixed) × both ladder entry rungs (packed, linked), plus a
-//! tight-deadline slice that forces `ServeError::DeadlineExceeded` and a
-//! breaker/quarantine slice that forces open → half-open → closed
-//! transitions and a quarantine → probe → readmission round trip.
+//! mixed), every request entering the two-rung ladder at the linked
+//! rung, plus a tight-deadline slice that forces
+//! `ServeError::DeadlineExceeded` and a breaker/quarantine slice that
+//! forces open → half-open → closed transitions and a quarantine → probe
+//! → readmission round trip.
 //!
 //! Gates, asserted here and re-checked by `validate_results`:
 //!
@@ -56,7 +57,7 @@ struct Tally {
     served: u64,
     refused: u64,
     incorrect: u64,
-    rungs: [u64; 3],
+    rungs: [u64; 2],
     descents: u64,
     deadline_misses: u64,
     breaker_rejected: u64,
@@ -116,9 +117,8 @@ impl Tally {
 
 fn rung_index(rung: Rung) -> usize {
     match rung {
-        Rung::Packed => 0,
-        Rung::Linked => 1,
-        Rung::Reference => 2,
+        Rung::Linked => 0,
+        Rung::Reference => 1,
     }
 }
 
@@ -139,7 +139,7 @@ fn structures(seed: u64) -> Vec<(&'static str, Instance)> {
     ]
 }
 
-fn soak_config(start_rung: Rung) -> SupervisorConfig {
+fn soak_config() -> SupervisorConfig {
     SupervisorConfig {
         cache_capacity: 8,
         retry: RetryPolicy {
@@ -151,7 +151,6 @@ fn soak_config(start_rung: Rung) -> SupervisorConfig {
         // never trips (its slice runs separately), quarantine stays live.
         breaker_threshold: u32::MAX,
         quarantine_threshold: 6,
-        start_rung,
         ..SupervisorConfig::default()
     }
 }
@@ -189,58 +188,55 @@ fn main() {
     let t = TablePrinter::new(
         &[
             "structure",
-            "entry",
             "intensity",
             "served",
-            "pk/ln/ref",
+            "ln/ref",
             "descents",
             "quarantined",
         ],
-        &[10, 7, 9, 7, 13, 9, 11],
+        &[10, 9, 7, 9, 9, 11],
     );
 
     for (sname, inst) in &structures(seed) {
-        for entry in [Rung::Packed, Rung::Linked] {
-            let mut sup = Supervisor::new(soak_config(entry));
-            for (iname, drop_rate, corrupt_rate, crash_rate) in INTENSITIES {
-                let before = (
-                    tally.served,
-                    tally.rungs,
-                    tally.descents,
-                    tally.quarantine_served,
+        let mut sup = Supervisor::new(soak_config());
+        for (iname, drop_rate, corrupt_rate, crash_rate) in INTENSITIES {
+            let before = (
+                tally.served,
+                tally.rungs,
+                tally.descents,
+                tally.quarantine_served,
+            );
+            for req in 0..requests {
+                let spec = FaultSpec {
+                    seed: seed ^ (req as u64).wrapping_mul(0x9E37_79B9) ^ (*drop_rate * 1e3) as u64,
+                    drop_rate: *drop_rate,
+                    corrupt_rate: *corrupt_rate,
+                    crash_rate: *crash_rate,
+                };
+                tally.issued += 1;
+                let outcome = sup.run_supervised_traced::<Fp, _>(
+                    inst,
+                    algorithm,
+                    seed.wrapping_add(req as u64),
+                    false,
+                    &spec,
+                    None,
+                    &mut metrics,
                 );
-                for req in 0..requests {
-                    let spec = FaultSpec {
-                        seed: seed
-                            ^ (req as u64).wrapping_mul(0x9E37_79B9)
-                            ^ (*drop_rate * 1e3) as u64,
-                        drop_rate: *drop_rate,
-                        corrupt_rate: *corrupt_rate,
-                        crash_rate: *crash_rate,
-                    };
-                    tally.issued += 1;
-                    let outcome = sup.run_supervised_traced::<Fp, _>(
-                        inst,
-                        algorithm,
-                        seed.wrapping_add(req as u64),
-                        false,
-                        &spec,
-                        None,
-                        &mut metrics,
-                    );
-                    tally.absorb(&outcome);
-                }
-                let rungs: Vec<u64> = (0..3).map(|i| tally.rungs[i] - before.1[i]).collect();
-                t.row(&[
-                    sname.to_string(),
-                    entry.as_str().to_string(),
-                    iname.to_string(),
-                    format!("{}/{requests}", tally.served - before.0),
-                    format!("{}/{}/{}", rungs[0], rungs[1], rungs[2]),
-                    (tally.descents - before.2).to_string(),
-                    (tally.quarantine_served - before.3).to_string(),
-                ]);
+                tally.absorb(&outcome);
             }
+            t.row(&[
+                sname.to_string(),
+                iname.to_string(),
+                format!("{}/{requests}", tally.served - before.0),
+                format!(
+                    "{}/{}",
+                    tally.rungs[0] - before.1[0],
+                    tally.rungs[1] - before.1[1]
+                ),
+                (tally.descents - before.2).to_string(),
+                (tally.quarantine_served - before.3).to_string(),
+            ]);
         }
     }
 
@@ -272,9 +268,8 @@ fn main() {
     artifact.section(
         "rungs",
         Json::obj()
-            .set("packed", tally.rungs[0])
-            .set("linked", tally.rungs[1])
-            .set("reference", tally.rungs[2])
+            .set("linked", tally.rungs[0])
+            .set("reference", tally.rungs[1])
             .set("descents", tally.descents)
             .set("quarantine_served", tally.quarantine_served),
     );

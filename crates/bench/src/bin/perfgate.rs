@@ -260,10 +260,7 @@ fn measure(k: usize) -> Measurements {
     probe("warm_over_cold", warm_ns / cold_ns);
 
     // ---- supervision probe: a daemon-shaped request vs a batch member ----
-    let mut supervisor = Supervisor::new(SupervisorConfig {
-        start_rung: Rung::Linked,
-        ..SupervisorConfig::default()
-    });
+    let mut supervisor = Supervisor::new(SupervisorConfig::default());
     let clean = FaultSpec::none(0);
     let mut supervise = |seed: u64| {
         let outcome = supervisor.run_supervised::<Fp>(&small, algorithm, seed, false, &clean, None);

@@ -10,7 +10,7 @@
 //! boundary — exercising executor-interchangeable [`Checkpoint`]s, the
 //! window budget on plain (`NoopFaults`) runs, and the guarded path with
 //! an enabled-but-empty fault plan. The packed machine has no
-//! checkpoint/restore, so it sits out the windowed rotation.
+//! checkpoint/restore or fault hook, so it sits out the windowed rotation.
 
 use std::collections::HashMap;
 

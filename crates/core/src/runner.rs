@@ -13,9 +13,9 @@ use lowband_matrix::{
 use lowband_model::faults::{Fault, FaultKind};
 use lowband_model::parallel::shard_bounds;
 use lowband_model::{
-    Checkpoint, ExecutionStats, FaultHook, FaultPlan, FaultSpec, LinkedMachine, LinkedSchedule,
-    ModelError, NoopFaults, NoopTracer, PackedLinkedMachine, PackedSemiring, RunWindow, Schedule,
-    Semiring, Tracer,
+    Checkpoint, ExecutionStats, FaultPlan, FaultSpec, LinkedMachine, LinkedSchedule, ModelError,
+    NoopFaults, NoopTracer, PackedLinkedMachine, PackedSemiring, RunWindow, Schedule, Semiring,
+    Tracer,
 };
 use lowband_trace::{FlightRecorder, Json, MetricsRegistry};
 use rand::SeedableRng;
@@ -68,9 +68,9 @@ pub struct RunReport {
     /// Executor throughput (simulated events per wall-clock second);
     /// `None` when the run was below clock resolution.
     pub events_per_sec: Option<f64>,
-    /// Which execution backend produced the result — the degradation-
-    /// ladder rung (see [`Rung`]). Plain unsupervised runs report the
-    /// backend they ran on ([`Rung::Linked`] / [`Rung::Packed`]).
+    /// Which degradation-ladder rung produced the result (see [`Rung`]).
+    /// Unsupervised runs, packed lane batches included, report
+    /// [`Rung::Linked`].
     pub rung: Rung,
 }
 
@@ -298,6 +298,8 @@ pub enum BatchMode {
 /// Word-sized algebras (`Fp`, `Wrap64`, `MinPlus`) compile array planes at
 /// widths 4/8/16/32/64 (default 8); the two-element algebras (`Bool`,
 /// `Gf2`) exist only bit-sliced at width 64, where a plane is one `u64`.
+/// The packed path serves fault-free batches only: a single supervised
+/// request runs on the linked executor, which owns the fault hook.
 pub trait BatchElement: Semiring + SampleElement {
     /// Lane widths with a compiled packed monomorphization, ascending.
     const LANE_WIDTHS: &'static [usize];
@@ -315,20 +317,6 @@ pub trait BatchElement: Semiring + SampleElement {
         lanes: usize,
         tracer: &mut T,
     ) -> Result<Vec<RunReport>, ModelError>;
-
-    /// Execute ONE seed (lane 0 of a packed machine) through `plan` under
-    /// a fault hook — the packed rung of the supervision ladder. Called
-    /// by [`run_packed_guarded_seeded_traced`]; `lanes` must be in
-    /// [`BatchElement::LANE_WIDTHS`].
-    fn run_packed_guarded_traced<T: Tracer, F: FaultHook>(
-        inst: &Instance,
-        plan: &CompiledPlan,
-        seed: u64,
-        lanes: usize,
-        faults: &mut F,
-        out: Option<&mut SparseMatrix<Self>>,
-        tracer: &mut T,
-    ) -> Result<RunReport, ModelError>;
 }
 
 macro_rules! batch_element {
@@ -346,21 +334,6 @@ macro_rules! batch_element {
             ) -> Result<Vec<RunReport>, ModelError> {
                 match lanes {
                     $($w => packed_batch::<$t, $w, T>(inst, plan, seeds, tracer),)+
-                    other => Err(ModelError::PackedLanesUnsupported { lanes: other }),
-                }
-            }
-
-            fn run_packed_guarded_traced<T: Tracer, F: FaultHook>(
-                inst: &Instance,
-                plan: &CompiledPlan,
-                seed: u64,
-                lanes: usize,
-                faults: &mut F,
-                out: Option<&mut SparseMatrix<Self>>,
-                tracer: &mut T,
-            ) -> Result<RunReport, ModelError> {
-                match lanes {
-                    $($w => packed_guarded::<$t, $w, T, F>(inst, plan, seed, faults, out, tracer),)+
                     other => Err(ModelError::PackedLanesUnsupported { lanes: other }),
                 }
             }
@@ -438,65 +411,12 @@ where
                 // matrix equality.
                 correct: got.values() == want.values(),
                 events_per_sec: stats.events_per_sec(),
-                rung: Rung::Packed,
+                rung: Rung::Linked,
             });
         }
         tracer.span_exit("verify");
     }
     Ok(reports)
-}
-
-/// One seed in lane 0 of a packed machine, executed under a fault hook —
-/// the monomorphized body of [`BatchElement::run_packed_guarded_traced`].
-/// The unused lanes stay zero planes; detection still covers them (lane
-/// checksums), so an injected fault anywhere surfaces as a typed error.
-fn packed_guarded<S, const LANES: usize, T: Tracer, F: FaultHook>(
-    inst: &Instance,
-    plan: &CompiledPlan,
-    seed: u64,
-    faults: &mut F,
-    out: Option<&mut SparseMatrix<S>>,
-    tracer: &mut T,
-) -> Result<RunReport, ModelError>
-where
-    S: PackedSemiring<LANES> + SampleElement,
-{
-    let mut machine: PackedLinkedMachine<'_, S, LANES> = PackedLinkedMachine::new(&plan.linked);
-    let sites = PackedSites::new(inst, &plan.linked);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut a: SparseMatrix<S> = SparseMatrix::zeros(inst.ahat.clone());
-    let mut b: SparseMatrix<S> = SparseMatrix::zeros(inst.bhat.clone());
-    a.refill_random(&mut rng);
-    b.refill_random(&mut rng);
-    tracer.span_enter("load");
-    sites.load_lane(&mut machine, 0, &a, &b);
-    tracer.span_exit("load");
-    let mut stats = ExecutionStats::default();
-    tracer.span_enter("run");
-    let run_result = machine.run_guarded(tracer, faults, RunWindow::full(), &mut stats);
-    tracer.span_exit("run");
-    run_result?;
-    tracer.span_enter("verify");
-    let mut got: SparseMatrix<S> = SparseMatrix::zeros(inst.xhat.clone());
-    let mut want: SparseMatrix<S> = SparseMatrix::zeros(inst.xhat.clone());
-    sites.extract_lane_into(&machine, 0, &mut got);
-    reference_multiply_into(&a, &b, &mut want);
-    // Both live on the X̂ support, so value equality is full matrix
-    // equality.
-    let correct = got.values() == want.values();
-    tracer.span_exit("verify");
-    if let Some(o) = out {
-        *o = got;
-    }
-    Ok(RunReport {
-        rounds: stats.rounds,
-        messages: stats.messages,
-        modeled_rounds: plan.modeled_rounds,
-        triangles: plan.triangles,
-        correct,
-        events_per_sec: stats.events_per_sec(),
-        rung: Rung::Packed,
-    })
 }
 
 /// Execute one seeded value-set per entry of `seeds` through a prepared
@@ -587,113 +507,6 @@ pub fn run_plan_batch<S: BatchElement>(
     mode: BatchMode,
 ) -> Result<Vec<RunReport>, ModelError> {
     run_plan_batch_traced::<S, _>(inst, plan, seeds, mode, &mut NoopTracer)
-}
-
-/// [`run_plan_batch_traced`] with **per-element** error isolation: one
-/// failing member produces an `Err` in its own slot instead of sinking
-/// the other K−1 results. The outer `Result` rejects only batch-level
-/// configuration errors (an unsupported packed lane width); every
-/// execution-time error is element-local.
-///
-/// - `Sequential`: the machine is reset between members
-///   ([`LinkedMachine::reset_values`]), so a member that errors leaves no
-///   state behind for the next.
-/// - `Parallel`: a worker that panics yields
-///   [`ModelError::WorkerPanicked`] for each member of its share only.
-/// - `Packed`: a lane group that fails detection is re-run member by
-///   member on the sequential backend, isolating the corrupt member (its
-///   report then carries [`Rung::Linked`]).
-pub fn run_plan_batch_elementwise_traced<S: BatchElement, T: Tracer>(
-    inst: &Instance,
-    plan: &CompiledPlan,
-    seeds: &[u64],
-    mode: BatchMode,
-    tracer: &mut T,
-) -> Result<Vec<Result<RunReport, ModelError>>, ModelError> {
-    tracer.counter("batch.runs", seeds.len() as u64);
-    match mode {
-        BatchMode::Packed { lanes } => {
-            let lanes = if lanes == 0 { S::DEFAULT_LANES } else { lanes };
-            if !S::LANE_WIDTHS.contains(&lanes) {
-                return Err(ModelError::PackedLanesUnsupported { lanes });
-            }
-            tracer.counter("batch.lanes", lanes as u64);
-            let mut machine: LinkedMachine<'_, S> = LinkedMachine::new(&plan.linked);
-            let mut scratch = ValueScratch::new(inst);
-            let mut results = Vec::with_capacity(seeds.len());
-            for group in seeds.chunks(lanes) {
-                match S::run_packed_batch_traced(inst, plan, group, lanes, tracer) {
-                    Ok(reports) => results.extend(reports.into_iter().map(Ok)),
-                    Err(_) => {
-                        // The group failed as a unit — isolate the corrupt
-                        // member(s) by re-running each one sequentially.
-                        tracer.counter("batch.group_isolated", 1);
-                        results.extend(group.iter().map(|&seed| {
-                            execute_seeded(inst, plan, &mut machine, &mut scratch, seed, tracer)
-                        }));
-                    }
-                }
-            }
-            Ok(results)
-        }
-        BatchMode::Sequential => {
-            let mut machine: LinkedMachine<'_, S> = LinkedMachine::new(&plan.linked);
-            let mut scratch = ValueScratch::new(inst);
-            Ok(seeds
-                .iter()
-                .map(|&seed| execute_seeded(inst, plan, &mut machine, &mut scratch, seed, tracer))
-                .collect())
-        }
-        BatchMode::Parallel { threads } => {
-            if threads == 0 {
-                return Err(ModelError::ZeroWorkers);
-            }
-            let threads = threads.clamp(1, seeds.len().max(1));
-            tracer.counter("batch.threads", threads as u64);
-            let bounds = shard_bounds(seeds.len(), threads);
-            let worker_results: Vec<Vec<Result<RunReport, ModelError>>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|s| {
-                            let share = &seeds[bounds[s]..bounds[s + 1]];
-                            scope.spawn(move || {
-                                let mut machine: LinkedMachine<'_, S> =
-                                    LinkedMachine::new(&plan.linked);
-                                let mut scratch = ValueScratch::new(inst);
-                                share
-                                    .iter()
-                                    .map(|&seed| {
-                                        execute_seeded(
-                                            inst,
-                                            plan,
-                                            &mut machine,
-                                            &mut scratch,
-                                            seed,
-                                            &mut NoopTracer,
-                                        )
-                                    })
-                                    .collect()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .enumerate()
-                        .map(|(s, h)| {
-                            h.join().unwrap_or_else(|_| {
-                                // The panic sank this worker's share only:
-                                // one typed error per member it owned.
-                                vec![
-                                    Err(ModelError::WorkerPanicked { step: 0 });
-                                    bounds[s + 1] - bounds[s]
-                                ]
-                            })
-                        })
-                        .collect()
-                });
-            Ok(worker_results.into_iter().flatten().collect())
-        }
-    }
 }
 
 /// Compile once, execute many: one structure-dependent compile + link,
@@ -1055,24 +868,6 @@ fn checkpoint_traced<S: Semiring, T: Tracer>(
     let ckpt = machine.checkpoint(next_step, stats);
     tracer.span_exit("checkpoint");
     ckpt
-}
-
-/// The packed rung of the degradation ladder: one seeded value-set in
-/// lane 0 of a [`PackedLinkedMachine`], executed under the fault hook.
-/// Values come from the same seeded RNG consumption as every other path
-/// (`a` before `b`), so a correct run's output is bit-identical to the
-/// scalar rungs'. `lanes == 0` selects [`BatchElement::DEFAULT_LANES`].
-pub fn run_packed_guarded_seeded_traced<S: BatchElement, T: Tracer, F: FaultHook>(
-    inst: &Instance,
-    plan: &CompiledPlan,
-    seed: u64,
-    lanes: usize,
-    faults: &mut F,
-    out: Option<&mut SparseMatrix<S>>,
-    tracer: &mut T,
-) -> Result<RunReport, ModelError> {
-    let lanes = if lanes == 0 { S::DEFAULT_LANES } else { lanes };
-    S::run_packed_guarded_traced(inst, plan, seed, lanes, faults, out, tracer)
 }
 
 /// The bottom rung of the degradation ladder: compute the product locally

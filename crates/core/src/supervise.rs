@@ -159,16 +159,14 @@ impl Backoff {
 }
 
 /// The graceful-degradation ladder: where a supervised request executed.
-/// Rungs are ordered fastest-and-most-fragile first; a supervised failure
-/// descends exactly one rung, and the bottom rung
-/// ([`Rung::Reference`] — the sequential reference product computed
-/// locally) cannot fail.
+/// Every request enters at [`Rung::Linked`]; a supervised failure there
+/// descends to the bottom rung ([`Rung::Reference`] — the sequential
+/// reference product computed locally), which cannot fail.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Rung {
-    /// Struct-of-arrays packed lanes (`PackedLinkedMachine`).
-    Packed,
-    /// Sequential linked executor under checkpointed retry
-    /// (`run_resilient`-style windows).
+    /// The linked schedule on a slot-store executor: `LinkedMachine`
+    /// under checkpointed retry (`run_resilient`-style windows) for a
+    /// supervised request, `PackedLinkedMachine` for a lane batch.
     Linked,
     /// `reference_multiply_into` computed locally: no schedule, no
     /// network, always succeeds.
@@ -176,13 +174,9 @@ pub enum Rung {
 }
 
 impl Rung {
-    /// All rungs, descent order.
-    pub const LADDER: [Rung; 3] = [Rung::Packed, Rung::Linked, Rung::Reference];
-
     /// The rung below, or `None` at the bottom.
     pub fn below(self) -> Option<Rung> {
         match self {
-            Rung::Packed => Some(Rung::Linked),
             Rung::Linked => Some(Rung::Reference),
             Rung::Reference => None,
         }
@@ -191,7 +185,6 @@ impl Rung {
     /// Stable lowercase name (JSON section keys, counters).
     pub fn as_str(self) -> &'static str {
         match self {
-            Rung::Packed => "packed",
             Rung::Linked => "linked",
             Rung::Reference => "reference",
         }
@@ -307,13 +300,13 @@ mod tests {
 
     #[test]
     fn ladder_descends_to_reference() {
-        let mut rung = Rung::Packed;
+        let mut rung = Rung::Linked;
         let mut seen = vec![rung];
         while let Some(next) = rung.below() {
             rung = next;
             seen.push(rung);
         }
-        assert_eq!(seen, Rung::LADDER.to_vec());
+        assert_eq!(seen, [Rung::Linked, Rung::Reference]);
         assert_eq!(rung, Rung::Reference);
         assert_eq!(rung.as_str(), "reference");
     }

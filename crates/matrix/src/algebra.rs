@@ -383,10 +383,6 @@ impl PackedSemiring<64> for Bool {
     fn zero_mask(plane: &u64) -> u64 {
         !plane
     }
-    #[inline]
-    fn lane_digest(plane: &u64, lane: usize) -> u64 {
-        plane >> lane & 1
-    }
 }
 
 impl PackedSemiring<64> for Gf2 {
@@ -431,10 +427,6 @@ impl PackedSemiring<64> for Gf2 {
     #[inline]
     fn packed_try_neg(plane: &u64) -> Option<u64> {
         Some(*plane) // characteristic 2: −x = x, lane-wise
-    }
-    #[inline]
-    fn lane_digest(plane: &u64, lane: usize) -> u64 {
-        plane >> lane & 1
     }
 }
 
@@ -641,8 +633,6 @@ mod tests {
         <Bool as PackedSemiring<64>>::insert(&mut p, 63, Bool(false));
         assert_eq!(p, 1 << 5);
         assert_eq!(<Bool as PackedSemiring<64>>::zero_mask(&p), !(1 << 5));
-        assert_eq!(<Bool as PackedSemiring<64>>::lane_digest(&p, 5), 1);
-        assert_eq!(<Bool as PackedSemiring<64>>::lane_digest(&p, 6), 0);
 
         // Gf2 negation is the identity, lane-wise; Bool has none.
         assert_eq!(<Gf2 as PackedSemiring<64>>::packed_try_neg(&a), Some(a));

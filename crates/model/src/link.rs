@@ -1130,11 +1130,9 @@ fn apply_linked_op<V: Semiring>(
 /// coincides with each member's scalar presence; tail lanes of a ragged
 /// batch (`K % LANES ≠ 0`) stay zero-padded and are simply not reported.
 ///
-/// Fault-guarded runs keep **per-lane** rolling round checksums
-/// ([`PackedSemiring::lane_digest`]), so in-flight corruption is detected
-/// *and localized to the batch member it hit* (`fault.detected.lane`
-/// tracer event); a dropped message affects the physical plane, i.e.
-/// every lane, exactly as one lost wire message would.
+/// The machine has one job, fault-free lane batches: it takes no fault
+/// hook, keeps no round checksums and has no checkpoints. Supervised and
+/// fault-injected runs execute on [`LinkedMachine`].
 #[derive(Clone, Debug)]
 pub struct PackedLinkedMachine<'s, V: PackedSemiring<LANES>, const LANES: usize> {
     schedule: &'s LinkedSchedule,
@@ -1287,78 +1285,19 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
     /// per-node send/receive loads as the scalar executor — one event per
     /// *physical* round, not per lane.
     pub fn run_traced<T: Tracer>(&mut self, tracer: &mut T) -> Result<ExecutionStats, ModelError> {
-        let mut stats = ExecutionStats::default();
-        self.run_guarded(tracer, &mut NoopFaults, RunWindow::full(), &mut stats)?;
-        Ok(stats)
-    }
-
-    /// Fault-guarded, windowed variant of [`PackedLinkedMachine::run_traced`];
-    /// same window contract as [`LinkedMachine::run_guarded`] (source-step
-    /// resume cursors). Under an enabled [`FaultHook`] the machine keeps
-    /// one rolling checksum **per lane**: a `Tamper::Corrupt` perturbs a
-    /// single deterministic lane (`round % LANES`), and the resulting
-    /// [`ModelError::Corruption`] is preceded by a `fault.detected.lane`
-    /// tracer event naming the corrupted member's lane — detection
-    /// localizes the member, not just the round. A `Tamper::Drop` loses
-    /// the physical message, i.e. every lane of the plane at once.
-    pub fn run_guarded<T: Tracer, F: FaultHook>(
-        &mut self,
-        tracer: &mut T,
-        faults: &mut F,
-        window: RunWindow,
-        stats: &mut ExecutionStats,
-    ) -> Result<Option<usize>, ModelError> {
         let start = Instant::now();
-        let result = self.run_window(tracer, faults, window, stats);
-        stats.elapsed += start.elapsed();
-        result
-    }
-
-    fn run_window<T: Tracer, F: FaultHook>(
-        &mut self,
-        tracer: &mut T,
-        faults: &mut F,
-        window: RunWindow,
-        stats: &mut ExecutionStats,
-    ) -> Result<Option<usize>, ModelError> {
         let schedule = self.schedule;
+        let mut stats = ExecutionStats::default();
         let mut inbox: Vec<V::Plane> = Vec::new();
-        let mut keep: Vec<usize> = Vec::new();
         let (mut node_sends, mut node_recvs) = if T::ENABLED {
             (vec![0u64; schedule.n], vec![0u64; schedule.n])
         } else {
             (Vec::new(), Vec::new())
         };
         let mut ops_since_round = 0u64;
-        let mut window_rounds = 0usize;
-        let first = window.start_step.min(schedule.steps.len());
-        for lstep in &schedule.steps[first..] {
+        for lstep in &schedule.steps {
             match lstep {
                 LinkedStep::Comm { transfers, step } => {
-                    if window_rounds == window.max_rounds {
-                        if T::ENABLED {
-                            tracer.node_loads(&node_sends, &node_recvs);
-                        }
-                        return Ok(Some(*step));
-                    }
-                    window_rounds += 1;
-                    if F::ENABLED {
-                        if let Some(victim) = faults.crash(stats.rounds) {
-                            if (victim as usize) < schedule.n {
-                                if T::ENABLED {
-                                    tracer.fault("fault.injected.crash", stats.rounds as u64);
-                                }
-                                self.slots[victim as usize]
-                                    .iter_mut()
-                                    .for_each(|cell| *cell = None);
-                                self.extra[victim as usize].clear();
-                                return Err(ModelError::NodeCrashed {
-                                    node: NodeId(victim),
-                                    round: stats.rounds,
-                                });
-                            }
-                        }
-                    }
                     let round_start = if T::ENABLED {
                         Some(Instant::now())
                     } else {
@@ -1370,72 +1309,19 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
                     // for every lane.
                     inbox.clear();
                     inbox.reserve(ts.len());
-                    let (mut sent_sum, mut recv_sum) = ([0u64; LANES], [0u64; LANES]);
-                    if F::ENABLED {
-                        keep.clear();
-                    }
-                    for (i, t) in ts.iter().enumerate() {
-                        let mut plane = self.slots[t.src as usize][t.src_slot as usize]
+                    for t in ts {
+                        let plane = self.slots[t.src as usize][t.src_slot as usize]
                             .clone()
                             .ok_or_else(|| schedule.missing(t.src, t.src_slot, *step))?;
-                        if F::ENABLED {
-                            for (lane, sum) in sent_sum.iter_mut().enumerate() {
-                                *sum = sum.wrapping_add(mix64(V::lane_digest(&plane, lane)));
-                            }
-                            match faults.tamper(stats.rounds, t.src) {
-                                Tamper::None => {}
-                                Tamper::Drop => {
-                                    if T::ENABLED {
-                                        tracer.fault("fault.injected.drop", stats.rounds as u64);
-                                    }
-                                    continue;
-                                }
-                                Tamper::Corrupt => {
-                                    if T::ENABLED {
-                                        tracer.fault("fault.injected.corrupt", stats.rounds as u64);
-                                    }
-                                    V::corrupt_lane(&mut plane, stats.rounds % LANES);
-                                }
-                            }
-                            for (lane, sum) in recv_sum.iter_mut().enumerate() {
-                                *sum = sum.wrapping_add(mix64(V::lane_digest(&plane, lane)));
-                            }
-                            keep.push(i);
-                        }
                         inbox.push(plane);
                     }
                     // Write phase: deliver.
-                    if F::ENABLED {
-                        for (&i, payload) in keep.iter().zip(inbox.drain(..)) {
-                            let t = &ts[i];
-                            deliver_packed::<V, LANES>(
-                                &mut self.slots[t.dst as usize][t.dst_slot as usize],
-                                t.merge,
-                                payload,
-                            );
-                        }
-                        if sent_sum != recv_sum {
-                            if T::ENABLED {
-                                tracer.fault("fault.detected", stats.rounds as u64);
-                                // Name the first mismatching lane so the
-                                // driver can localize the corrupt member.
-                                if let Some(lane) = (0..LANES).find(|&l| sent_sum[l] != recv_sum[l])
-                                {
-                                    tracer.fault("fault.detected.lane", lane as u64);
-                                }
-                            }
-                            return Err(ModelError::Corruption {
-                                round: stats.rounds,
-                            });
-                        }
-                    } else {
-                        for (t, payload) in ts.iter().zip(inbox.drain(..)) {
-                            deliver_packed::<V, LANES>(
-                                &mut self.slots[t.dst as usize][t.dst_slot as usize],
-                                t.merge,
-                                payload,
-                            );
-                        }
+                    for (t, payload) in ts.iter().zip(inbox.drain(..)) {
+                        deliver_packed::<V, LANES>(
+                            &mut self.slots[t.dst as usize][t.dst_slot as usize],
+                            t.merge,
+                            payload,
+                        );
                     }
                     stats.record_round(ts.len());
                     if T::ENABLED {
@@ -1468,7 +1354,8 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
         if T::ENABLED {
             tracer.node_loads(&node_sends, &node_recvs);
         }
-        Ok(None)
+        stats.elapsed = start.elapsed();
+        Ok(stats)
     }
 }
 
@@ -2028,66 +1915,5 @@ mod tests {
             }
         }
         packed.run().unwrap();
-    }
-
-    /// In-flight corruption of one lane trips the per-lane checksum: the
-    /// run fails with `Corruption { round }` and the tracer's
-    /// `fault.detected.lane` event names the corrupted member.
-    #[test]
-    fn packed_fault_detection_localizes_lane() {
-        struct CorruptRound0;
-        impl FaultHook for CorruptRound0 {
-            const ENABLED: bool = true;
-            fn crash(&mut self, _round: usize) -> Option<u32> {
-                None
-            }
-            fn tamper(&mut self, round: usize, src: u32) -> Tamper {
-                if round == 0 && src == 0 {
-                    Tamper::Corrupt
-                } else {
-                    Tamper::None
-                }
-            }
-        }
-
-        struct LaneRecorder(Vec<(String, u64)>);
-        impl Tracer for LaneRecorder {
-            const ENABLED: bool = true;
-            fn span_enter(&mut self, _name: &'static str) {}
-            fn span_exit(&mut self, _name: &'static str) {}
-            fn counter(&mut self, _name: &'static str, _delta: u64) {}
-            fn histogram(&mut self, _name: &'static str, _value: u64) {}
-            fn fault(&mut self, what: &'static str, value: u64) {
-                self.0.push((what.to_string(), value));
-            }
-        }
-
-        const LANES: usize = 4;
-        let n = 4;
-        let s = mixed_schedule(n);
-        let l = LinkedSchedule::link(&s).unwrap();
-        let mut packed: PackedLinkedMachine<'_, Nat, LANES> = PackedLinkedMachine::new(&l);
-        for lane in 0..LANES {
-            for i in 0..n as u64 {
-                packed.load_lane(NodeId(i as u32), Key::a(i, 0), lane, Nat(5));
-                packed.load_lane(NodeId(i as u32), Key::b(i, 0), lane, Nat(6));
-            }
-        }
-        let mut tracer = LaneRecorder(Vec::new());
-        let mut stats = ExecutionStats::default();
-        let err = packed
-            .run_guarded(
-                &mut tracer,
-                &mut CorruptRound0,
-                RunWindow::full(),
-                &mut stats,
-            )
-            .unwrap_err();
-        assert_eq!(err, ModelError::Corruption { round: 0 });
-        // Round 0 corrupts lane 0 % LANES == 0.
-        assert!(tracer
-            .0
-            .iter()
-            .any(|(what, lane)| what == "fault.detected.lane" && *lane == 0));
     }
 }

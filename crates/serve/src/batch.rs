@@ -6,19 +6,17 @@
 //! with [`lowband_core::run_plan_batch_traced`]. The first call for a
 //! structure pays compile + link + lint; every later call — and every run
 //! after the first within a call — pays only load + run + verify.
+//!
+//! A batch succeeds or fails as a whole: no batch path takes a fault hook,
+//! so an execution error (a worker panic included, as
+//! `ModelError::WorkerPanicked`) is the batch's error.
 
 use lowband_core::{
-    run_plan_batch_elementwise_traced, run_plan_batch_traced, Algorithm, BatchElement, BatchMode,
-    Instance, RunReport,
+    run_plan_batch_traced, Algorithm, BatchElement, BatchMode, Instance, RunReport,
 };
-use lowband_model::{ModelError, NoopTracer, Tracer};
+use lowband_model::{NoopTracer, Tracer};
 
 use crate::cache::{ScheduleCache, ServeError};
-
-/// A batch result with per-element isolation: the outer `Result` rejects
-/// request-level failures (compile/lint/quarantine/bad lane width), the
-/// inner one isolates each seed's own failure.
-pub type ElementwiseBatch = Result<Vec<Result<RunReport, ModelError>>, ServeError>;
 
 /// Execute `seeds.len()` independent value-sets over one instance through
 /// the cache. Emits `serve.batch.size` plus the cache's `serve.cache.*`
@@ -39,49 +37,6 @@ pub fn run_batch_traced<S: BatchElement, T: Tracer>(
     tracer.counter("serve.batch.size", seeds.len() as u64);
     let plan = cache.get_or_compile_traced(inst, algorithm, compress, tracer)?;
     run_plan_batch_traced::<S, T>(inst, &plan, seeds, mode, tracer).map_err(ServeError::from)
-}
-
-/// [`run_batch_traced`] with **per-element** error isolation: the batch
-/// result carries one `Result` per seed, so a single corrupt member
-/// surfaces as its own [`ModelError`] instead of sinking the other K−1
-/// healthy results (see
-/// [`lowband_core::run_plan_batch_elementwise_traced`]). The outer
-/// `Result` still rejects request-level failures: a plan that fails to
-/// compile/lint, a quarantined structure, or an unsupported packed lane
-/// width.
-pub fn run_batch_elementwise_traced<S: BatchElement, T: Tracer>(
-    cache: &mut ScheduleCache,
-    inst: &Instance,
-    algorithm: Algorithm,
-    seeds: &[u64],
-    compress: bool,
-    mode: BatchMode,
-    tracer: &mut T,
-) -> ElementwiseBatch {
-    tracer.counter("serve.batch.size", seeds.len() as u64);
-    let plan = cache.get_or_compile_traced(inst, algorithm, compress, tracer)?;
-    run_plan_batch_elementwise_traced::<S, T>(inst, &plan, seeds, mode, tracer)
-        .map_err(ServeError::from)
-}
-
-/// [`run_batch_elementwise_traced`] without instrumentation.
-pub fn run_batch_elementwise<S: BatchElement>(
-    cache: &mut ScheduleCache,
-    inst: &Instance,
-    algorithm: Algorithm,
-    seeds: &[u64],
-    compress: bool,
-    mode: BatchMode,
-) -> ElementwiseBatch {
-    run_batch_elementwise_traced::<S, _>(
-        cache,
-        inst,
-        algorithm,
-        seeds,
-        compress,
-        mode,
-        &mut NoopTracer,
-    )
 }
 
 /// [`run_batch_traced`] without instrumentation.
@@ -176,43 +131,6 @@ mod tests {
         // Both batches share one compiled plan.
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    #[test]
-    fn elementwise_batch_is_per_seed_and_rejects_bad_lanes() {
-        let inst = us_instance(24, 3, 29);
-        let seeds = [3u64, 4, 5, 6, 7];
-        let mut cache = ScheduleCache::new(4);
-        for mode in [
-            BatchMode::Sequential,
-            BatchMode::Parallel { threads: 2 },
-            BatchMode::Packed { lanes: 4 },
-        ] {
-            let per = run_batch_elementwise::<Fp>(
-                &mut cache,
-                &inst,
-                Algorithm::BoundedTriangles,
-                &seeds,
-                false,
-                mode,
-            )
-            .unwrap();
-            assert_eq!(per.len(), seeds.len());
-            for r in &per {
-                assert!(r.as_ref().expect("healthy member").correct);
-            }
-        }
-        // An unsupported packed lane width is a request-level error, not a
-        // vector of poisoned elements.
-        assert!(run_batch_elementwise::<Fp>(
-            &mut cache,
-            &inst,
-            Algorithm::BoundedTriangles,
-            &seeds,
-            false,
-            BatchMode::Packed { lanes: 3 },
-        )
-        .is_err());
     }
 
     #[test]

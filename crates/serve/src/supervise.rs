@@ -21,12 +21,13 @@
 //!    ([`ScheduleCache::quarantine_traced`]); quarantined requests are
 //!    served plan-free at the bottom rung until
 //!    [`ScheduleCache::try_readmit_traced`] passes a clean lint + probe.
-//! 5. **Graceful degradation** — the ladder
-//!    [`Rung::Packed`] → [`Rung::Linked`] → [`Rung::Reference`],
-//!    descending exactly one rung per supervised failure. The bottom rung
-//!    computes the sequential reference product locally and cannot fail,
-//!    so a request that keeps its deadline and passes admission *always*
-//!    produces the correct product — the rung it landed on is recorded in
+//! 5. **Graceful degradation** — the two-rung ladder
+//!    [`Rung::Linked`] → [`Rung::Reference`]. Every request enters at the
+//!    linked rung (checkpointed retry on `LinkedMachine`); a supervised
+//!    failure there descends one rung. The bottom rung computes the
+//!    sequential reference product locally and cannot fail, so a request
+//!    that keeps its deadline and passes admission *always* produces the
+//!    correct product — the rung it landed on is recorded in
 //!    [`RunReport::rung`].
 //!
 //! The fault plan is created once per request and shared across rungs, so
@@ -37,12 +38,11 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use lowband_core::{
-    run_packed_guarded_seeded_traced, run_reference_seeded, run_resilient_plan_traced, Algorithm,
-    Backoff, BatchElement, CompiledPlan, Deadline, Instance, ResilientError, ResilientReport,
-    RetryPolicy, RunReport, Rung, Supervision,
+    run_reference_seeded, run_resilient_plan_traced, Algorithm, Backoff, CompiledPlan, Deadline,
+    Instance, ResilientError, ResilientReport, RetryPolicy, RunReport, Rung, Supervision,
 };
-use lowband_matrix::{reference_multiply, SparseMatrix};
-use lowband_model::{ExecutionStats, FaultSpec, Tracer};
+use lowband_matrix::{reference_multiply, SampleElement, SparseMatrix};
+use lowband_model::{ExecutionStats, FaultSpec, Semiring, Tracer};
 use rand::SeedableRng;
 
 use crate::cache::{ScheduleCache, ServeError};
@@ -187,10 +187,6 @@ pub struct SupervisorConfig {
     /// Requests with supervised failures (since the last clean one) that
     /// quarantine the structure's plan.
     pub quarantine_threshold: u32,
-    /// Lane width of the packed rung (`0` = the element default).
-    pub packed_lanes: usize,
-    /// The rung requests start on.
-    pub start_rung: Rung,
     /// Root of the on-disk plan store tier ([`crate::PlanStore`]);
     /// `None` = memory-only caching.
     pub store_root: Option<std::path::PathBuf>,
@@ -207,8 +203,6 @@ impl Default for SupervisorConfig {
             breaker_threshold: 3,
             breaker_cooldown: 4,
             quarantine_threshold: 3,
-            packed_lanes: 0,
-            start_rung: Rung::Packed,
             store_root: None,
         }
     }
@@ -307,7 +301,7 @@ impl Supervisor {
     /// into it — bit-identical to a fault-free run of the same seed on
     /// any rung, including [`Rung::Reference`].
     #[allow(clippy::too_many_arguments)]
-    pub fn run_supervised_traced<S: BatchElement, T: Tracer>(
+    pub fn run_supervised_traced<S: Semiring + SampleElement, T: Tracer>(
         &mut self,
         inst: &Instance,
         algorithm: Algorithm,
@@ -321,7 +315,7 @@ impl Supervisor {
         let key = StructureKey::of(inst, algorithm, compress);
         let mut outcome = SupervisedOutcome {
             result: Err(ServeError::Quarantined),
-            rung: self.config.start_rung,
+            rung: Rung::Linked,
             descents: 0,
             failures: Vec::new(),
             resilient: None,
@@ -386,7 +380,7 @@ impl Supervisor {
         // One fault plan for the whole request: its one-shot faults drain
         // as the ladder descends, like a storm hitting one request.
         let mut faults = spec.plan(plan.linked.rounds(), plan.linked.n());
-        let mut rung = self.config.start_rung;
+        let mut rung = Rung::Linked;
 
         let result = loop {
             if deadline.expired() {
@@ -401,17 +395,6 @@ impl Supervisor {
             }
             outcome.rung = rung;
             let attempt: Result<RunReport, String> = match rung {
-                Rung::Packed => run_packed_guarded_seeded_traced::<S, T, _>(
-                    inst,
-                    &plan,
-                    seed,
-                    self.config.packed_lanes,
-                    &mut faults,
-                    out.as_deref_mut(),
-                    tracer,
-                )
-                .map_err(|e| format!("packed: {e:?}"))
-                .and_then(require_correct),
                 Rung::Linked => {
                     let mut sup = Supervision {
                         policy: self.config.retry,
@@ -498,7 +481,7 @@ impl Supervisor {
     }
 
     /// [`Supervisor::run_supervised_traced`] without instrumentation.
-    pub fn run_supervised<S: BatchElement>(
+    pub fn run_supervised<S: Semiring + SampleElement>(
         &mut self,
         inst: &Instance,
         algorithm: Algorithm,
@@ -535,7 +518,7 @@ fn require_correct(report: RunReport) -> Result<RunReport, String> {
 /// A plan-free bottom-rung response: the reference product computed
 /// locally. Schedule metadata (`modeled_rounds`, `triangles`) is zeroed —
 /// no plan was consulted.
-fn reference_without_plan<S: BatchElement>(
+fn reference_without_plan<S: Semiring + SampleElement>(
     inst: &Instance,
     seed: u64,
     out: Option<&mut SparseMatrix<S>>,

@@ -34,8 +34,9 @@
 
 use crate::digest::product_digest;
 use crate::wire::{read_frame, write_frame, ExecuteRequest, Request, Response, WireSemiring};
-use lowband_core::{BatchMode, Rung};
-use lowband_matrix::{Bool, Fp, Gf2, MinPlus, SparseMatrix, Wrap64};
+use lowband_core::densemm::DenseEngine;
+use lowband_core::{Algorithm, Rung};
+use lowband_matrix::{Bool, Fp, Gf2, MinPlus, SampleElement, Semiring, SparseMatrix, Wrap64};
 use lowband_model::parallel::shard_bounds;
 use lowband_serve::{ServeError, Supervisor, SupervisorConfig};
 use lowband_trace::{FlightRecorder, Json, MetricsRegistry};
@@ -70,13 +71,7 @@ impl Default for ServerConfig {
             workers: 0,
             backlog: 64,
             max_n: 4096,
-            // A network request carries one seed, so the packed rung's
-            // SIMD lanes would run 1-wide: enter the ladder at the
-            // linked rung instead. Everything below it is unchanged.
-            supervisor: SupervisorConfig {
-                start_rung: Rung::Linked,
-                ..SupervisorConfig::default()
-            },
+            supervisor: SupervisorConfig::default(),
         }
     }
 }
@@ -106,7 +101,6 @@ struct Counters {
     failed: AtomicU64,
     shutting_down: AtomicU64,
     quarantined: AtomicU64,
-    rung_packed: AtomicU64,
     rung_linked: AtomicU64,
     rung_reference: AtomicU64,
 }
@@ -114,7 +108,6 @@ struct Counters {
 impl Counters {
     fn rung_counter(&self, rung: Rung) -> &AtomicU64 {
         match rung {
-            Rung::Packed => &self.rung_packed,
             Rung::Linked => &self.rung_linked,
             Rung::Reference => &self.rung_reference,
         }
@@ -135,7 +128,6 @@ impl Counters {
             .set(
                 "rungs",
                 Json::obj()
-                    .set("packed", get(&self.rung_packed))
                     .set("linked", get(&self.rung_linked))
                     .set("reference", get(&self.rung_reference)),
             )
@@ -489,36 +481,37 @@ fn execute(shared: &Shared, req: &ExecuteRequest) -> Response {
 }
 
 /// Request validation, pre-supervisor. Returns the refusal detail, or
-/// `None` when the request is admissible.
+/// `None` when the request is admissible. An empty network and a NaN
+/// fast-field exponent would panic the compiler while the worker holds
+/// the supervisor lock, poisoning it for every other worker, so both are
+/// refused here; ω is held to `[2, 3]`, where a matrix-multiplication
+/// exponent lives.
 fn validate(shared: &Shared, req: &ExecuteRequest) -> Option<String> {
+    if req.n == 0 {
+        return Some("network size 0: a network has at least one node".to_string());
+    }
     if req.n > shared.max_n {
         return Some(format!(
             "network size {} exceeds the daemon's limit {}",
             req.n, shared.max_n
         ));
     }
-    // The mode discriminant keys client intent; the shapes the batch
-    // layer rejects with typed errors are refused here too, before any
-    // execution — notably the zero-worker parallel batch
-    // (`ModelError::ZeroWorkers`).
-    match req.mode {
-        BatchMode::Parallel { threads: 0 } => Some(format!(
-            "batch mode rejected: {}",
-            lowband_model::ModelError::ZeroWorkers
-        )),
-        _ => None,
-    }
-    .or_else(|| {
-        for rate in [req.drop_rate, req.corrupt_rate, req.crash_rate] {
-            if !(0.0..=1.0).contains(&rate) {
-                return Some(format!("fault rate {rate} outside [0, 1]"));
-            }
+    if let Algorithm::TwoPhase {
+        engine: DenseEngine::FastField { omega },
+        ..
+    } = req.algorithm
+    {
+        if !(2.0..=3.0).contains(&omega) {
+            return Some(format!("fast-field exponent ω = {omega} outside [2, 3]"));
         }
-        None
-    })
+    }
+    [req.drop_rate, req.corrupt_rate, req.crash_rate]
+        .into_iter()
+        .find(|rate| !(0.0..=1.0).contains(rate))
+        .map(|rate| format!("fault rate {rate} outside [0, 1]"))
 }
 
-fn execute_typed<S: lowband_core::BatchElement>(shared: &Shared, req: &ExecuteRequest) -> Response {
+fn execute_typed<S: Semiring + SampleElement>(shared: &Shared, req: &ExecuteRequest) -> Response {
     let inst = req.instance();
     let spec = req.fault_spec();
     let mut out: SparseMatrix<S> = SparseMatrix::zeros(inst.xhat.clone());

@@ -7,8 +7,8 @@
 //!
 //! A request carries everything the [`lowband_serve::StructureKey`] is
 //! computed from (the instance structure: `n` plus the three supports),
-//! the algorithm and compression discriminants, the value-set seed, the
-//! semiring and batch-mode discriminants, and an optional fault
+//! the algorithm and compression discriminants, the semiring
+//! discriminant, the value-set seed, and an optional fault
 //! specification — so fault injection works through the daemon path
 //! exactly as it does in-process. A response is either a result digest
 //! (plus the landing rung and server-side timing) or a typed refusal:
@@ -16,13 +16,13 @@
 //! missed deadline, a malformed request, or drain during shutdown.
 
 use lowband_core::densemm::DenseEngine;
-use lowband_core::{Algorithm, BatchMode, Instance, Rung};
+use lowband_core::{Algorithm, Instance, Rung};
 use lowband_matrix::Support;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
 /// Bumped on any incompatible payload change.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Frames larger than this are rejected before allocation — a malformed
 /// or hostile length prefix must not OOM the daemon.
@@ -201,6 +201,9 @@ impl WireSemiring {
 
 /// One execute request: the structure (everything the `StructureKey`
 /// hashes), the execution discriminants, the seed, and the fault rates.
+/// A request is one value set, so it carries no batch mode: the daemon
+/// runs it through the supervisor, which enters the ladder at the linked
+/// rung.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ExecuteRequest {
     /// Network size (supports are `n × n`).
@@ -217,12 +220,6 @@ pub struct ExecuteRequest {
     pub compress: bool,
     /// Value algebra.
     pub semiring: WireSemiring,
-    /// Batch-mode discriminant. The daemon validates it (zero worker
-    /// threads and off-menu lane widths are refused with
-    /// [`Response::BadRequest`]) but executes the single seed through the
-    /// supervisor's own ladder — the field keys client intent, not server
-    /// threading.
-    pub mode: BatchMode,
     /// Value-set seed.
     pub seed: u64,
     /// Fault-injection seed.
@@ -236,7 +233,7 @@ pub struct ExecuteRequest {
 }
 
 impl ExecuteRequest {
-    /// A fault-free request over `𝔽_p`, sequential mode.
+    /// A fault-free request over `𝔽_p`.
     pub fn clean(inst: &Instance, algorithm: Algorithm, compress: bool, seed: u64) -> Self {
         ExecuteRequest {
             n: inst.n as u32,
@@ -246,7 +243,6 @@ impl ExecuteRequest {
             algorithm,
             compress,
             semiring: WireSemiring::Fp,
-            mode: BatchMode::Sequential,
             seed,
             fault_seed: seed,
             drop_rate: 0.0,
@@ -365,34 +361,6 @@ fn read_algorithm(r: &mut Reader<'_>) -> Result<Algorithm, WireError> {
     })
 }
 
-fn write_mode(w: &mut Writer, mode: BatchMode) {
-    match mode {
-        BatchMode::Sequential => {
-            w.u8(0);
-            w.u32(0);
-        }
-        BatchMode::Parallel { threads } => {
-            w.u8(1);
-            w.u32(threads as u32);
-        }
-        BatchMode::Packed { lanes } => {
-            w.u8(2);
-            w.u32(lanes as u32);
-        }
-    }
-}
-
-fn read_mode(r: &mut Reader<'_>) -> Result<BatchMode, WireError> {
-    let tag = r.u8("batch-mode tag")?;
-    let param = r.u32("batch-mode param")? as usize;
-    Ok(match tag {
-        0 => BatchMode::Sequential,
-        1 => BatchMode::Parallel { threads: param },
-        2 => BatchMode::Packed { lanes: param },
-        _ => return Err(WireError::Malformed("batch-mode tag")),
-    })
-}
-
 impl Request {
     /// Encode into a payload (no frame prefix).
     pub fn encode(&self) -> Vec<u8> {
@@ -410,7 +378,6 @@ impl Request {
                 write_algorithm(&mut w, req.algorithm);
                 w.u8(req.compress as u8);
                 w.u8(req.semiring.tag());
-                write_mode(&mut w, req.mode);
                 w.u64(req.seed);
                 w.u64(req.fault_seed);
                 w.f64(req.drop_rate);
@@ -439,7 +406,6 @@ impl Request {
                 let algorithm = read_algorithm(&mut r)?;
                 let compress = r.u8("compress flag")? != 0;
                 let semiring = WireSemiring::from_tag(r.u8("semiring tag")?)?;
-                let mode = read_mode(&mut r)?;
                 let seed = r.u64("seed")?;
                 let fault_seed = r.u64("fault seed")?;
                 let drop_rate = r.f64("drop rate")?;
@@ -453,7 +419,6 @@ impl Request {
                     algorithm,
                     compress,
                     semiring,
-                    mode,
                     seed,
                     fault_seed,
                     drop_rate,
@@ -533,11 +498,10 @@ const ST_STATS: u8 = 6;
 const ST_SHUTDOWN_ACK: u8 = 7;
 const ST_SHUTTING_DOWN: u8 = 8;
 
-// Tag 2 stays unassigned, so a frame from an older build that carries it
-// is refused instead of being misread as another rung.
+// Tags 0 and 2 stay unassigned, so a frame that carries one is refused
+// instead of being misread as another rung.
 fn rung_tag(rung: Rung) -> u8 {
     match rung {
-        Rung::Packed => 0,
         Rung::Linked => 1,
         Rung::Reference => 3,
     }
@@ -545,7 +509,6 @@ fn rung_tag(rung: Rung) -> u8 {
 
 fn rung_from_tag(tag: u8) -> Result<Rung, WireError> {
     Ok(match tag {
-        0 => Rung::Packed,
         1 => Rung::Linked,
         3 => Rung::Reference,
         _ => return Err(WireError::Malformed("rung tag")),
@@ -720,7 +683,6 @@ mod tests {
             },
             compress: true,
             semiring: WireSemiring::MinPlus,
-            mode: BatchMode::Packed { lanes: 8 },
             seed: 0xFEED,
             fault_seed: 0xDEAD,
             drop_rate: 0.125,
@@ -762,13 +724,19 @@ mod tests {
             Response::ShutdownAck { json: "{}".into() },
             Response::ShuttingDown,
         ];
-        // Byte 10 of an `Ok` frame is the rung tag; tag 2 is unassigned.
-        let mut unassigned = responses[0].encode();
-        unassigned[10] = 2;
-        assert!(matches!(
-            Response::decode(&unassigned),
-            Err(WireError::Malformed("rung tag"))
-        ));
+        // Byte 10 of an `Ok` frame is the rung tag; tags 0 and 2 are
+        // unassigned.
+        for tag in [0u8, 2] {
+            let mut unassigned = responses[0].encode();
+            unassigned[10] = tag;
+            assert!(
+                matches!(
+                    Response::decode(&unassigned),
+                    Err(WireError::Malformed("rung tag"))
+                ),
+                "rung tag {tag}"
+            );
+        }
         for resp in responses {
             let decoded = Response::decode(&resp.encode()).expect("roundtrip");
             assert_eq!(decoded, resp);
@@ -795,6 +763,16 @@ mod tests {
             Request::decode(&[PROTOCOL_VERSION + 1, OP_STATS]),
             Err(WireError::Version { .. })
         ));
+    }
+
+    /// Version 2 dropped the Execute frame's batch-mode field, so a
+    /// version-1 frame is refused rather than misread.
+    #[test]
+    fn version_one_frames_are_refused() {
+        assert_eq!(PROTOCOL_VERSION, 2);
+        let mut old = sample_execute().encode();
+        old[0] = 1;
+        assert_eq!(Request::decode(&old), Err(WireError::Version { theirs: 1 }));
     }
 
     #[test]

@@ -7,20 +7,19 @@
 //!    bind on every run, on every executor backend.
 //! 2. A panicking worker thread aborted the whole process (or re-panicked
 //!    at scope exit); in the parallel batch fan-out it must surface as the
-//!    typed `ModelError::WorkerPanicked`, for that worker's share only.
+//!    typed `ModelError::WorkerPanicked`.
 
 use std::sync::OnceLock;
 
 use lowband::core::{
-    compile_plan, run_plan_batch, run_plan_batch_elementwise_traced, Algorithm, BatchElement,
-    BatchMode, CompiledPlan, Instance, RunReport, Rung,
+    compile_plan, run_plan_batch, Algorithm, BatchElement, BatchMode, CompiledPlan, Instance,
+    RunReport,
 };
-use lowband::matrix::{gen, SampleElement, SparseMatrix};
+use lowband::matrix::{gen, SampleElement};
 use lowband::model::algebra::{Nat, Semiring};
-use lowband::model::parallel::shard_bounds;
 use lowband::model::{
-    link, ExecutionStats, FaultHook, Key, LinkedMachine, LocalOp, Machine, Merge, ModelError,
-    NodeId, NoopFaults, NoopTracer, RunWindow, ScheduleBuilder, Tracer, Transfer,
+    link, ExecutionStats, Key, LinkedMachine, LocalOp, Machine, Merge, ModelError, NodeId,
+    NoopFaults, NoopTracer, RunWindow, ScheduleBuilder, Tracer, Transfer,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -205,24 +204,11 @@ impl BatchElement for Boom {
     ) -> Result<Vec<RunReport>, ModelError> {
         Err(ModelError::PackedLanesUnsupported { lanes })
     }
-
-    fn run_packed_guarded_traced<T: Tracer, F: FaultHook>(
-        _: &Instance,
-        _: &CompiledPlan,
-        _: u64,
-        lanes: usize,
-        _: &mut F,
-        _: Option<&mut SparseMatrix<Boom>>,
-        _: &mut T,
-    ) -> Result<RunReport, ModelError> {
-        Err(ModelError::PackedLanesUnsupported { lanes })
-    }
 }
 
 /// Compute-phase worker panic in the parallel batch fan-out: the batch
 /// returns the typed `WorkerPanicked` error instead of aborting the
-/// process, and with per-element isolation only the panicking worker's
-/// share fails.
+/// process.
 #[test]
 fn compute_worker_panic_is_a_typed_error() {
     // Block-diagonal A = B = X: every A entry, the poisoned seed's first
@@ -231,37 +217,10 @@ fn compute_worker_panic_is_a_typed_error() {
     let inst = Instance::new(s.clone(), s.clone(), s);
     let plan = compile_plan(&inst, Algorithm::BoundedTriangles, false).unwrap();
     let seeds: Vec<u64> = (0..6).collect();
-    let threads = 3;
-    let mode = BatchMode::Parallel { threads };
+    let mode = BatchMode::Parallel { threads: 3 };
 
     let err = run_plan_batch::<Boom>(&inst, &plan, &seeds, mode).unwrap_err();
     assert_eq!(err, ModelError::WorkerPanicked { step: 0 });
-
-    let results =
-        run_plan_batch_elementwise_traced::<Boom, _>(&inst, &plan, &seeds, mode, &mut NoopTracer)
-            .unwrap();
-    assert_eq!(results.len(), seeds.len());
-    let bounds = shard_bounds(seeds.len(), threads);
-    let poisoned = (0..threads)
-        .map(|w| bounds[w]..bounds[w + 1])
-        .find(|share| share.contains(&(POISON_SEED as usize)))
-        .unwrap();
-    assert!(poisoned.len() < seeds.len(), "some share must stay healthy");
-    for (i, result) in results.iter().enumerate() {
-        if poisoned.contains(&i) {
-            assert_eq!(
-                result,
-                &Err(ModelError::WorkerPanicked { step: 0 }),
-                "seed {i}"
-            );
-        } else {
-            let report = result
-                .as_ref()
-                .unwrap_or_else(|e| panic!("seed {i}: {e:?}"));
-            assert!(report.correct, "seed {i} must verify");
-            assert_eq!(report.rung, Rung::Linked);
-        }
-    }
 }
 
 /// Text-format loader regressions (fixed alongside the binary plan

@@ -1,12 +1,13 @@
 //! The network serving daemon (DESIGN.md §15): loopback protocol
 //! round-trips, digest parity with direct supervised execution,
 //! concurrent mixed-structure clients, typed refusals over the wire
-//! (breaker-open, zero-worker batch modes, admission overload), and
-//! graceful drain on shutdown.
+//! (breaker-open, malformed requests, admission overload), and graceful
+//! drain on shutdown.
 
 use std::sync::Once;
 
-use lowband::core::{Algorithm, BatchMode, Instance, Rung};
+use lowband::core::densemm::DenseEngine;
+use lowband::core::{Algorithm, Instance, Rung};
 use lowband::matrix::{gen, Fp};
 use lowband::model::NoopTracer;
 use lowband::serve::{Supervisor, SupervisorConfig};
@@ -79,10 +80,7 @@ fn loopback_digest_matches_direct_supervised_execution() {
     assert_eq!(digest, expected_digest::<Fp>(&inst, seed));
 
     // Direct in-process supervised execution of the identical request.
-    let mut sup = Supervisor::new(SupervisorConfig {
-        start_rung: Rung::Linked,
-        ..SupervisorConfig::default()
-    });
+    let mut sup = Supervisor::new(SupervisorConfig::default());
     let mut out = lowband::matrix::SparseMatrix::<Fp>::zeros(inst.xhat.clone());
     let outcome = sup.run_supervised_traced::<Fp, _>(
         &inst,
@@ -166,7 +164,6 @@ fn breaker_open_refusals_cross_the_wire() {
         workers: 1,
         backlog: 4,
         supervisor: SupervisorConfig {
-            start_rung: Rung::Linked,
             breaker_threshold: 2,
             breaker_cooldown: 8,
             quarantine_threshold: u32::MAX,
@@ -206,33 +203,54 @@ fn breaker_open_refusals_cross_the_wire() {
     handle.join();
 }
 
-/// The zero-worker batch mode (`ModelError::ZeroWorkers` in-process) is
-/// refused before execution with a typed `BadRequest` frame, and the
-/// connection survives to serve a corrected request.
+/// Requests that would panic the compiler under the supervisor lock (an
+/// empty network, a NaN fast-field exponent) or that carry a fault rate
+/// outside [0, 1] are refused with typed `BadRequest` frames before any
+/// execution, and the connection goes on to serve a clean request.
 #[test]
-fn zero_worker_mode_is_a_bad_request_over_the_wire() {
+fn malformed_requests_are_bad_requests_over_the_wire() {
     let handle = small_daemon();
     let inst = us_instance(16, 2, 0x444);
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
 
-    let mut req = ExecuteRequest::clean(&inst, Algorithm::BoundedTriangles, false, 5);
-    req.mode = BatchMode::Parallel { threads: 0 };
-    match client
-        .roundtrip(&Request::Execute(Box::new(req)))
-        .unwrap()
-        .unwrap()
-    {
-        Response::BadRequest { detail } => assert!(
-            detail.contains("worker"),
-            "refusal must name the zero-worker shape: {detail}"
-        ),
-        other => panic!("expected BadRequest, got {other:?}"),
+    let clean = || ExecuteRequest::clean(&inst, Algorithm::BoundedTriangles, false, 5);
+    let empty = ExecuteRequest {
+        n: 0,
+        ahat: Vec::new(),
+        bhat: Vec::new(),
+        xhat: Vec::new(),
+        ..clean()
+    };
+    let nan_omega = ExecuteRequest {
+        algorithm: Algorithm::TwoPhase {
+            d: 2,
+            engine: DenseEngine::FastField { omega: f64::NAN },
+        },
+        ..clean()
+    };
+    let rate_above_one = ExecuteRequest {
+        drop_rate: 1.5,
+        ..clean()
+    };
+    let nan_rate = ExecuteRequest {
+        crash_rate: f64::NAN,
+        ..clean()
+    };
+    for (what, req) in [
+        ("n = 0", empty),
+        ("NaN omega", nan_omega),
+        ("fault rate 1.5", rate_above_one),
+        ("NaN fault rate", nan_rate),
+    ] {
+        match client.roundtrip(&Request::Execute(Box::new(req))).unwrap() {
+            Some(Response::BadRequest { .. }) => {}
+            other => panic!("{what}: expected BadRequest, got {other:?}"),
+        }
     }
 
-    // Same connection, corrected mode: served normally.
-    let ok = ExecuteRequest::clean(&inst, Algorithm::BoundedTriangles, false, 5);
+    // Same connection, clean request: served normally.
     match client
-        .roundtrip(&Request::Execute(Box::new(ok)))
+        .roundtrip(&Request::Execute(Box::new(clean())))
         .unwrap()
         .unwrap()
     {

@@ -3,10 +3,9 @@
 //!
 //! The contracts under test:
 //!
-//! * **graceful degradation** — a fault storm walks one request down
-//!   packed → linked → hash-map → reference, one rung per supervised
-//!   failure, and the bottom rung's product is **bit-identical** to the
-//!   fault-free run of the same seed;
+//! * **graceful degradation** — a fault storm walks one request down the
+//!   two-rung ladder, linked → reference, and the bottom rung's product
+//!   is **bit-identical** to the fault-free run of the same seed;
 //! * **circuit breaker** — consecutive distributed-path failures open the
 //!   structure's breaker; while open, requests are refused with a typed
 //!   error; the cooldown's half-open probe closes it again;
@@ -65,8 +64,8 @@ fn ladder_only() -> SupervisorConfig {
     }
 }
 
-/// The acceptance pin: under a total storm the ladder descends through
-/// every rung, lands on the reference rung, and the product it writes is
+/// The acceptance pin: under a total storm the request descends from the
+/// linked rung, lands on the reference rung, and the product it writes is
 /// bit-identical to the fault-free run of the same seed.
 #[test]
 fn storm_lands_on_reference_with_bit_identical_output() {
@@ -87,10 +86,10 @@ fn storm_lands_on_reference_with_bit_identical_output() {
     assert_eq!(report.rung, Rung::Reference, "storm must bottom the ladder");
     assert!(report.correct);
     assert_eq!(
-        outcome.descents, 2,
-        "one descent per distributed rung: packed, linked"
+        outcome.descents, 1,
+        "one descent from the one distributed rung"
     );
-    assert_eq!(outcome.failures.len(), 2);
+    assert_eq!(outcome.failures.len(), 1);
     assert!(
         !outcome.fault_log.is_empty(),
         "the storm must actually have fired"
@@ -107,7 +106,7 @@ fn storm_lands_on_reference_with_bit_identical_output() {
         Some(&mut clean),
     );
     let clean_report = clean_outcome.result.expect("fault-free run serves");
-    assert_eq!(clean_report.rung, Rung::Packed);
+    assert_eq!(clean_report.rung, Rung::Linked);
     assert_eq!(clean_outcome.descents, 0);
 
     assert_eq!(
@@ -179,7 +178,7 @@ fn breaker_opens_refuses_and_closes_via_probe() {
         None,
     );
     let report = probe.result.expect("probe serves");
-    assert_eq!(report.rung, Rung::Packed);
+    assert_eq!(report.rung, Rung::Linked);
     let b = sup.breaker(&key).expect("breaker exists");
     assert_eq!(b.state(), BreakerState::Closed);
     assert_eq!(b.closed_from_probe, 1);
@@ -247,7 +246,7 @@ fn quarantine_blocks_then_probe_readmits() {
         None,
     );
     assert!(!healthy.quarantined);
-    assert_eq!(healthy.result.expect("served").rung, Rung::Packed);
+    assert_eq!(healthy.result.expect("served").rung, Rung::Linked);
 }
 
 /// A tight deadline plus large inter-rung backoff expires the request

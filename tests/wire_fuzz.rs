@@ -16,7 +16,7 @@
 //! `tests/properties.rs`.
 
 use lowband::core::densemm::DenseEngine;
-use lowband::core::{Algorithm, BatchMode, Rung};
+use lowband::core::{Algorithm, Rung};
 use lowband::served::wire::{MAX_FRAME, PROTOCOL_VERSION};
 use lowband::served::{ExecuteRequest, Request, Response, WireError, WireSemiring};
 use rand::rngs::StdRng;
@@ -27,8 +27,8 @@ const FLIPS_PER_MESSAGE: usize = 4096;
 #[cfg(not(feature = "proptest-tests"))]
 const FLIPS_PER_MESSAGE: usize = 512;
 
-/// One execute request per algorithm/engine and batch-mode encoding, with
-/// supports of different sizes (empty included).
+/// One execute request per algorithm/engine encoding, with supports of
+/// different sizes (empty included).
 fn executes() -> Vec<Request> {
     let algorithms = [
         Algorithm::Trivial,
@@ -48,11 +48,6 @@ fn executes() -> Vec<Request> {
         Algorithm::DenseCube,
         Algorithm::StrassenField,
     ];
-    let modes = [
-        BatchMode::Sequential,
-        BatchMode::Parallel { threads: 4 },
-        BatchMode::Packed { lanes: 8 },
-    ];
     algorithms
         .into_iter()
         .enumerate()
@@ -65,7 +60,6 @@ fn executes() -> Vec<Request> {
                 algorithm,
                 compress: i % 2 == 0,
                 semiring: WireSemiring::ALL[i % WireSemiring::ALL.len()],
-                mode: modes[i % modes.len()],
                 seed: 0xFEED + i as u64,
                 fault_seed: 0xDEAD,
                 drop_rate: 0.125,
