@@ -1,16 +1,17 @@
 //! The cross-executor differential runner.
 //!
-//! One schedule, one set of initial loads, every executor backend: the
-//! hash-map reference [`Machine`], the slot-addressed [`LinkedMachine`],
-//! and the lane-plane [`PackedLinkedMachine`] (every lane loaded alike)
+//! One schedule, one set of initial loads, both executors: the hash-map
+//! reference [`Machine`] and the slot-addressed [`PackedLinkedMachine`],
+//! at one lane ([`LinkedMachine`]) and at four (every lane loaded alike),
 //! must produce bit-identical final stores and identical model-level
 //! [`ExecutionStats`]. [`run_differential`] checks the full runs;
 //! [`run_differential_windowed`] additionally chops the run into
 //! checkpoint windows and migrates the state *across backends* at every
 //! boundary — exercising executor-interchangeable [`Checkpoint`]s, the
 //! window budget on plain (`NoopFaults`) runs, and the guarded path with
-//! an enabled-but-empty fault plan. The packed machine has no
-//! checkpoint/restore or fault hook, so it sits out the windowed rotation.
+//! an enabled-but-empty fault plan. Checkpoints and the fault hook exist
+//! at one lane only, so the four-lane machine sits out the windowed
+//! rotation.
 
 use std::collections::HashMap;
 

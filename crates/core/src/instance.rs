@@ -188,8 +188,10 @@ impl Instance {
     }
 
     /// Load the runtime values of `A` and `B` into a fresh slot-store
-    /// machine bound to `schedule`.
-    pub fn load_linked<'s, S: Semiring>(
+    /// machine bound to `schedule` — the one-lane [`PackedLinkedMachine`],
+    /// which carries one value set and alone has the fault path
+    /// (`run_guarded`, `checkpoint`, `restore`).
+    pub fn load_linked<'s, S: PackedSemiring<1>>(
         &self,
         a: &SparseMatrix<S>,
         b: &SparseMatrix<S>,
@@ -205,7 +207,7 @@ impl Instance {
     /// ([`LinkedMachine::reset_values`]) and load the new values through
     /// the placement. The machine's slot vectors are reused, so a batch of
     /// value-sets streams through one allocation of the dense stores.
-    pub fn reload_linked<S: Semiring>(
+    pub fn reload_linked<S: PackedSemiring<1>>(
         &self,
         machine: &mut LinkedMachine<'_, S>,
         a: &SparseMatrix<S>,
@@ -253,8 +255,8 @@ impl Instance {
 }
 
 /// A per-node keyed value store an instance can be loaded into and read
-/// back from: both scalar executor backends (hash-map, linked slot-store)
-/// qualify.
+/// back from: both executors of one value set (the hash-map machine and
+/// the one-lane slot store) qualify.
 pub trait ValueStore<S: Semiring> {
     /// Place `value` under `key` at `node`.
     fn load(&mut self, node: NodeId, key: Key, value: S);
@@ -271,7 +273,7 @@ impl<S: Semiring> ValueStore<S> for Machine<S> {
     }
 }
 
-impl<S: Semiring> ValueStore<S> for LinkedMachine<'_, S> {
+impl<S: PackedSemiring<1>> ValueStore<S> for LinkedMachine<'_, S> {
     fn load(&mut self, node: NodeId, key: Key, value: S) {
         LinkedMachine::load(self, node, key, value);
     }

@@ -297,9 +297,9 @@ pub enum BatchMode {
 ///
 /// Word-sized algebras (`Fp`, `Wrap64`, `MinPlus`) compile array planes at
 /// widths 4/8/16/32/64 (default 8); the two-element algebras (`Bool`,
-/// `Gf2`) exist only bit-sliced at width 64, where a plane is one `u64`.
+/// `Gf2`) compile only width 64, where a bit-sliced plane fills its `u64`.
 /// The packed path serves fault-free batches only: a single supervised
-/// request runs on the linked executor, which owns the fault hook.
+/// request runs on the one-lane machine, which alone has the fault hook.
 pub trait BatchElement: Semiring + SampleElement {
     /// Lane widths with a compiled packed monomorphization, ascending.
     const LANE_WIDTHS: &'static [usize];
@@ -858,7 +858,7 @@ pub fn run_resilient_plan_traced<S: Semiring + SampleElement, T: Tracer>(
 
 /// [`LinkedMachine::checkpoint`] under a `"checkpoint"` span, so snapshot
 /// time shows on its own instead of inside `"run"`.
-fn checkpoint_traced<S: Semiring, T: Tracer>(
+fn checkpoint_traced<S: PackedSemiring<1>, T: Tracer>(
     machine: &LinkedMachine<'_, S>,
     next_step: usize,
     stats: ExecutionStats,

@@ -164,9 +164,9 @@ impl Backoff {
 /// reference product computed locally), which cannot fail.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Rung {
-    /// The linked schedule on a slot-store executor: `LinkedMachine`
-    /// under checkpointed retry (`run_resilient`-style windows) for a
-    /// supervised request, `PackedLinkedMachine` for a lane batch.
+    /// The linked schedule on the slot-store executor: one lane
+    /// (`LinkedMachine`) under checkpointed retry (`run_resilient`-style
+    /// windows) for a supervised request, lane planes for a batch.
     Linked,
     /// `reference_multiply_into` computed locally: no schedule, no
     /// network, always succeeds.

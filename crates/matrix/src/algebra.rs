@@ -15,7 +15,10 @@ use lowband_model::algebra::{Field, PackedSemiring, Ring, Semiring};
 use rand::Rng;
 
 /// Sampling random elements, for seeded instance generation.
-pub trait SampleElement: Semiring {
+///
+/// Every sampled value set runs on the slot-store executor, which carries
+/// one value set as a one-lane plane, so a sampled type has one.
+pub trait SampleElement: PackedSemiring<1> {
     /// Draw a *nonzero* element (nonzero so that supports stay exact).
     fn sample_nonzero<R: Rng + ?Sized>(rng: &mut R) -> Self;
 }
@@ -339,12 +342,14 @@ lowband_model::impl_packed_semiring_array!(MinPlus);
 
 // Bit-sliced planes for the two-element algebras: a plane is ONE `u64`
 // whose bit `i` is lane `i`, so a packed add/mul is a single bitwise
-// instruction advancing 64 batch members at once. These exist only at
-// `LANES = 64` — a narrower width would waste the word, and the blanket
-// array macro is deliberately not applied to `Bool`/`Gf2` so the lane
-// count uniquely selects the bit-sliced representation.
+// instruction advancing up to 64 batch members at once. They exist at
+// every width: the one-lane plane carries a single value set, and the
+// batch menu (`BatchElement::LANE_WIDTHS`) compiles only the full word.
+// Bits `LANES..64` are don't-care — `zero_mask` callers mask them off —
+// and the array macro is deliberately not applied to `Bool`/`Gf2`, so
+// every width has the one bit-sliced representation.
 
-impl PackedSemiring<64> for Bool {
+impl<const LANES: usize> PackedSemiring<LANES> for Bool {
     type Plane = u64;
 
     #[inline]
@@ -385,7 +390,7 @@ impl PackedSemiring<64> for Bool {
     }
 }
 
-impl PackedSemiring<64> for Gf2 {
+impl<const LANES: usize> PackedSemiring<LANES> for Gf2 {
     type Plane = u64;
 
     #[inline]
@@ -580,39 +585,60 @@ mod tests {
         assert!(<MinPlus as PackedSemiring<L>>::packed_try_neg(&t).is_none());
     }
 
-    /// The bit-sliced `u64` planes: bit `i` is lane `i`, add/mul are one
-    /// bitwise op, and every lane agrees with the scalar algebra —
-    /// including the characteristic-2 distinction (`Bool` or vs `Gf2`
-    /// xor) and `Gf2`'s self-inverse negation.
+    /// The bit-sliced `u64` planes at widths 1, 8 and 64: bit `i` is lane
+    /// `i`, add/mul are one bitwise op, and every lane agrees with the
+    /// scalar algebra — including the characteristic-2 distinction (`Bool`
+    /// or vs `Gf2` xor), `Gf2`'s self-inverse negation against `Bool`'s
+    /// refusal, and the zero mask once bits `LANES..64` are masked off.
     #[test]
     fn packed_bit_sliced_planes_agree_with_scalar() {
+        fn check<S: PackedSemiring<L, Plane = u64> + Copy, const L: usize>(lift: fn(bool) -> S) {
+            let lanes_mask = if L == 64 { !0 } else { (1u64 << L) - 1 };
+            let bit = |plane: u64, lane: usize| plane >> lane & 1 == 1;
+            for (a, b, acc) in [
+                (0b1100_1010_0101_0011, 0b1010_0110_0011_0101, 0b1111_0000),
+                (!0, 0x0123_4567_89AB_CDEF, 0xF0F0_F0F0_0F0F_0F0F),
+                (0, !0, 1),
+                (1, 1, 0),
+            ] {
+                let sum = S::packed_add(&a, &b);
+                let prod = S::packed_mul(&a, &b);
+                let fma = S::packed_mul_add(&acc, &a, &b);
+                let neg = S::packed_try_neg(&a);
+                let mut zeros = 0u64;
+                for lane in 0..L {
+                    let (x, y, z) = (lift(bit(a, lane)), lift(bit(b, lane)), lift(bit(acc, lane)));
+                    let at = format!("{L} lanes, lane {lane}");
+                    assert_eq!(S::extract(&a, lane), x, "extract, {at}");
+                    assert_eq!(S::extract(&sum, lane), x.add(&y), "add, {at}");
+                    assert_eq!(S::extract(&prod, lane), x.mul(&y), "mul, {at}");
+                    assert_eq!(S::extract(&fma, lane), z.add(&x.mul(&y)), "mul_add, {at}");
+                    assert_eq!(neg.map(|p| S::extract(&p, lane)), x.try_neg(), "neg, {at}");
+                    zeros |= u64::from(x.is_zero()) << lane;
+                }
+                assert_eq!(S::zero_mask(&a) & lanes_mask, zeros, "zero_mask, {L} lanes");
+            }
+            assert_eq!(S::zero_mask(&S::packed_zero()) & lanes_mask, lanes_mask);
+            let ones = S::splat(&lift(true));
+            assert!((0..L).all(|lane| S::extract(&ones, lane) == lift(true)));
+            assert_eq!(S::zero_mask(&ones) & lanes_mask, 0);
+            for lane in 0..L {
+                let mut p = S::packed_zero();
+                S::insert(&mut p, lane, lift(true));
+                assert_eq!(S::zero_mask(&p) & lanes_mask, lanes_mask & !(1 << lane));
+                S::insert(&mut p, lane, lift(false));
+                assert_eq!(S::zero_mask(&p) & lanes_mask, lanes_mask);
+            }
+        }
+        check::<Bool, 1>(Bool);
+        check::<Bool, 8>(Bool);
+        check::<Bool, 64>(Bool);
+        check::<Gf2, 1>(Gf2);
+        check::<Gf2, 8>(Gf2);
+        check::<Gf2, 64>(Gf2);
+
         let a: u64 = 0b1100_1010_0101_0011;
         let b: u64 = 0b1010_0110_0011_0101;
-
-        let or = <Bool as PackedSemiring<64>>::packed_add(&a, &b);
-        let xor = <Gf2 as PackedSemiring<64>>::packed_add(&a, &b);
-        let and_bool = <Bool as PackedSemiring<64>>::packed_mul(&a, &b);
-        let and_gf2 = <Gf2 as PackedSemiring<64>>::packed_mul(&a, &b);
-        for lane in 0..64 {
-            let (ab, bb) = (a >> lane & 1 == 1, b >> lane & 1 == 1);
-            assert_eq!(
-                <Bool as PackedSemiring<64>>::extract(&or, lane),
-                Bool(ab).add(&Bool(bb))
-            );
-            assert_eq!(
-                <Gf2 as PackedSemiring<64>>::extract(&xor, lane),
-                Gf2(ab).add(&Gf2(bb))
-            );
-            assert_eq!(
-                <Bool as PackedSemiring<64>>::extract(&and_bool, lane),
-                Bool(ab).mul(&Bool(bb))
-            );
-            assert_eq!(
-                <Gf2 as PackedSemiring<64>>::extract(&and_gf2, lane),
-                Gf2(ab).mul(&Gf2(bb))
-            );
-        }
-
         // Fused mul-add matches compose-of-parts.
         let acc: u64 = 0b1111_0000;
         assert_eq!(

@@ -9,8 +9,10 @@
 //! alone. [`link`] exploits that: it walks a [`Schedule`] once, interns each
 //! node's distinct keys into dense slot ids (`u32`), and rewrites every
 //! transfer and local op into slot-addressed form. The resulting
-//! [`LinkedSchedule`] executes on [`LinkedMachine`], whose per-node store is
-//! a flat `Vec<Option<V>>` indexed by slot — **zero hashing per event**.
+//! [`LinkedSchedule`] executes on [`PackedLinkedMachine`] — one value set
+//! per run at one lane ([`LinkedMachine`]), up to 64 at once on lane
+//! planes — whose per-node store is a flat vector indexed by slot — **zero
+//! hashing per event**.
 //!
 //! Slot ids follow key order: a node's slot `s` holds its `s`-th smallest
 //! key. Finding a key's slot (value loading, output extraction) is then a
@@ -44,7 +46,7 @@ use lowband_trace::{NoopTracer, RoundEvent, Tracer};
 
 use crate::recovery::{Checkpoint, RunWindow};
 use crate::schedule::{LocalOp, Merge, Round, Step};
-use crate::{ExecutionStats, Key, ModelError, NodeId, PackedSemiring, Schedule, Semiring};
+use crate::{ExecutionStats, Key, ModelError, NodeId, PackedSemiring, Schedule};
 
 /// One message in slot-addressed form:
 /// `dst.slots[dst_slot] ← merge(dst.slots[dst_slot], src.slots[src_slot])`.
@@ -672,467 +674,39 @@ pub fn link_traced<T: Tracer>(
     result
 }
 
-/// Slot-store executor for a [`LinkedSchedule`].
+/// Slot-store executor for a [`LinkedSchedule`], advancing `LANES`
+/// independent value sets per interpretation of the schedule.
 ///
-/// Each node's store is a flat `Vec<Option<V>>` indexed by slot id; `None`
+/// Each node's store is a flat vector indexed by slot id whose cells hold
+/// a *lane plane* ([`PackedSemiring::Plane`]): one value per lane. `None`
 /// means "key absent", exactly like a missing hash-map entry in
-/// [`crate::Machine`]. Values loaded under keys the schedule never mentions
-/// land in a per-node side map (they can't affect execution, but
-/// [`LinkedMachine::snapshot`] must report them for bit-identical stores).
-#[derive(Clone, Debug)]
-pub struct LinkedMachine<'s, V: Semiring> {
-    schedule: &'s LinkedSchedule,
-    slots: Vec<Vec<Option<V>>>,
-    extra: Vec<HashMap<Key, V>>,
-}
-
-impl<'s, V: Semiring> LinkedMachine<'s, V> {
-    /// Create an empty machine sized for `schedule`.
-    pub fn new(schedule: &'s LinkedSchedule) -> LinkedMachine<'s, V> {
-        LinkedMachine {
-            schedule,
-            slots: schedule
-                .node_keys
-                .iter()
-                .map(|keys| vec![None; keys.len()])
-                .collect(),
-            extra: vec![HashMap::new(); schedule.n],
-        }
-    }
-
-    /// Network size.
-    pub fn n(&self) -> usize {
-        self.schedule.n
-    }
-
-    /// The schedule this machine is linked against.
-    pub fn schedule(&self) -> &'s LinkedSchedule {
-        self.schedule
-    }
-
-    /// Place `value` under `key` at `node` (input loading).
-    pub fn load(&mut self, node: NodeId, key: Key, value: V) {
-        match self.schedule.slot_of(node, key) {
-            Some(slot) => self.slots[node.index()][slot as usize] = Some(value),
-            None => {
-                self.extra[node.index()].insert(key, value);
-            }
-        }
-    }
-
-    /// Read the value under `key` at `node`, if present.
-    pub fn get(&self, node: NodeId, key: Key) -> Option<&V> {
-        match self.schedule.slot_of(node, key) {
-            Some(slot) => self.slots[node.index()][slot as usize].as_ref(),
-            None => self.extra[node.index()].get(&key),
-        }
-    }
-
-    /// Read the value under `key` at `node`, or semiring zero if absent.
-    pub fn get_or_zero(&self, node: NodeId, key: Key) -> V {
-        self.get(node, key).cloned().unwrap_or_else(V::zero)
-    }
-
-    /// The full key–value store at `node` as a hash map — directly
-    /// comparable against [`crate::Machine::snapshot`].
-    pub fn snapshot(&self, node: NodeId) -> HashMap<Key, V> {
-        let i = node.index();
-        let mut map = self.extra[i].clone();
-        for (slot, value) in self.slots[i].iter().enumerate() {
-            if let Some(v) = value {
-                map.insert(self.schedule.node_keys[i][slot], v.clone());
-            }
-        }
-        map
-    }
-
-    /// Execute the linked schedule sequentially. The store mutations are
-    /// bit-identical to [`crate::Machine::run`] on the source schedule; no
-    /// hashing or constraint checking happens per event.
-    pub fn run(&mut self) -> Result<ExecutionStats, ModelError> {
-        self.run_traced(&mut NoopTracer)
-    }
-
-    /// [`LinkedMachine::run`] with an instrumentation sink: one
-    /// [`RoundEvent`] per round, a `run.local_ops` counter per compute
-    /// step, and per-node send/receive loads at the end. All payload
-    /// gathering is guarded by `T::ENABLED` (a constant), so with
-    /// [`NoopTracer`] this compiles to exactly [`LinkedMachine::run`] —
-    /// the hash-free hot path stays hash-free and branch-free.
-    pub fn run_traced<T: Tracer>(&mut self, tracer: &mut T) -> Result<ExecutionStats, ModelError> {
-        let mut stats = ExecutionStats::default();
-        self.run_guarded(tracer, &mut NoopFaults, RunWindow::full(), &mut stats)?;
-        Ok(stats)
-    }
-
-    /// Fault-guarded, windowed variant of [`LinkedMachine::run_traced`];
-    /// same contract as [`crate::Machine::run_guarded`]. Because linking
-    /// produces exactly one step per source step, `window.start_step` and
-    /// the returned resume cursor are **source**-schedule step indices —
-    /// checkpoints are interchangeable with the reference executor.
-    pub fn run_guarded<T: Tracer, F: FaultHook>(
-        &mut self,
-        tracer: &mut T,
-        faults: &mut F,
-        window: RunWindow,
-        stats: &mut ExecutionStats,
-    ) -> Result<Option<usize>, ModelError> {
-        let start = Instant::now();
-        let result = self.run_window(tracer, faults, window, stats);
-        stats.elapsed += start.elapsed();
-        result
-    }
-
-    fn run_window<T: Tracer, F: FaultHook>(
-        &mut self,
-        tracer: &mut T,
-        faults: &mut F,
-        window: RunWindow,
-        stats: &mut ExecutionStats,
-    ) -> Result<Option<usize>, ModelError> {
-        let schedule = self.schedule;
-        let mut inbox: Vec<V> = Vec::new();
-        // Surviving transfer indices for the write phase of fault runs
-        // (drops leave holes, so `ts.iter().zip(inbox)` would misalign).
-        let mut keep: Vec<usize> = Vec::new();
-        let (mut node_sends, mut node_recvs) = if T::ENABLED {
-            (vec![0u64; schedule.n], vec![0u64; schedule.n])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let mut ops_since_round = 0u64;
-        let mut window_rounds = 0usize;
-        let first = window.start_step.min(schedule.steps.len());
-        for lstep in &schedule.steps[first..] {
-            match lstep {
-                LinkedStep::Comm { transfers, step } => {
-                    // The window budget binds on every run, fault hook or
-                    // not (see `crate::Machine::run_window`).
-                    if window_rounds == window.max_rounds {
-                        if T::ENABLED {
-                            tracer.node_loads(&node_sends, &node_recvs);
-                        }
-                        return Ok(Some(*step));
-                    }
-                    window_rounds += 1;
-                    if F::ENABLED {
-                        if let Some(victim) = faults.crash(stats.rounds) {
-                            if (victim as usize) < schedule.n {
-                                if T::ENABLED {
-                                    tracer.fault("fault.injected.crash", stats.rounds as u64);
-                                }
-                                self.slots[victim as usize]
-                                    .iter_mut()
-                                    .for_each(|cell| *cell = None);
-                                self.extra[victim as usize].clear();
-                                return Err(ModelError::NodeCrashed {
-                                    node: NodeId(victim),
-                                    round: stats.rounds,
-                                });
-                            }
-                        }
-                    }
-                    let round_start = if T::ENABLED {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
-                    let ts = &schedule.transfers[transfers.clone()];
-                    // Read phase: gather all payloads before any delivery,
-                    // so that delivery within a round is simultaneous.
-                    inbox.clear();
-                    inbox.reserve(ts.len());
-                    let (mut sent_sum, mut recv_sum) = (0u64, 0u64);
-                    if F::ENABLED {
-                        keep.clear();
-                    }
-                    for (i, t) in ts.iter().enumerate() {
-                        let mut v = self.slots[t.src as usize][t.src_slot as usize]
-                            .clone()
-                            .ok_or_else(|| schedule.missing(t.src, t.src_slot, *step))?;
-                        if F::ENABLED {
-                            sent_sum = sent_sum.wrapping_add(mix64(v.digest()));
-                            match faults.tamper(stats.rounds, t.src) {
-                                Tamper::None => {}
-                                Tamper::Drop => {
-                                    if T::ENABLED {
-                                        tracer.fault("fault.injected.drop", stats.rounds as u64);
-                                    }
-                                    continue;
-                                }
-                                Tamper::Corrupt => {
-                                    if T::ENABLED {
-                                        tracer.fault("fault.injected.corrupt", stats.rounds as u64);
-                                    }
-                                    v = v.corrupted();
-                                }
-                            }
-                            recv_sum = recv_sum.wrapping_add(mix64(v.digest()));
-                            keep.push(i);
-                        }
-                        inbox.push(v);
-                    }
-                    // Write phase: deliver.
-                    if F::ENABLED {
-                        for (&i, payload) in keep.iter().zip(inbox.drain(..)) {
-                            let t = &ts[i];
-                            deliver(
-                                &mut self.slots[t.dst as usize][t.dst_slot as usize],
-                                t.merge,
-                                payload,
-                            );
-                        }
-                        if sent_sum != recv_sum {
-                            if T::ENABLED {
-                                tracer.fault("fault.detected", stats.rounds as u64);
-                            }
-                            return Err(ModelError::Corruption {
-                                round: stats.rounds,
-                            });
-                        }
-                    } else {
-                        for (t, payload) in ts.iter().zip(inbox.drain(..)) {
-                            deliver(
-                                &mut self.slots[t.dst as usize][t.dst_slot as usize],
-                                t.merge,
-                                payload,
-                            );
-                        }
-                    }
-                    stats.record_round(ts.len());
-                    if T::ENABLED {
-                        for t in ts {
-                            node_sends[t.src as usize] += 1;
-                            node_recvs[t.dst as usize] += 1;
-                        }
-                        tracer.round(RoundEvent {
-                            index: (stats.rounds - 1) as u64,
-                            messages: ts.len() as u64,
-                            local_ops: ops_since_round,
-                            nanos: round_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                        });
-                        ops_since_round = 0;
-                    }
-                }
-                LinkedStep::Compute { ops, step } => {
-                    for op in &schedule.ops[ops.clone()] {
-                        let store = &mut self.slots[op.node() as usize];
-                        apply_linked_op(store, op, schedule, *step)?;
-                        stats.local_ops += 1;
-                    }
-                    tracer.counter("run.local_ops", ops.len() as u64);
-                    if T::ENABLED {
-                        ops_since_round += ops.len() as u64;
-                    }
-                }
-            }
-        }
-        if T::ENABLED {
-            tracer.node_loads(&node_sends, &node_recvs);
-        }
-        Ok(None)
-    }
-
-    /// Snapshot machine state into an executor-independent [`Checkpoint`]
-    /// (stores in canonical hash-map form, so it restores onto any backend).
-    pub fn checkpoint(&self, next_step: usize, stats: ExecutionStats) -> Checkpoint<V> {
-        let stores = (0..self.n())
-            .map(|i| self.snapshot(NodeId(i as u32)))
-            .collect();
-        Checkpoint::new(next_step, stats, stores)
-    }
-
-    /// Restore every store from a [`Checkpoint`] taken on any executor
-    /// backend of the same network size. Keys the linked schedule never
-    /// mentions land back in the side map, exactly as [`LinkedMachine::load`]
-    /// places them.
-    pub fn restore(&mut self, ckpt: &Checkpoint<V>) -> Result<(), ModelError> {
-        if ckpt.n() != self.n() {
-            return Err(ModelError::SizeMismatch {
-                expected: ckpt.n(),
-                actual: self.n(),
-            });
-        }
-        self.reset();
-        for (i, saved) in ckpt.stores().iter().enumerate() {
-            for (key, value) in saved {
-                self.load(NodeId(i as u32), *key, value.clone());
-            }
-        }
-        Ok(())
-    }
-
-    /// Empty every slot and side map **in place**, returning the machine to
-    /// its freshly-constructed state while keeping every allocation — the
-    /// per-node slot vectors and side-map tables are cleared, not dropped.
-    ///
-    /// This is the compile-once/execute-many primitive: a serving loop
-    /// streams K value-sets through one machine by alternating
-    /// `reset_values` → load → run, paying the structure-dependent
-    /// allocation cost once per [`LinkedSchedule`] instead of once per
-    /// value-set (see `Instance::reload_linked` in `lowband-core`).
-    pub fn reset_values(&mut self) {
-        debug_assert!(
-            self.slots.len() == self.schedule.n
-                && self
-                    .slots
-                    .iter()
-                    .zip(&self.schedule.node_keys)
-                    .all(|(slots, keys)| slots.len() == keys.len()),
-            "slot stores diverged from the linked schedule's interned layout \
-             (stale machine reused against a different compiled plan?)"
-        );
-        for slots in &mut self.slots {
-            slots.iter_mut().for_each(|cell| *cell = None);
-        }
-        for extra in &mut self.extra {
-            extra.clear();
-        }
-    }
-
-    /// Alias of [`LinkedMachine::reset_values`], kept so the
-    /// checkpoint/restore surface (`checkpoint`/`restore`/`reset`) stays
-    /// interchangeable across all executor backends.
-    pub fn reset(&mut self) {
-        self.reset_values();
-    }
-}
-
-#[inline]
-fn deliver<V: Semiring>(cell: &mut Option<V>, merge: Merge, payload: V) {
-    match merge {
-        Merge::Overwrite => *cell = Some(payload),
-        Merge::Add => {
-            let cur = cell.take().unwrap_or_else(V::zero);
-            *cell = Some(cur.add(&payload));
-        }
-    }
-}
-
-fn apply_linked_op<V: Semiring>(
-    store: &mut [Option<V>],
-    op: &LinkedOp,
-    schedule: &LinkedSchedule,
-    step: usize,
-) -> Result<(), ModelError> {
-    let read = |store: &[Option<V>], node: u32, slot: u32| -> Result<V, ModelError> {
-        store[slot as usize]
-            .clone()
-            .ok_or_else(|| schedule.missing(node, slot, step))
-    };
-    match *op {
-        LinkedOp::Mul {
-            node,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            let a = read(store, node, lhs)?;
-            let b = read(store, node, rhs)?;
-            store[dst as usize] = Some(a.mul(&b));
-        }
-        LinkedOp::AddAssign { node, dst, src } => {
-            let s = read(store, node, src)?;
-            let cell = &mut store[dst as usize];
-            let cur = cell.take().unwrap_or_else(V::zero);
-            *cell = Some(cur.add(&s));
-        }
-        LinkedOp::MulAdd {
-            node,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            let a = read(store, node, lhs)?;
-            let b = read(store, node, rhs)?;
-            let cell = &mut store[dst as usize];
-            let cur = cell.take().unwrap_or_else(V::zero);
-            *cell = Some(cur.add(&a.mul(&b)));
-        }
-        LinkedOp::SubAssign { node, dst, src } => {
-            let s = read(store, node, src)?;
-            let negated = s.try_neg().ok_or(ModelError::UnsupportedOp {
-                node: NodeId(node),
-                step,
-                what: "additive inverses (a ring)",
-            })?;
-            let cell = &mut store[dst as usize];
-            let cur = cell.take().unwrap_or_else(V::zero);
-            *cell = Some(cur.add(&negated));
-        }
-        LinkedOp::BlockMulAdd { block, .. } => {
-            let spec = &schedule.blocks[block as usize];
-            let dim = spec.dim as usize;
-            let fetch = |slots: &[u32]| -> Vec<V> {
-                slots
-                    .iter()
-                    .map(|&s| store[s as usize].clone().unwrap_or_else(V::zero))
-                    .collect()
-            };
-            let a = fetch(&spec.a);
-            let b = fetch(&spec.b);
-            let mut out = vec![V::zero(); dim * dim];
-            for r in 0..dim {
-                for q in 0..dim {
-                    let av = &a[r * dim + q];
-                    if av.is_zero() {
-                        continue;
-                    }
-                    for c in 0..dim {
-                        let bv = &b[q * dim + c];
-                        if bv.is_zero() {
-                            continue;
-                        }
-                        let cell = &mut out[r * dim + c];
-                        *cell = cell.add(&av.mul(bv));
-                    }
-                }
-            }
-            // Every output slot materializes (zeros included), matching the
-            // reference kernel's structural-materialization guarantee.
-            for (&slot, v) in spec.c.iter().zip(out) {
-                let cell = &mut store[slot as usize];
-                let cur = cell.take().unwrap_or_else(V::zero);
-                *cell = Some(cur.add(&v));
-            }
-        }
-        LinkedOp::Copy { node, dst, src } => {
-            let s = read(store, node, src)?;
-            store[dst as usize] = Some(s);
-        }
-        LinkedOp::Zero { dst, .. } => {
-            store[dst as usize] = Some(V::zero());
-        }
-        LinkedOp::Free { slot, .. } => {
-            store[slot as usize] = None;
-        }
-    }
-    Ok(())
-}
-
-/// Struct-of-arrays batched executor for a [`LinkedSchedule`]: every slot
-/// stores a *lane plane* of `LANES` independent values
-/// ([`PackedSemiring::Plane`]), so one interpretation of the schedule —
-/// one pass over the linked steps, one decode per transfer and op —
-/// advances `LANES` batch members at once. Schedule-decode cost amortizes
-/// to `1/LANES` per member and the semiring ops become straight-line
-/// plane loops (bit-sliced `u64` ops for two-element algebras: 64 members
-/// per word).
+/// [`crate::Machine`]. Values loaded under keys the schedule never
+/// mentions land in a per-node side map (they can't affect execution, but
+/// snapshots must report them for bit-identical stores). One pass over the
+/// linked steps — one decode per transfer and op, no hashing and no
+/// constraint check per event — advances every lane, so schedule-decode
+/// cost amortizes to `1/LANES` per member and the semiring ops become
+/// straight-line plane loops (bit-sliced `u64` ops for two-element
+/// algebras: up to 64 members per word).
 ///
-/// The machine executes the *same* [`LinkedSchedule`] as
-/// [`LinkedMachine`], unmodified — `BlockMulAdd` side-tables included —
-/// and every lane's store evolution is bit-identical to a scalar run of
-/// that lane's values (the packed ≡ sequential suite in `tests/batch.rs`
-/// asserts this across semirings). Presence is plane-level: a slot is
-/// occupied iff *any* lane loaded it, and unloaded lanes of an occupied
-/// plane read as [`Semiring::zero`]. The batch runners always load every
-/// lane with value-sets over the same supports, so plane presence
-/// coincides with each member's scalar presence; tail lanes of a ragged
-/// batch (`K % LANES ≠ 0`) stay zero-padded and are simply not reported.
+/// Every lane's store evolution is bit-identical to a [`crate::Machine`]
+/// run of that lane's values on the source schedule (the packed ≡
+/// sequential suite in `tests/batch.rs` asserts this across semirings).
+/// Presence is plane-level: a slot is occupied iff *any* lane loaded it,
+/// and unloaded lanes of an occupied plane read as
+/// [`Semiring::zero`](crate::Semiring::zero). The batch runners always
+/// load every lane with value sets over the same supports, so plane
+/// presence coincides with each member's own presence; tail lanes of a
+/// ragged batch (`K % LANES ≠ 0`) stay zero-padded and are simply not
+/// reported.
 ///
-/// The machine has one job, fault-free lane batches: it takes no fault
-/// hook, keeps no round checksums and has no checkpoints. Supervised and
-/// fault-injected runs execute on [`LinkedMachine`].
+/// At one lane this is [`LinkedMachine`], the executor of single value
+/// sets, and only there does it have the key-addressed single-value
+/// surface ([`PackedLinkedMachine::load`], [`PackedLinkedMachine::get`],
+/// [`PackedLinkedMachine::snapshot`]) and the fault path: a fault hook and
+/// round checksums ([`PackedLinkedMachine::run_guarded`]) and checkpoints
+/// ([`PackedLinkedMachine::checkpoint`], [`PackedLinkedMachine::restore`]).
+/// Wider machines serve fault-free lane batches.
 #[derive(Clone, Debug)]
 pub struct PackedLinkedMachine<'s, V: PackedSemiring<LANES>, const LANES: usize> {
     schedule: &'s LinkedSchedule,
@@ -1140,9 +714,15 @@ pub struct PackedLinkedMachine<'s, V: PackedSemiring<LANES>, const LANES: usize>
     extra: Vec<HashMap<Key, V::Plane>>,
 }
 
+/// The executor of one value set: the one-lane [`PackedLinkedMachine`].
+/// Supervised requests, fault-injected runs and sequential batch members
+/// run here; it is the only executor besides the hash-map oracle with a
+/// fault hook and checkpoints.
+pub type LinkedMachine<'s, V> = PackedLinkedMachine<'s, V, 1>;
+
 impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V, LANES> {
-    /// Create an empty packed machine sized for `schedule`; all planes
-    /// start absent. `LANES` must be `1..=64` (a zero mask is one `u64`).
+    /// Create an empty machine sized for `schedule`; all planes start
+    /// absent. `LANES` must be `1..=64` (a zero mask is one `u64`).
     pub fn new(schedule: &'s LinkedSchedule) -> PackedLinkedMachine<'s, V, LANES> {
         const {
             assert!(
@@ -1233,8 +813,8 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
     }
 
     /// One lane's full key–value store at `node` as a hash map — directly
-    /// comparable against [`LinkedMachine::snapshot`] of a scalar run of
-    /// that lane's values.
+    /// comparable against [`crate::Machine::snapshot`] of a run of that
+    /// lane's values.
     pub fn snapshot_lane(&self, node: NodeId, lane: usize) -> HashMap<Key, V> {
         let i = node.index();
         let mut map: HashMap<Key, V> = self.extra[i]
@@ -1249,11 +829,17 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
         map
     }
 
-    /// Empty every plane and side map in place, keeping every allocation —
-    /// the packed analogue of [`LinkedMachine::reset_values`], and the
-    /// same compile-once/execute-many primitive: a serving loop streams
-    /// lane groups through one machine by alternating `reset_values` →
-    /// load → run.
+    /// Empty every plane and side map **in place**, returning the machine
+    /// to its freshly-constructed state while keeping every allocation —
+    /// the per-node slot vectors and side-map tables are cleared, not
+    /// dropped.
+    ///
+    /// This is the compile-once/execute-many primitive: a serving loop
+    /// streams value sets (or lane groups) through one machine by
+    /// alternating `reset_values` → load → run, paying the
+    /// structure-dependent allocation cost once per [`LinkedSchedule`]
+    /// instead of once per run (see `Instance::reload_linked` in
+    /// `lowband-core`).
     pub fn reset_values(&mut self) {
         debug_assert!(
             self.slots.len() == self.schedule.n
@@ -1262,7 +848,7 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
                     .iter()
                     .zip(&self.schedule.node_keys)
                     .all(|(slots, keys)| slots.len() == keys.len()),
-            "plane stores diverged from the linked schedule's interned layout \
+            "slot stores diverged from the linked schedule's interned layout \
              (stale machine reused against a different compiled plan?)"
         );
         for slots in &mut self.slots {
@@ -1274,30 +860,88 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
     }
 
     /// Execute the linked schedule once, advancing all `LANES` lanes.
-    /// Each lane's store mutations are bit-identical to a scalar
-    /// [`LinkedMachine::run`] over that lane's values.
+    /// Each lane's store mutations are bit-identical to
+    /// [`crate::Machine::run`] on the source schedule over that lane's
+    /// values.
     pub fn run(&mut self) -> Result<ExecutionStats, ModelError> {
         self.run_traced(&mut NoopTracer)
     }
 
-    /// [`PackedLinkedMachine::run`] with an instrumentation sink: the
-    /// same per-round [`RoundEvent`] stream, `run.local_ops` counters and
-    /// per-node send/receive loads as the scalar executor — one event per
-    /// *physical* round, not per lane.
+    /// [`PackedLinkedMachine::run`] with an instrumentation sink: one
+    /// [`RoundEvent`] per *physical* round (not per lane), a
+    /// `run.local_ops` counter per compute step, and per-node send/receive
+    /// loads at the end. All payload gathering is guarded by `T::ENABLED`
+    /// (a constant), so with [`NoopTracer`] this compiles to exactly
+    /// [`PackedLinkedMachine::run`] — the hash-free hot path stays
+    /// hash-free and branch-free.
     pub fn run_traced<T: Tracer>(&mut self, tracer: &mut T) -> Result<ExecutionStats, ModelError> {
         let start = Instant::now();
-        let schedule = self.schedule;
         let mut stats = ExecutionStats::default();
+        self.run_window(tracer, &mut NoopFaults, RunWindow::full(), &mut stats)?;
+        stats.elapsed = start.elapsed();
+        Ok(stats)
+    }
+
+    /// The round loop. Every `F::ENABLED` branch folds away under
+    /// [`NoopFaults`], the only hook a machine wider than one lane is
+    /// given; at one lane a real hook's crash wipes the victim's planes
+    /// and side map, a drop skips the plane, a corruption replaces lane 0,
+    /// and each payload's checksum term sums `mix64` of every lane's
+    /// digest.
+    fn run_window<T: Tracer, F: FaultHook>(
+        &mut self,
+        tracer: &mut T,
+        faults: &mut F,
+        window: RunWindow,
+        stats: &mut ExecutionStats,
+    ) -> Result<Option<usize>, ModelError> {
+        let schedule = self.schedule;
+        let checksum = |plane: &V::Plane| {
+            (0..LANES).fold(0u64, |sum, lane| {
+                sum.wrapping_add(mix64(V::extract(plane, lane).digest()))
+            })
+        };
         let mut inbox: Vec<V::Plane> = Vec::new();
+        // Surviving transfer indices for the write phase of fault runs
+        // (drops leave holes, so `ts.iter().zip(inbox)` would misalign).
+        let mut keep: Vec<usize> = Vec::new();
         let (mut node_sends, mut node_recvs) = if T::ENABLED {
             (vec![0u64; schedule.n], vec![0u64; schedule.n])
         } else {
             (Vec::new(), Vec::new())
         };
         let mut ops_since_round = 0u64;
-        for lstep in &schedule.steps {
+        let mut window_rounds = 0usize;
+        let first = window.start_step.min(schedule.steps.len());
+        for lstep in &schedule.steps[first..] {
             match lstep {
                 LinkedStep::Comm { transfers, step } => {
+                    // The window budget binds on every run, fault hook or
+                    // not (see `crate::Machine::run_window`).
+                    if window_rounds == window.max_rounds {
+                        if T::ENABLED {
+                            tracer.node_loads(&node_sends, &node_recvs);
+                        }
+                        return Ok(Some(*step));
+                    }
+                    window_rounds += 1;
+                    if F::ENABLED {
+                        if let Some(victim) = faults.crash(stats.rounds) {
+                            if (victim as usize) < schedule.n {
+                                if T::ENABLED {
+                                    tracer.fault("fault.injected.crash", stats.rounds as u64);
+                                }
+                                self.slots[victim as usize]
+                                    .iter_mut()
+                                    .for_each(|cell| *cell = None);
+                                self.extra[victim as usize].clear();
+                                return Err(ModelError::NodeCrashed {
+                                    node: NodeId(victim),
+                                    round: stats.rounds,
+                                });
+                            }
+                        }
+                    }
                     let round_start = if T::ENABLED {
                         Some(Instant::now())
                     } else {
@@ -1309,19 +953,63 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
                     // for every lane.
                     inbox.clear();
                     inbox.reserve(ts.len());
-                    for t in ts {
-                        let plane = self.slots[t.src as usize][t.src_slot as usize]
+                    let (mut sent_sum, mut recv_sum) = (0u64, 0u64);
+                    if F::ENABLED {
+                        keep.clear();
+                    }
+                    for (i, t) in ts.iter().enumerate() {
+                        let mut plane = self.slots[t.src as usize][t.src_slot as usize]
                             .clone()
                             .ok_or_else(|| schedule.missing(t.src, t.src_slot, *step))?;
+                        if F::ENABLED {
+                            sent_sum = sent_sum.wrapping_add(checksum(&plane));
+                            match faults.tamper(stats.rounds, t.src) {
+                                Tamper::None => {}
+                                Tamper::Drop => {
+                                    if T::ENABLED {
+                                        tracer.fault("fault.injected.drop", stats.rounds as u64);
+                                    }
+                                    continue;
+                                }
+                                Tamper::Corrupt => {
+                                    if T::ENABLED {
+                                        tracer.fault("fault.injected.corrupt", stats.rounds as u64);
+                                    }
+                                    let corrupted = V::extract(&plane, 0).corrupted();
+                                    V::insert(&mut plane, 0, corrupted);
+                                }
+                            }
+                            recv_sum = recv_sum.wrapping_add(checksum(&plane));
+                            keep.push(i);
+                        }
                         inbox.push(plane);
                     }
                     // Write phase: deliver.
-                    for (t, payload) in ts.iter().zip(inbox.drain(..)) {
-                        deliver_packed::<V, LANES>(
-                            &mut self.slots[t.dst as usize][t.dst_slot as usize],
-                            t.merge,
-                            payload,
-                        );
+                    if F::ENABLED {
+                        for (&i, payload) in keep.iter().zip(inbox.drain(..)) {
+                            let t = &ts[i];
+                            deliver::<V, LANES>(
+                                &mut self.slots[t.dst as usize][t.dst_slot as usize],
+                                t.merge,
+                                payload,
+                            );
+                        }
+                        if sent_sum != recv_sum {
+                            if T::ENABLED {
+                                tracer.fault("fault.detected", stats.rounds as u64);
+                            }
+                            return Err(ModelError::Corruption {
+                                round: stats.rounds,
+                            });
+                        }
+                    } else {
+                        for (t, payload) in ts.iter().zip(inbox.drain(..)) {
+                            deliver::<V, LANES>(
+                                &mut self.slots[t.dst as usize][t.dst_slot as usize],
+                                t.merge,
+                                payload,
+                            );
+                        }
                     }
                     stats.record_round(ts.len());
                     if T::ENABLED {
@@ -1341,7 +1029,7 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
                 LinkedStep::Compute { ops, step } => {
                     for op in &schedule.ops[ops.clone()] {
                         let store = &mut self.slots[op.node() as usize];
-                        apply_packed_op::<V, LANES>(store, op, schedule, *step)?;
+                        apply_op::<V, LANES>(store, op, schedule, *step)?;
                         stats.local_ops += 1;
                     }
                     tracer.counter("run.local_ops", ops.len() as u64);
@@ -1354,13 +1042,91 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
         if T::ENABLED {
             tracer.node_loads(&node_sends, &node_recvs);
         }
-        stats.elapsed = start.elapsed();
-        Ok(stats)
+        Ok(None)
+    }
+}
+
+/// The single-value surface and the fault path exist at one lane only:
+/// supervised and fault-injected runs execute one value set at a time.
+impl<'s, V: PackedSemiring<1>> PackedLinkedMachine<'s, V, 1> {
+    /// Place `value` under `key` at `node` (input loading).
+    pub fn load(&mut self, node: NodeId, key: Key, value: V) {
+        self.load_lane(node, key, 0, value);
+    }
+
+    /// Read the value under `key` at `node`, if present.
+    pub fn get(&self, node: NodeId, key: Key) -> Option<V> {
+        self.get_lane(node, key, 0)
+    }
+
+    /// Read the value under `key` at `node`, or semiring zero if absent.
+    pub fn get_or_zero(&self, node: NodeId, key: Key) -> V {
+        self.get_or_zero_lane(node, key, 0)
+    }
+
+    /// The full key–value store at `node` as a hash map — directly
+    /// comparable against [`crate::Machine::snapshot`].
+    pub fn snapshot(&self, node: NodeId) -> HashMap<Key, V> {
+        self.snapshot_lane(node, 0)
+    }
+
+    /// Fault-guarded, windowed variant of [`PackedLinkedMachine::run_traced`];
+    /// same contract as [`crate::Machine::run_guarded`]. Because linking
+    /// produces exactly one step per source step, `window.start_step` and
+    /// the returned resume cursor are **source**-schedule step indices —
+    /// checkpoints are interchangeable with the reference executor.
+    pub fn run_guarded<T: Tracer, F: FaultHook>(
+        &mut self,
+        tracer: &mut T,
+        faults: &mut F,
+        window: RunWindow,
+        stats: &mut ExecutionStats,
+    ) -> Result<Option<usize>, ModelError> {
+        let start = Instant::now();
+        let result = self.run_window(tracer, faults, window, stats);
+        stats.elapsed += start.elapsed();
+        result
+    }
+
+    /// Snapshot machine state into an executor-independent [`Checkpoint`]
+    /// (stores in canonical hash-map form, so it restores onto any backend).
+    pub fn checkpoint(&self, next_step: usize, stats: ExecutionStats) -> Checkpoint<V> {
+        let stores = (0..self.n())
+            .map(|i| self.snapshot(NodeId(i as u32)))
+            .collect();
+        Checkpoint::new(next_step, stats, stores)
+    }
+
+    /// Restore every store from a [`Checkpoint`] taken on any executor
+    /// backend of the same network size. Keys the linked schedule never
+    /// mentions land back in the side map, exactly as
+    /// [`PackedLinkedMachine::load`] places them.
+    pub fn restore(&mut self, ckpt: &Checkpoint<V>) -> Result<(), ModelError> {
+        if ckpt.n() != self.n() {
+            return Err(ModelError::SizeMismatch {
+                expected: ckpt.n(),
+                actual: self.n(),
+            });
+        }
+        self.reset();
+        for (i, saved) in ckpt.stores().iter().enumerate() {
+            for (key, value) in saved {
+                self.load(NodeId(i as u32), *key, value.clone());
+            }
+        }
+        Ok(())
+    }
+
+    /// Alias of [`PackedLinkedMachine::reset_values`], kept so the
+    /// checkpoint/restore surface (`checkpoint`/`restore`/`reset`) stays
+    /// interchangeable with [`crate::Machine`]'s.
+    pub fn reset(&mut self) {
+        self.reset_values();
     }
 }
 
 #[inline]
-fn deliver_packed<V: PackedSemiring<LANES>, const LANES: usize>(
+fn deliver<V: PackedSemiring<LANES>, const LANES: usize>(
     cell: &mut Option<V::Plane>,
     merge: Merge,
     payload: V::Plane,
@@ -1374,7 +1140,7 @@ fn deliver_packed<V: PackedSemiring<LANES>, const LANES: usize>(
     }
 }
 
-fn apply_packed_op<V: PackedSemiring<LANES>, const LANES: usize>(
+fn apply_op<V: PackedSemiring<LANES>, const LANES: usize>(
     store: &mut [Option<V::Plane>],
     op: &LinkedOp,
     schedule: &LinkedSchedule,
@@ -1685,7 +1451,7 @@ mod tests {
         reference.run(&s).unwrap();
         linked.run().unwrap();
         assert_eq!(reference.snapshot(NodeId(0)), linked.snapshot(NodeId(0)));
-        assert_eq!(linked.get(NodeId(0), Key::tmp(12, 0)), Some(&Nat(20)));
+        assert_eq!(linked.get(NodeId(0), Key::tmp(12, 0)), Some(Nat(20)));
     }
 
     #[test]

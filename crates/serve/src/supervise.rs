@@ -294,12 +294,14 @@ impl Supervisor {
         self.requests
     }
 
-    /// Supervise one seeded request end to end. Never panics and never
-    /// aborts: the return's `result` is either a verified report (with
-    /// the landing [`Rung`] recorded) or a typed [`ServeError`]. When
-    /// `out` is given, a successful request writes the extracted product
-    /// into it — bit-identical to a fault-free run of the same seed on
-    /// any rung, including [`Rung::Reference`].
+    /// Supervise one seeded request end to end. Supervised failures never
+    /// abort it: the return's `result` is either a verified report (with
+    /// the landing [`Rung`] recorded) or a typed [`ServeError`]. A panic
+    /// inside the value type's own ops is not caught here and unwinds to
+    /// the caller (the daemon contains it per request). When `out` is
+    /// given, a successful request writes the extracted product into it —
+    /// bit-identical to a fault-free run of the same seed on any rung,
+    /// including [`Rung::Reference`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_supervised_traced<S: Semiring + SampleElement, T: Tracer>(
         &mut self,

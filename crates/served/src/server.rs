@@ -18,7 +18,8 @@
 //! [`Supervisor`] (one `Mutex<Supervisor>` across all workers, so the
 //! schedule cache, circuit breakers and quarantine strikes are
 //! daemon-global); decode, validation and response encoding happen
-//! outside the lock.
+//! outside the lock. A run that panics answers [`Response::Failed`]
+//! without poisoning the lock: the panic is caught while it is held.
 //!
 //! ## Shutdown
 //!
@@ -42,6 +43,7 @@ use lowband_serve::{ServeError, Supervisor, SupervisorConfig};
 use lowband_trace::{FlightRecorder, Json, MetricsRegistry};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -186,6 +188,9 @@ impl WorkerQueue {
 /// State shared by the accept thread and every worker.
 struct Shared {
     supervisor: Mutex<Supervisor>,
+    /// The supervisor's tuning, kept to build a fresh one after a request
+    /// panics mid-run.
+    config: SupervisorConfig,
     metrics: Mutex<MetricsRegistry>,
     counters: Counters,
     shutdown: AtomicBool,
@@ -194,6 +199,18 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(config: &ServerConfig, queues: Vec<WorkerQueue>) -> Shared {
+        Shared {
+            supervisor: Mutex::new(Supervisor::new(config.supervisor.clone())),
+            config: config.supervisor.clone(),
+            metrics: Mutex::new(MetricsRegistry::default()),
+            counters: Counters::default(),
+            shutdown: AtomicBool::new(false),
+            max_n: config.max_n,
+            queues,
+        }
+    }
+
     /// The stats / shutdown snapshot: request counters plus the shared
     /// cache's accounting.
     fn snapshot(&self) -> Json {
@@ -269,14 +286,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .map(|w| WorkerQueue::new(bounds[w + 1] - bounds[w]))
         .collect();
 
-    let shared = Arc::new(Shared {
-        supervisor: Mutex::new(Supervisor::new(config.supervisor.clone())),
-        metrics: Mutex::new(MetricsRegistry::default()),
-        counters: Counters::default(),
-        shutdown: AtomicBool::new(false),
-        max_n: config.max_n,
-        queues,
-    });
+    let shared = Arc::new(Shared::new(&config, queues));
 
     let worker_handles: Vec<_> = (0..workers)
         .map(|w| {
@@ -482,8 +492,8 @@ fn execute(shared: &Shared, req: &ExecuteRequest) -> Response {
 
 /// Request validation, pre-supervisor. Returns the refusal detail, or
 /// `None` when the request is admissible. An empty network and a NaN
-/// fast-field exponent would panic the compiler while the worker holds
-/// the supervisor lock, poisoning it for every other worker, so both are
+/// fast-field exponent would panic the compiler, which `execute_typed`
+/// contains only by discarding the supervisor's plan cache, so both are
 /// refused here; ω is held to `[2, 3]`, where a matrix-multiplication
 /// exponent lives.
 fn validate(shared: &Shared, req: &ExecuteRequest) -> Option<String> {
@@ -519,15 +529,35 @@ fn execute_typed<S: Semiring + SampleElement>(shared: &Shared, req: &ExecuteRequ
     let outcome = {
         let mut supervisor = shared.supervisor.lock().unwrap();
         let mut metrics = shared.metrics.lock().unwrap();
-        supervisor.run_supervised_traced::<S, _>(
-            &inst,
-            req.algorithm,
-            req.seed,
-            req.compress,
-            &spec,
-            Some(&mut out),
-            &mut *metrics,
-        )
+        // A panic must not unwind through the guards, which would poison
+        // both mutexes for every worker. It fails this request alone; the
+        // supervisor may have been mid-update, so a fresh one replaces it
+        // (a cold plan cache — the disk tier reopens from the same root).
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            supervisor.run_supervised_traced::<S, _>(
+                &inst,
+                req.algorithm,
+                req.seed,
+                req.compress,
+                &spec,
+                Some(&mut out),
+                &mut *metrics,
+            )
+        }));
+        match run {
+            Ok(outcome) => outcome,
+            Err(payload) => {
+                *supervisor = Supervisor::new(shared.config.clone());
+                let reason = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                return Response::Failed {
+                    detail: format!("request panicked: {reason}"),
+                };
+            }
+        }
     };
     let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     match outcome.result {
@@ -543,5 +573,70 @@ fn execute_typed<S: Semiring + SampleElement>(shared: &Shared, req: &ExecuteRequ
         Err(e) => Response::Failed {
             detail: e.to_string(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::digest::expected_digest;
+    use lowband_matrix::gen;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A value type whose every multiply panics.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Boom(u64);
+
+    impl Semiring for Boom {
+        fn zero() -> Boom {
+            Boom(0)
+        }
+        fn one() -> Boom {
+            Boom(1)
+        }
+        fn add(&self, rhs: &Boom) -> Boom {
+            Boom(self.0.wrapping_add(rhs.0))
+        }
+        fn mul(&self, _: &Boom) -> Boom {
+            panic!("poisoned multiply")
+        }
+    }
+
+    impl SampleElement for Boom {
+        fn sample_nonzero<R: Rng + ?Sized>(rng: &mut R) -> Boom {
+            Boom(rng.gen::<u64>() | 1)
+        }
+    }
+
+    lowband_model::impl_packed_semiring_array!(Boom);
+
+    /// A request that panics inside the supervised run answers `Failed`,
+    /// leaves neither mutex poisoned, and the next request on the same
+    /// daemon state is served by a fresh supervisor.
+    #[test]
+    fn a_panicking_run_fails_one_request_and_poisons_nothing() {
+        let shared = Shared::new(&ServerConfig::default(), Vec::new());
+        let mut rng = StdRng::seed_from_u64(0xB00);
+        let s = gen::uniform_sparse(16, 3, &mut rng);
+        let inst = lowband_core::Instance::new(s.clone(), s.clone(), s);
+        let req = ExecuteRequest::clean(&inst, Algorithm::BoundedTriangles, false, 7);
+
+        match execute_typed::<Boom>(&shared, &req) {
+            Response::Failed { detail } => assert!(detail.contains("poisoned multiply")),
+            other => panic!("a panicking run must answer Failed, got {other:?}"),
+        }
+        assert!(!shared.supervisor.is_poisoned() && !shared.metrics.is_poisoned());
+
+        match execute_typed::<Fp>(&shared, &req) {
+            Response::Ok { digest, .. } => assert_eq!(digest, expected_digest::<Fp>(&inst, 7)),
+            other => panic!("the next request must be served, got {other:?}"),
+        }
+        assert!(!shared.supervisor.is_poisoned() && !shared.metrics.is_poisoned());
+        assert_eq!(
+            shared.supervisor.lock().unwrap().requests(),
+            1,
+            "a fresh supervisor"
+        );
     }
 }

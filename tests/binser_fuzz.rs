@@ -451,7 +451,7 @@ fn generated_schedules_roundtrip_bit_identically() {
 
 /// Run a linked schedule under semiring `S` from the generator's loads and
 /// return per-node snapshots plus stats.
-fn execute<S: lowband::model::Semiring>(
+fn execute<S: lowband::model::PackedSemiring<1>>(
     linked: &lowband::model::LinkedSchedule,
     loads: &[(u32, lowband::model::Key, u64)],
     lift: impl Fn(u64) -> S,
@@ -472,7 +472,7 @@ fn execute<S: lowband::model::Semiring>(
 }
 
 /// Compare pristine vs decoded execution under one semiring.
-fn assert_same_execution<S: lowband::model::Semiring + PartialEq + std::fmt::Debug>(
+fn assert_same_execution<S: lowband::model::PackedSemiring<1> + PartialEq + std::fmt::Debug>(
     seed: u64,
     semiring: &str,
     pristine: &lowband::model::LinkedSchedule,

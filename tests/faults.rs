@@ -300,7 +300,7 @@ fn linked_checkpoint_preserves_extra_keys() {
     l.reset();
     assert!(l.get(NodeId(1), Key::tmp(77, 77)).is_none());
     l.restore(&ckpt).unwrap();
-    assert_eq!(l.get(NodeId(1), Key::tmp(77, 77)), Some(&Nat(123)));
+    assert_eq!(l.get(NodeId(1), Key::tmp(77, 77)), Some(Nat(123)));
 }
 
 /// [`run_resilient`] drives a faulted full-pipeline run to the verified

@@ -190,7 +190,10 @@ impl SampleElement for Boom {
     }
 }
 
-/// Scalar batches only: `Boom` has no packed monomorphization.
+// A sampled value set runs on the one-lane slot machine.
+lowband::model::impl_packed_semiring_array!(Boom);
+
+/// Scalar batches only: no lane width is on `Boom`'s batch menu.
 impl BatchElement for Boom {
     const LANE_WIDTHS: &'static [usize] = &[];
     const DEFAULT_LANES: usize = 1;
