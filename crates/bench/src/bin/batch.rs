@@ -18,8 +18,9 @@
 //!
 //! The headline number is amortized wall-clock per run vs `K`: the warm
 //! path must flatten to the pure execution cost while the cold path stays
-//! constant. A second table fans the same `K = 64` batch across worker
-//! threads. With `--json`, additionally writes `results/batch.json`.
+//! constant. A second table runs the same `K = 64` batch through packed
+//! lane planes, a third times the plan-store tiers at n = 1024. With
+//! `--json`, additionally writes `results/batch.json`.
 
 use std::time::Instant;
 
@@ -141,7 +142,6 @@ fn main() {
         "warm amortized cost must be <= 0.5x cold at K = {kmax}, got {ratio_at_kmax:.3}"
     );
 
-    parallel_fanout(&mut artifact, &inst, algorithm, iters);
     packed_lanes(&mut artifact, &inst, algorithm, iters);
     plan_store_triple(&mut artifact);
 
@@ -288,52 +288,12 @@ fn plan_store_triple(artifact: &mut JsonReport) {
     );
 }
 
-/// The same K = 64 batch fanned across worker threads — each worker owns a
-/// machine and streams its contiguous share of the seeds.
-fn parallel_fanout(artifact: &mut JsonReport, inst: &Instance, algorithm: Algorithm, iters: usize) {
-    println!("\n# batch — K = 64 fanned across worker threads\n");
-    let seeds = seeds_for(64);
-    let mut cache = ScheduleCache::new(4);
-    let t = TablePrinter::new(&["threads", "ns/run", "vs 1 thread"], &[8, 14, 11]);
-    let mut base = f64::NAN;
-    for threads in [1usize, 2, 4] {
-        let mode = if threads == 1 {
-            BatchMode::Sequential
-        } else {
-            BatchMode::Parallel { threads }
-        };
-        let (ns, reports) = median_ns(iters, || {
-            run_batch::<Fp>(&mut cache, inst, algorithm, &seeds, false, mode)
-                .expect("parallel batch")
-        });
-        assert!(reports.iter().all(|r| r.correct));
-        let per_run = ns / seeds.len() as f64;
-        if threads == 1 {
-            base = per_run;
-        }
-        artifact.section(
-            "parallel",
-            Json::Arr(vec![Json::obj()
-                .set("semiring", "Fp")
-                .set("lanes", 1u64)
-                .set("threads", threads as u64)
-                .set("ns_per_run", per_run)
-                .set("speedup", base / per_run)]),
-        );
-        t.row(&[
-            threads.to_string(),
-            format!("{per_run:.0}"),
-            format!("{:.2}×", base / per_run),
-        ]);
-    }
-}
-
 /// The same K = 64 batch through struct-of-arrays lane planes: one
 /// interpretation of the cached schedule advances all lanes at once, so
 /// per-member decode cost falls by `1/LANES`. Per-member ns is printed
-/// side by side with the sequential and thread-fanned paths for the same
-/// semiring; the `Fp` packed/sequential ratio is the asserted gate, the
-/// bit-sliced `Gf2` ratio (64 members per `u64`) is reported alongside.
+/// side by side with the sequential path for the same semiring; the `Fp`
+/// packed/sequential ratio is the asserted gate, the bit-sliced `Gf2`
+/// ratio (64 members per `u64`) is reported alongside.
 fn packed_lanes(artifact: &mut JsonReport, inst: &Instance, algorithm: Algorithm, iters: usize) {
     println!("\n# batch — K = 64 through packed lane planes (warm cache)\n");
     let seeds = seeds_for(64);
@@ -345,11 +305,11 @@ fn packed_lanes(artifact: &mut JsonReport, inst: &Instance, algorithm: Algorithm
     let mut gate_ratio = f64::NAN;
     let mut gate_lanes = 0usize;
     for semiring in ["Fp", "Gf2"] {
-        // Measure the three warm modes for one value type; returns
+        // Measure the two warm modes for one value type; returns
         // (mode label, lanes, ns/member) rows in print order.
         let rows: Vec<(&str, usize, f64)> = match semiring {
-            "Fp" => measure_modes::<Fp>(inst, algorithm, &seeds, iters, true),
-            _ => measure_modes::<Gf2>(inst, algorithm, &seeds, iters, false),
+            "Fp" => measure_modes::<Fp>(inst, algorithm, &seeds, iters),
+            _ => measure_modes::<Gf2>(inst, algorithm, &seeds, iters),
         };
         let seq_ns = rows[0].2;
         for &(mode, lanes, ns) in &rows {
@@ -390,14 +350,13 @@ fn packed_lanes(artifact: &mut JsonReport, inst: &Instance, algorithm: Algorithm
     );
 }
 
-/// Warm per-member ns for sequential / parallel(4) / packed over one value
-/// type, in that row order (sequential first so callers can normalize).
+/// Warm per-member ns for sequential / packed over one value type, in
+/// that row order (sequential first so callers can normalize).
 fn measure_modes<S: BatchElement>(
     inst: &Instance,
     algorithm: Algorithm,
     seeds: &[u64],
     iters: usize,
-    with_parallel: bool,
 ) -> Vec<(&'static str, usize, f64)> {
     let mut cache = ScheduleCache::new(4);
     run_batch::<S>(
@@ -419,12 +378,10 @@ fn measure_modes<S: BatchElement>(
         .filter(|&w| w <= 16)
         .max()
         .unwrap_or(*S::LANE_WIDTHS.last().expect("non-empty width menu"));
-    let mut modes: Vec<(&'static str, usize, BatchMode)> =
-        vec![("sequential", 1, BatchMode::Sequential)];
-    if with_parallel {
-        modes.push(("parallel(4)", 1, BatchMode::Parallel { threads: 4 }));
-    }
-    modes.push(("packed", lanes, BatchMode::Packed { lanes }));
+    let modes = [
+        ("sequential", 1, BatchMode::Sequential),
+        ("packed", lanes, BatchMode::Packed { lanes }),
+    ];
 
     // Interleave the modes round-robin so a noisy stretch of wall-clock
     // (this box is shared) inflates every mode's samples equally instead

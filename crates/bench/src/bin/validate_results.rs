@@ -28,10 +28,7 @@ const KNOWN: &[(&str, &[&str])] = &[
         "recovery",
         &["checkpoint_overhead", "recovery_cost", "fault_kinds"],
     ),
-    (
-        "batch",
-        &["amortized", "cache", "parallel", "packed", "plan_store"],
-    ),
+    ("batch", &["amortized", "cache", "packed", "plan_store"]),
     ("baseline", &["probes", "meta"]),
     (
         "chaos",

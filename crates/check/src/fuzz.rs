@@ -28,8 +28,9 @@ pub struct FuzzFailure {
     pub seed: u64,
     /// Which stage failed and how.
     pub detail: String,
-    /// The minimized failing schedule, serialized in the `lowband-schedule
-    /// v1` text format (directly replayable through `read_schedule`).
+    /// The minimized failing schedule as a `lowband-schedule v1` text dump
+    /// ([`lowband_model::write_schedule`]); the failure itself is
+    /// reproducible from its seed.
     pub minimized: String,
     /// The minimized loads as `(node, key-raw, value)` triples.
     pub minimized_loads: Vec<(u32, u128, u64)>,
@@ -62,7 +63,7 @@ impl FuzzReport {
 fn serialize(schedule: &Schedule) -> String {
     let mut buf = Vec::new();
     lowband_model::write_schedule(schedule, &mut buf).expect("in-memory write");
-    String::from_utf8(buf).expect("v1 format is ASCII")
+    String::from_utf8(buf).expect("the dump is ASCII")
 }
 
 fn minimized_failure(

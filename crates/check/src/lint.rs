@@ -973,7 +973,7 @@ mod tests {
 
     #[test]
     fn over_capacity_round_flagged() {
-        // Every public constructor (builder, serial reader) enforces
+        // Every public constructor (builder, binser de-link) enforces
         // capacity, so exercise the round checker directly with a raw
         // transfer list: node 0 sends twice, node 1 receives twice, both
         // over capacity 1.

@@ -11,7 +11,6 @@ use lowband_matrix::{
     reference_multiply, reference_multiply_into, Bool, Fp, Gf2, MinPlus, SparseMatrix, Wrap64,
 };
 use lowband_model::faults::{Fault, FaultKind};
-use lowband_model::parallel::shard_bounds;
 use lowband_model::{
     Checkpoint, ExecutionStats, FaultPlan, FaultSpec, LinkedMachine, LinkedSchedule, ModelError,
     NoopFaults, NoopTracer, PackedLinkedMachine, PackedSemiring, RunWindow, Schedule, Semiring,
@@ -259,18 +258,6 @@ pub enum BatchMode {
     /// order via [`LinkedMachine::reset_values`] — zero allocation churn
     /// between runs.
     Sequential,
-    /// Independent value-sets fanned across worker threads. Each worker
-    /// owns one machine and streams its contiguous share of the seeds
-    /// through it; reports come back in seed order regardless of thread
-    /// count. `threads` must be ≥ 1 — a zero worker count is rejected
-    /// with [`ModelError::ZeroWorkers`] rather than silently substituted
-    /// with a machine-dependent default (callers that want "all cores"
-    /// should resolve `std::thread::available_parallelism` themselves).
-    /// More workers than seeds is fine: the surplus shards are empty.
-    Parallel {
-        /// Worker count; must be ≥ 1.
-        threads: usize,
-    },
     /// Struct-of-arrays lane planes: the seed list is sharded into groups
     /// of `lanes` members and each group executes through ONE
     /// interpretation of the linked schedule on a
@@ -424,6 +411,10 @@ where
 /// run's report is **bit-identical** (wall-clock throughput aside) to an
 /// independent [`run_algorithm`] call with the same seed — the batch path
 /// skips only the structure-dependent phases, never the verification.
+///
+/// A plan linked for another node count than `inst.n` (say, a plan file
+/// run against other matrices) is refused with
+/// [`ModelError::SizeMismatch`] before any value loads.
 pub fn run_plan_batch_traced<S: BatchElement, T: Tracer>(
     inst: &Instance,
     plan: &CompiledPlan,
@@ -431,6 +422,12 @@ pub fn run_plan_batch_traced<S: BatchElement, T: Tracer>(
     mode: BatchMode,
     tracer: &mut T,
 ) -> Result<Vec<RunReport>, ModelError> {
+    if plan.linked.n() != inst.n {
+        return Err(ModelError::SizeMismatch {
+            expected: plan.linked.n(),
+            actual: inst.n,
+        });
+    }
     tracer.counter("batch.runs", seeds.len() as u64);
     match mode {
         BatchMode::Packed { lanes } => {
@@ -446,95 +443,7 @@ pub fn run_plan_batch_traced<S: BatchElement, T: Tracer>(
                 .map(|&seed| execute_seeded(inst, plan, &mut machine, &mut scratch, seed, tracer))
                 .collect()
         }
-        BatchMode::Parallel { threads } => {
-            if threads == 0 {
-                return Err(ModelError::ZeroWorkers);
-            }
-            let threads = threads.clamp(1, seeds.len().max(1));
-            tracer.counter("batch.threads", threads as u64);
-            // Contiguous-block partition of the seed list: worker `s` owns
-            // `seeds[bounds[s]..bounds[s+1]]` and streams them through its
-            // own machine, so per-worker allocation matches the
-            // sequential path and the report order is the seed order.
-            let bounds = shard_bounds(seeds.len(), threads);
-            let worker_reports: Vec<Result<Vec<RunReport>, ModelError>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|s| {
-                            let share = &seeds[bounds[s]..bounds[s + 1]];
-                            scope.spawn(move || {
-                                let mut machine: LinkedMachine<'_, S> =
-                                    LinkedMachine::new(&plan.linked);
-                                let mut scratch = ValueScratch::new(inst);
-                                share
-                                    .iter()
-                                    .map(|&seed| {
-                                        execute_seeded(
-                                            inst,
-                                            plan,
-                                            &mut machine,
-                                            &mut scratch,
-                                            seed,
-                                            &mut NoopTracer,
-                                        )
-                                    })
-                                    .collect()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join()
-                                .unwrap_or(Err(ModelError::WorkerPanicked { step: 0 }))
-                        })
-                        .collect()
-                });
-            let mut reports = Vec::with_capacity(seeds.len());
-            for worker in worker_reports {
-                reports.extend(worker?);
-            }
-            Ok(reports)
-        }
     }
-}
-
-/// [`run_plan_batch_traced`] without instrumentation.
-pub fn run_plan_batch<S: BatchElement>(
-    inst: &Instance,
-    plan: &CompiledPlan,
-    seeds: &[u64],
-    mode: BatchMode,
-) -> Result<Vec<RunReport>, ModelError> {
-    run_plan_batch_traced::<S, _>(inst, plan, seeds, mode, &mut NoopTracer)
-}
-
-/// Compile once, execute many: one structure-dependent compile + link,
-/// then every seed in `seeds` streamed through the resulting plan. The
-/// amortized counterpart of calling [`run_algorithm`] per seed.
-pub fn run_algorithm_batch<S: BatchElement>(
-    inst: &Instance,
-    algorithm: Algorithm,
-    seeds: &[u64],
-    mode: BatchMode,
-) -> Result<Vec<RunReport>, ModelError> {
-    run_algorithm_batch_traced::<S, _>(inst, algorithm, seeds, false, mode, &mut NoopTracer)
-}
-
-/// [`run_algorithm_batch`] with the compression toggle and an
-/// instrumentation sink observing the whole pipeline — the compile-phase
-/// spans fire once, the `"load"`/`"run"`/`"verify"` spans once per seed
-/// (sequential mode; the parallel fan-out runs workers unobserved).
-pub fn run_algorithm_batch_traced<S: BatchElement, T: Tracer>(
-    inst: &Instance,
-    algorithm: Algorithm,
-    seeds: &[u64],
-    compress: bool,
-    mode: BatchMode,
-    tracer: &mut T,
-) -> Result<Vec<RunReport>, ModelError> {
-    let plan = compile_plan_traced(inst, algorithm, compress, tracer)?;
-    run_plan_batch_traced::<S, _>(inst, &plan, seeds, mode, tracer)
 }
 
 /// When to checkpoint and when to give up during a fault-injected run.
@@ -874,9 +783,12 @@ fn checkpoint_traced<S: PackedSemiring<1>, T: Tracer>(
 /// via [`reference_multiply`] — no schedule, no network, no faults, and
 /// therefore no failure mode. Same seeded RNG consumption as every
 /// execution path, so the output is bit-identical to a fault-free run.
+/// The report copies `modeled_rounds` and `triangles` from `plan`; a
+/// plan-free response (`None`: quarantined structure, failed compile)
+/// reports them as zero.
 pub fn run_reference_seeded<S: Semiring + SampleElement>(
     inst: &Instance,
-    plan: &CompiledPlan,
+    plan: Option<&CompiledPlan>,
     seed: u64,
     out: Option<&mut SparseMatrix<S>>,
 ) -> RunReport {
@@ -890,8 +802,8 @@ pub fn run_reference_seeded<S: Semiring + SampleElement>(
     RunReport {
         rounds: 0,
         messages: 0,
-        modeled_rounds: plan.modeled_rounds,
-        triangles: plan.triangles,
+        modeled_rounds: plan.map_or(0.0, |p| p.modeled_rounds),
+        triangles: plan.map_or(0, |p| p.triangles),
         // The reference product *is* the ground truth.
         correct: true,
         events_per_sec: None,
@@ -989,6 +901,16 @@ mod tests {
     use lowband_matrix::{gen, Bool, Fp, MinPlus, Wrap64};
     use rand::SeedableRng;
 
+    /// [`run_plan_batch_traced`] without a tracer.
+    fn batch<S: BatchElement>(
+        inst: &Instance,
+        plan: &CompiledPlan,
+        seeds: &[u64],
+        mode: BatchMode,
+    ) -> Result<Vec<RunReport>, ModelError> {
+        run_plan_batch_traced::<S, _>(inst, plan, seeds, mode, &mut NoopTracer)
+    }
+
     fn us_instance(n: usize, d: usize, seed: u64) -> Instance {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         Instance::new(
@@ -1038,13 +960,8 @@ mod tests {
     fn batch_reports_match_independent_runs() {
         let inst = us_instance(32, 3, 61);
         let seeds = [7u64, 8, 9];
-        let batch = run_algorithm_batch::<Fp>(
-            &inst,
-            Algorithm::BoundedTriangles,
-            &seeds,
-            BatchMode::Sequential,
-        )
-        .unwrap();
+        let plan = compile_plan(&inst, Algorithm::BoundedTriangles, false).unwrap();
+        let batch = batch::<Fp>(&inst, &plan, &seeds, BatchMode::Sequential).unwrap();
         assert_eq!(batch.len(), seeds.len());
         for (&seed, b) in seeds.iter().zip(&batch) {
             let solo = run_algorithm::<Fp>(&inst, Algorithm::BoundedTriangles, seed).unwrap();
@@ -1058,27 +975,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_sequential_in_seed_order() {
-        let inst = us_instance(32, 3, 62);
-        let seeds: Vec<u64> = (100..108).collect();
-        let plan = compile_plan(&inst, Algorithm::BoundedTriangles, false).unwrap();
-        let seq = run_plan_batch::<Fp>(&inst, &plan, &seeds, BatchMode::Sequential).unwrap();
-        // Includes worker counts beyond the seed count: surplus shards are
-        // empty, never out of bounds.
-        for threads in [1usize, 2, 3, 16] {
-            let par = run_plan_batch::<Fp>(&inst, &plan, &seeds, BatchMode::Parallel { threads })
-                .unwrap();
-            assert_eq!(par.len(), seq.len(), "threads={threads}");
-            for (s, p) in seq.iter().zip(&par) {
-                assert!(p.correct);
-                assert_eq!((s.rounds, s.messages), (p.rounds, p.messages));
-            }
+    fn plan_for_another_node_count_is_refused_before_loading() {
+        let plan =
+            compile_plan(&us_instance(24, 3, 66), Algorithm::BoundedTriangles, false).unwrap();
+        let other = us_instance(32, 3, 67);
+        for mode in [BatchMode::Sequential, BatchMode::Packed { lanes: 0 }] {
+            assert_eq!(
+                batch::<Fp>(&other, &plan, &[1, 2], mode),
+                Err(ModelError::SizeMismatch {
+                    expected: 24,
+                    actual: 32
+                }),
+                "{mode:?}"
+            );
         }
-        assert_eq!(
-            run_plan_batch::<Fp>(&inst, &plan, &seeds, BatchMode::Parallel { threads: 0 }),
-            Err(lowband_model::ModelError::ZeroWorkers),
-            "zero workers is a typed configuration error"
-        );
     }
 
     #[test]
@@ -1088,9 +998,8 @@ mod tests {
         // K = 1, LANES−1, LANES, LANES+1 for lanes = 4.
         for k in [1usize, 3, 4, 5] {
             let seeds: Vec<u64> = (200..200 + k as u64).collect();
-            let seq = run_plan_batch::<Fp>(&inst, &plan, &seeds, BatchMode::Sequential).unwrap();
-            let packed =
-                run_plan_batch::<Fp>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 4 }).unwrap();
+            let seq = batch::<Fp>(&inst, &plan, &seeds, BatchMode::Sequential).unwrap();
+            let packed = batch::<Fp>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 4 }).unwrap();
             assert_eq!(packed.len(), k, "tail lanes must not produce reports");
             for (s, p) in seq.iter().zip(&packed) {
                 assert!(p.correct, "k={k}");
@@ -1109,16 +1018,15 @@ mod tests {
         // lanes = 0 selects the per-type default width.
         assert_eq!(<Fp as BatchElement>::DEFAULT_LANES, 8);
         assert_eq!(<Bool as BatchElement>::DEFAULT_LANES, 64);
-        let reports =
-            run_plan_batch::<Fp>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 0 }).unwrap();
+        let reports = batch::<Fp>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 0 }).unwrap();
         assert!(reports.iter().all(|r| r.correct));
         // A width with no compiled monomorphization is rejected loudly.
         assert!(matches!(
-            run_plan_batch::<Fp>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 7 }),
+            batch::<Fp>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 7 }),
             Err(ModelError::PackedLanesUnsupported { lanes: 7 })
         ));
         assert!(matches!(
-            run_plan_batch::<Bool>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 8 }),
+            batch::<Bool>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 8 }),
             Err(ModelError::PackedLanesUnsupported { lanes: 8 })
         ));
     }
@@ -1128,16 +1036,16 @@ mod tests {
         let inst = us_instance(24, 3, 65);
         let plan = compile_plan(&inst, Algorithm::BoundedTriangles, false).unwrap();
         let seeds: Vec<u64> = (300..310).collect();
-        let seq_bool = run_plan_batch::<Bool>(&inst, &plan, &seeds, BatchMode::Sequential).unwrap();
+        let seq_bool = batch::<Bool>(&inst, &plan, &seeds, BatchMode::Sequential).unwrap();
         let packed_bool =
-            run_plan_batch::<Bool>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 64 }).unwrap();
+            batch::<Bool>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 64 }).unwrap();
         for (s, p) in seq_bool.iter().zip(&packed_bool) {
             assert!(p.correct);
             assert_eq!((s.rounds, s.messages), (p.rounds, p.messages));
         }
-        let seq_gf2 = run_plan_batch::<Gf2>(&inst, &plan, &seeds, BatchMode::Sequential).unwrap();
+        let seq_gf2 = batch::<Gf2>(&inst, &plan, &seeds, BatchMode::Sequential).unwrap();
         let packed_gf2 =
-            run_plan_batch::<Gf2>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 64 }).unwrap();
+            batch::<Gf2>(&inst, &plan, &seeds, BatchMode::Packed { lanes: 64 }).unwrap();
         for (s, p) in seq_gf2.iter().zip(&packed_gf2) {
             assert!(p.correct);
             assert_eq!((s.rounds, s.messages), (p.rounds, p.messages));

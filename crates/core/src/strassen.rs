@@ -712,17 +712,19 @@ mod tests {
     #[test]
     fn strassen_schedules_serialize_and_compress() {
         // The schedule exercises every op kind (SubAssign, BlockMulAdd,
-        // Copy, Zero, …): round-trip it through the text format and through
-        // the dataflow compressor, checking execution equivalence.
+        // Copy, Zero, …): round-trip it through the linked plan-file
+        // payload and through the dataflow compressor, checking execution
+        // equivalence.
+        use lowband_model::binser::{decode_linked, delink, encode_linked};
         let n = 10;
         let full = Support::full(n, n);
         let inst = Instance::balanced(full.clone(), full.clone(), full);
         let schedule = solve_strassen(&inst, 5000).unwrap();
 
         let mut buf = Vec::new();
-        lowband_model::write_schedule(&schedule, &mut buf).unwrap();
-        let reloaded = lowband_model::read_schedule(buf.as_slice()).unwrap();
-        assert_eq!(reloaded, schedule);
+        encode_linked(&lowband_model::link(&schedule).unwrap(), &mut buf);
+        let reloaded = delink(&decode_linked(&buf, 0).unwrap(), 0).unwrap();
+        assert_eq!(reloaded, schedule.clone().into_link_order());
 
         let compressed = lowband_model::compress(&schedule);
         assert!(compressed.rounds() <= schedule.rounds());

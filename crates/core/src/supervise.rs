@@ -220,18 +220,6 @@ pub enum ResilientError {
     },
 }
 
-impl ResilientError {
-    /// The underlying [`ModelError`], if this failure carries one —
-    /// deadline expiry does not.
-    pub fn model_error(&self) -> Option<&ModelError> {
-        match self {
-            ResilientError::DeadlineExceeded { .. } => None,
-            ResilientError::RetriesExhausted { error, .. } => Some(error),
-            ResilientError::Fatal { error } => Some(error),
-        }
-    }
-}
-
 impl std::fmt::Display for ResilientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -146,18 +146,6 @@ impl Fault {
     }
 }
 
-/// Render a fault log as one comma-separated line for a post-mortem
-/// dump's `otherData` (empty log ⇒ `"none"`).
-pub fn describe_log(log: &[Fault]) -> String {
-    if log.is_empty() {
-        return "none".to_string();
-    }
-    log.iter()
-        .map(Fault::describe)
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 /// Per-round fault *rates* plus a seed — the reproducible description of a
 /// failure regime. [`FaultSpec::plan`] expands it into a concrete
 /// [`FaultPlan`] once the schedule's round count is known.

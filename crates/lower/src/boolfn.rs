@@ -55,11 +55,6 @@ impl BooleanFunction {
         BooleanFunction::from_fn(n, move |x| (x >> i) & 1 == 1)
     }
 
-    /// Number of variables.
-    pub fn arity(&self) -> usize {
-        self.n
-    }
-
     /// Evaluate.
     pub fn eval(&self, x: u32) -> bool {
         self.table[x as usize]

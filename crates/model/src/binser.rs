@@ -1,10 +1,10 @@
 //! `binser` — the versioned binary persistence format for compiled plans.
 //!
-//! The v1 text format (`serial.rs`) persists a [`Schedule`]; reloading one
-//! still pays the full linking pass. This module persists the *linked*
-//! artifact, so a reload costs a linear byte scan instead of interning,
-//! sorting and validation — the difference between a cold compile and a
-//! disk hit in `lowband-serve`'s tiered plan store. Since version 4 the
+//! This is the one persisted form of a compiled plan: `lowband-serve`'s
+//! tiered plan store and the CLI's `compile`/`exec` both speak it. It
+//! stores the *linked* artifact, so a reload costs a linear byte scan
+//! instead of interning, sorting and validation — the difference between
+//! a cold compile and a disk hit. Since version 4 the
 //! linked schedule is the only program a plan file stores: [`delink`]
 //! rebuilds the key-addressed source schedule from it on load, in link
 //! order, through [`ScheduleBuilder`].

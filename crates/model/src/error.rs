@@ -48,15 +48,6 @@ pub enum ModelError {
         /// Global round index at which the crash occurred.
         round: usize,
     },
-    /// A worker thread of a parallel batch (`lowband-core`'s
-    /// `BatchMode::Parallel` fan-out) panicked, e.g. on a value type whose
-    /// arithmetic panics. Only that worker's share of the batch fails;
-    /// the other workers' reports are unaffected.
-    WorkerPanicked {
-        /// Step index at which the worker was lost; the batch fan-out
-        /// loses whole runs, so it reports step 0.
-        step: usize,
-    },
     /// A packed (lane-plane) batch was requested with a lane count the
     /// value type has no `PackedSemiring` monomorphization for — e.g. the
     /// bit-sliced Boolean planes exist only at 64 lanes per word.
@@ -64,11 +55,6 @@ pub enum ModelError {
         /// The rejected lane count.
         lanes: usize,
     },
-    /// A parallel batch was requested with an explicit worker count of
-    /// zero. Zero workers can shard no work — `items / 0` has no quotient
-    /// — so the request is rejected eagerly instead of silently
-    /// substituting a machine-dependent thread count.
-    ZeroWorkers,
 }
 
 impl std::fmt::Display for ModelError {
@@ -107,17 +93,11 @@ impl std::fmt::Display for ModelError {
             ModelError::NodeCrashed { node, round } => {
                 write!(f, "round {round}: node {node} crashed and lost its store")
             }
-            ModelError::WorkerPanicked { step } => {
-                write!(f, "step {step}: a parallel worker thread panicked")
-            }
             ModelError::PackedLanesUnsupported { lanes } => {
                 write!(
                     f,
                     "no packed {lanes}-lane execution is compiled in for this value type"
                 )
-            }
-            ModelError::ZeroWorkers => {
-                write!(f, "a parallel batch needs at least one worker thread")
             }
         }
     }

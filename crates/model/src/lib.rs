@@ -78,7 +78,7 @@ pub use link::{
 pub use machine::{ExecutionStats, Machine};
 pub use recovery::{Checkpoint, RunWindow};
 pub use schedule::{LocalOp, Merge, Round, Schedule, ScheduleBuilder, Step, Transfer};
-pub use serial::{read_schedule, write_schedule};
+pub use serial::write_schedule;
 pub use stats::ScheduleStats;
 
 // The instrumentation substrate, re-exported so downstream crates don't

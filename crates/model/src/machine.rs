@@ -64,11 +64,6 @@ impl<V: Semiring> Machine<V> {
         self.get(node, key).cloned().unwrap_or_else(V::zero)
     }
 
-    /// Number of values currently stored at `node`.
-    pub fn store_len(&self, node: NodeId) -> usize {
-        self.stores[node.index()].len()
-    }
-
     /// Execute a schedule. On success returns the cost accounting; on
     /// failure the machine state is left as of the failing step — call
     /// [`Machine::reset`] (or [`Machine::restore`] with an earlier

@@ -2,10 +2,9 @@
 //!
 //! The executors themselves are single-threaded; parallelism lives one
 //! level up, where independent work is fanned out in contiguous blocks:
-//! value-sets across batch workers (`lowband-core`'s parallel batch mode),
 //! the admission backlog across `lowband-served`'s worker queues, and
 //! requests across `loadgen`'s connections. [`shard_bounds`] is the one
-//! partition they all share.
+//! partition they share.
 
 /// First item of each shard (length `threads + 1`; shard `s` owns
 /// `bounds[s]..bounds[s+1]`). Item `i` lands in shard
@@ -15,8 +14,7 @@
 /// Degenerate shapes are well defined: `threads > n` yields `threads - n`
 /// empty shards (never out-of-bounds), and `threads == 0` yields
 /// the zero-shard partition `[0]` — no shard owns anything, so a caller
-/// with `n > 0` items must reject zero workers up front (the batch
-/// executors raise [`crate::ModelError::ZeroWorkers`]).
+/// with `n > 0` items must reject zero workers up front.
 pub fn shard_bounds(n: usize, threads: usize) -> Vec<usize> {
     if threads == 0 {
         return vec![0];

@@ -8,8 +8,7 @@
 //! after the first within a call — pays only load + run + verify.
 //!
 //! A batch succeeds or fails as a whole: no batch path takes a fault hook,
-//! so an execution error (a worker panic included, as
-//! `ModelError::WorkerPanicked`) is the batch's error.
+//! so an execution error is the batch's error.
 
 use lowband_core::{
     run_plan_batch_traced, Algorithm, BatchElement, BatchMode, Instance, RunReport,

@@ -22,7 +22,7 @@
 //!   to a miss + recompile rather than an execution.
 //! * [`run_batch`] / [`run_batch_traced`] — stream `K` seeded value-sets
 //!   through one cached plan, sequentially (one slot store, reset between
-//!   runs) or fanned across threads ([`lowband_core::BatchMode`]).
+//!   runs) or in packed lane groups ([`lowband_core::BatchMode`]).
 //!
 //! The contract, locked down by the `batch` integration suite: a batch of
 //! `K` seeds is observationally identical to `K` independent

@@ -41,9 +41,8 @@ use lowband_core::{
     run_reference_seeded, run_resilient_plan_traced, Algorithm, Backoff, CompiledPlan, Deadline,
     Instance, ResilientError, ResilientReport, RetryPolicy, RunReport, Rung, Supervision,
 };
-use lowband_matrix::{reference_multiply, SampleElement, SparseMatrix};
+use lowband_matrix::{SampleElement, SparseMatrix};
 use lowband_model::{ExecutionStats, FaultSpec, Semiring, Tracer};
-use rand::SeedableRng;
 
 use crate::cache::{ScheduleCache, ServeError};
 use crate::key::StructureKey;
@@ -346,7 +345,7 @@ impl Supervisor {
             tracer.counter("serve.quarantine.degraded", 1);
             outcome.quarantined = true;
             outcome.rung = Rung::Reference;
-            outcome.result = Ok(reference_without_plan::<S>(inst, seed, out));
+            outcome.result = Ok(run_reference_seeded::<S>(inst, None, seed, out));
             return outcome;
         }
 
@@ -365,7 +364,7 @@ impl Supervisor {
                     .expect("breaker was just inserted")
                     .record(false, tracer);
                 outcome.rung = Rung::Reference;
-                outcome.result = Ok(reference_without_plan::<S>(inst, seed, out));
+                outcome.result = Ok(run_reference_seeded::<S>(inst, None, seed, out));
                 return outcome;
             }
         };
@@ -432,7 +431,7 @@ impl Supervisor {
                 }
                 Rung::Reference => Ok(run_reference_seeded::<S>(
                     inst,
-                    &plan,
+                    Some(&plan),
                     seed,
                     out.as_deref_mut(),
                 )),
@@ -514,32 +513,6 @@ fn require_correct(report: RunReport) -> Result<RunReport, String> {
             "{}: undetected corruption (output check failed)",
             report.rung.as_str()
         ))
-    }
-}
-
-/// A plan-free bottom-rung response: the reference product computed
-/// locally. Schedule metadata (`modeled_rounds`, `triangles`) is zeroed —
-/// no plan was consulted.
-fn reference_without_plan<S: Semiring + SampleElement>(
-    inst: &Instance,
-    seed: u64,
-    out: Option<&mut SparseMatrix<S>>,
-) -> RunReport {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let a: SparseMatrix<S> = SparseMatrix::randomize(inst.ahat.clone(), &mut rng);
-    let b: SparseMatrix<S> = SparseMatrix::randomize(inst.bhat.clone(), &mut rng);
-    let want = reference_multiply(&a, &b, &inst.xhat);
-    if let Some(o) = out {
-        *o = want;
-    }
-    RunReport {
-        rounds: 0,
-        messages: 0,
-        modeled_rounds: 0.0,
-        triangles: 0,
-        correct: true,
-        events_per_sec: None,
-        rung: Rung::Reference,
     }
 }
 

@@ -649,11 +649,6 @@ impl Client {
         Ok(Client { stream })
     }
 
-    /// Wrap an accepted stream (tests).
-    pub fn from_stream(stream: TcpStream) -> Client {
-        Client { stream }
-    }
-
     /// Send one request and wait for its response. `Ok(None)` when the
     /// daemon closed the connection without answering (drain races).
     pub fn roundtrip(&mut self, request: &Request) -> std::io::Result<Option<Response>> {

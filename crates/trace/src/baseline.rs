@@ -167,32 +167,6 @@ pub fn all_pass(results: &[GateResult]) -> bool {
     results.iter().all(|r| r.pass)
 }
 
-/// The `comparison` section of `results/perfgate.json`.
-pub fn gate_section(results: &[GateResult]) -> Json {
-    Json::obj().set("all_pass", all_pass(results)).set(
-        "probes",
-        Json::Arr(
-            results
-                .iter()
-                .map(|r| {
-                    let mut o = Json::obj()
-                        .set("id", r.id.as_str())
-                        .set("baseline", r.baseline)
-                        .set("allowed", r.allowed)
-                        .set("pass", r.pass);
-                    if let Some(f) = r.fresh {
-                        o = o.set("fresh", f);
-                    }
-                    if let Some(ratio) = r.ratio {
-                        o = o.set("fresh_over_baseline", ratio);
-                    }
-                    o
-                })
-                .collect(),
-        ),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

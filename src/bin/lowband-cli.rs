@@ -5,13 +5,16 @@
 //! lowband-cli profile FILE.mtx
 //! lowband-cli classify A.mtx B.mtx X.mtx --d D
 //! lowband-cli solve A.mtx B.mtx X.mtx [--alg ALG] [--d D] [--seed S] [--semiring S]
-//! lowband-cli compile A.mtx B.mtx X.mtx --out SCHEDULE [--alg ALG] [--d D]
-//! lowband-cli exec SCHEDULE A.mtx B.mtx X.mtx [--seed S]
+//! lowband-cli compile A.mtx B.mtx X.mtx --out PLAN [--alg ALG] [--d D]
+//! lowband-cli exec PLAN A.mtx B.mtx X.mtx [--seed S]
 //! ```
 //!
-//! Matrices are Matrix Market coordinate patterns; schedules use the
-//! `lowband-schedule v1` text format. `solve` verifies the distributed
-//! output against the sequential reference and exits nonzero on mismatch.
+//! Matrices are Matrix Market coordinate patterns. `compile` writes a
+//! binary plan file, the same `binser` form the daemon's plan store
+//! writes (`serve::encode_plan`); `exec` loads one, streams one seeded
+//! value set through it over 𝔽_p and verifies the output. `solve` and
+//! `exec` check the distributed output against the sequential reference
+//! and exit nonzero on mismatch.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -19,9 +22,13 @@ use std::process::ExitCode;
 
 use lowband::core::classify::classify_instance;
 use lowband::core::densemm::DenseEngine;
-use lowband::core::{run_algorithm, Algorithm, Instance, TriangleSet};
+use lowband::core::{
+    compile_plan, run_algorithm, run_plan_batch_traced, Algorithm, BatchMode, Instance, TriangleSet,
+};
 use lowband::matrix::io::{read_support, write_support};
 use lowband::matrix::{gen, Bool, Fp, MinPlus, SparsityProfile, Support, Wrap64};
+use lowband::model::NoopTracer;
+use lowband::serve::{decode_plan, encode_plan, StructureKey};
 use rand::SeedableRng;
 
 fn usage() -> ExitCode {
@@ -30,9 +37,10 @@ fn usage() -> ExitCode {
          kinds: us rs cs bd as block band\n  \
          lowband-cli profile FILE.mtx\n  \
          lowband-cli classify A.mtx B.mtx X.mtx --d D\n  \
-         lowband-cli solve A.mtx B.mtx X.mtx [--alg trivial|bounded|two-phase|dense|strassen] [--d D] [--seed S] [--semiring fp|bool|minplus|wrap]\n  \
-         lowband-cli compile A.mtx B.mtx X.mtx --out SCHEDULE [--d D]\n  \
-         lowband-cli exec SCHEDULE A.mtx B.mtx X.mtx [--seed S]"
+         lowband-cli solve A.mtx B.mtx X.mtx [--alg ALG] [--d D] [--seed S] [--semiring fp|bool|minplus|wrap]\n  \
+         lowband-cli compile A.mtx B.mtx X.mtx --out PLAN [--alg ALG] [--d D]\n  \
+         lowband-cli exec PLAN A.mtx B.mtx X.mtx [--seed S]\n      \
+         algs: trivial bounded two-phase two-phase-fast two-phase-strassen dense strassen"
     );
     ExitCode::from(2)
 }
@@ -225,41 +233,42 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
     };
     let inst = load_instance(a, b, x)?;
     let out = args.flag("out").ok_or("compile needs --out FILE")?;
-    let (schedule, stats) =
-        lowband::core::algorithms::solve_bounded_triangles(&inst, 0).map_err(|e| e.to_string())?;
-    let f = File::create(out).map_err(|e| format!("{out}: {e}"))?;
-    lowband::model::write_schedule(&schedule, BufWriter::new(f)).map_err(|e| e.to_string())?;
+    let default_d = SparsityProfile::of(&inst.ahat).us_param.max(1);
+    let alg = parse_algorithm(args, default_d)?;
+    let plan = compile_plan(&inst, alg, false).map_err(|e| e.to_string())?;
+    let bytes = encode_plan(StructureKey::of(&inst, alg, false).as_u128(), &plan);
+    std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;
     println!(
-        "compiled {} rounds / {} messages (κ = {}) to {out}",
-        schedule.rounds(),
-        schedule.messages(),
-        stats.kappa
+        "compiled {} rounds / {} messages ({} triangles, algorithm = {alg:?}) to {out}",
+        plan.linked.rounds(),
+        plan.linked.messages(),
+        plan.triangles
     );
     Ok(())
 }
 
 fn cmd_exec(args: &Args) -> Result<(), String> {
-    let [sched_path, a, b, x] = &args.positional[..] else {
-        return Err("exec needs SCHEDULE A.mtx B.mtx X.mtx".into());
+    let [plan_path, a, b, x] = &args.positional[..] else {
+        return Err("exec needs PLAN A.mtx B.mtx X.mtx".into());
     };
     let inst = load_instance(a, b, x)?;
-    let f = File::open(sched_path).map_err(|e| format!("{sched_path}: {e}"))?;
-    let schedule = lowband::model::read_schedule(BufReader::new(f)).map_err(|e| e.to_string())?;
+    let bytes = std::fs::read(plan_path).map_err(|e| format!("{plan_path}: {e}"))?;
+    let (_, plan) = decode_plan(&bytes).map_err(|e| format!("{plan_path}: {e}"))?;
     let seed: u64 = args.flag_parse("seed", 7)?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let av: lowband::matrix::SparseMatrix<Fp> =
-        lowband::matrix::SparseMatrix::randomize(inst.ahat.clone(), &mut rng);
-    let bv: lowband::matrix::SparseMatrix<Fp> =
-        lowband::matrix::SparseMatrix::randomize(inst.bhat.clone(), &mut rng);
-    let mut machine = inst.load_machine(&av, &bv);
-    let stats = machine.run(&schedule).map_err(|e| e.to_string())?;
-    let got = inst.extract_x(&machine);
-    let want = lowband::matrix::reference_multiply(&av, &bv, &inst.xhat);
+    let reports = run_plan_batch_traced::<Fp, _>(
+        &inst,
+        &plan,
+        &[seed],
+        BatchMode::Sequential,
+        &mut NoopTracer,
+    )
+    .map_err(|e| e.to_string())?;
+    let report = &reports[0];
     println!(
-        "executed {} rounds, {} messages from {sched_path}",
-        stats.rounds, stats.messages
+        "executed {} rounds, {} messages from {plan_path}",
+        report.rounds, report.messages
     );
-    if got == want {
+    if report.correct {
         println!("verified ✓");
         Ok(())
     } else {

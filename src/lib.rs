@@ -34,9 +34,9 @@
 //! * [`serve`] — the serving layer: a structure-keyed LRU cache of
 //!   compiled, linked, lint-checked schedules and batched multi-value
 //!   execution ([`serve::run_batch`]) that compiles once and executes
-//!   many — sequentially, thread-fanned, or through packed SIMD-style
-//!   value planes ([`core::BatchMode::Packed`]) that advance up to 64
-//!   batch members per schedule decode;
+//!   many — sequentially, or through packed SIMD-style value planes
+//!   ([`core::BatchMode::Packed`]) that advance up to 64 batch members
+//!   per schedule decode;
 //! * [`served`] — the network daemon over [`serve`]: a dependency-free
 //!   TCP server speaking a length-prefixed binary protocol, with
 //!   thread-per-core workers, bounded admission queues, supervised

@@ -4,19 +4,19 @@
 //! The serving layer's contract (DESIGN.md §11) is that a batch of `K`
 //! seeds through one cached [`CompiledPlan`] behaves exactly like `K`
 //! independent [`run_algorithm`] calls: same rounds, same message counts,
-//! same extracted `X̂` values — across the sequential and thread-fanned
-//! batch modes, with and without schedule compression, and in agreement
+//! same extracted `X̂` values — across the sequential and packed batch
+//! modes, with and without schedule compression, and in agreement
 //! with the hash-map reference executor. On top of that, the
 //! [`ScheduleCache`] must key purely on structure: identical structures
 //! share one compiled entry, distinct structures never collide, and
 //! eviction only ever costs a recompile, never correctness.
 
 use lowband::core::{
-    compile_plan, run_algorithm, run_algorithm_batch, run_algorithm_batch_traced,
-    run_algorithm_traced, Algorithm, BatchElement, BatchMode, Instance, PackedLaneStore, RunReport,
+    compile_plan, run_algorithm, run_algorithm_traced, run_plan_batch_traced, Algorithm,
+    BatchElement, BatchMode, Instance, PackedLaneStore, RunReport,
 };
 use lowband::matrix::{gen, reference_multiply, Bool, Fp, Gf2, SparseMatrix, Wrap64};
-use lowband::model::{NoopTracer, PackedLinkedMachine};
+use lowband::model::{ModelError, NoopTracer, PackedLinkedMachine};
 use lowband::serve::{run_batch, ScheduleCache, StructureKey};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,6 +36,18 @@ fn us_instance(n: usize, d: usize, seed: u64) -> Instance {
         gen::uniform_sparse(n, d, &mut rng),
         gen::uniform_sparse(n, d, &mut rng),
     )
+}
+
+/// Compile once, then stream `seeds` through the plan in `mode`.
+fn batch<S: BatchElement>(
+    inst: &Instance,
+    algorithm: Algorithm,
+    seeds: &[u64],
+    compress: bool,
+    mode: BatchMode,
+) -> Result<Vec<RunReport>, ModelError> {
+    let plan = compile_plan(inst, algorithm, compress)?;
+    run_plan_batch_traced::<S, _>(inst, &plan, seeds, mode, &mut NoopTracer)
 }
 
 /// The RunReport fields that are deterministic functions of (structure,
@@ -70,24 +82,11 @@ fn batch_matches_independent_runs_across_modes_and_compression() {
             })
             .collect();
         assert!(solo.iter().all(|r| r.correct), "reference runs verify");
-        for mode in [
-            BatchMode::Sequential,
-            BatchMode::Parallel { threads: 2 },
-            // More workers than seeds: surplus shards are empty, and the
-            // batch stays observationally identical.
-            BatchMode::Parallel { threads: 16 },
-        ] {
-            let batch = run_algorithm_batch_traced::<Fp, _>(
-                &inst,
-                Algorithm::BoundedTriangles,
-                &seeds,
-                compress,
-                mode,
-                &mut NoopTracer,
-            )
-            .expect("batched run");
-            assert_eq!(batch.len(), solo.len());
-            for (s, b) in solo.iter().zip(&batch) {
+        for mode in [BatchMode::Sequential, BatchMode::Packed { lanes: 0 }] {
+            let reports = batch::<Fp>(&inst, Algorithm::BoundedTriangles, &seeds, compress, mode)
+                .expect("batched run");
+            assert_eq!(reports.len(), solo.len());
+            for (s, b) in solo.iter().zip(&reports) {
                 assert_eq!(
                     deterministic_fields(s),
                     deterministic_fields(b),
@@ -108,10 +107,15 @@ fn batch_equivalence_holds_for_trivial_and_wrap64() {
         .iter()
         .map(|&s| run_algorithm::<Wrap64>(&inst, Algorithm::Trivial, s).expect("solo"))
         .collect();
-    let batch =
-        run_algorithm_batch::<Wrap64>(&inst, Algorithm::Trivial, &seeds, BatchMode::Sequential)
-            .expect("batch");
-    for (s, b) in solo.iter().zip(&batch) {
+    let reports = batch::<Wrap64>(
+        &inst,
+        Algorithm::Trivial,
+        &seeds,
+        false,
+        BatchMode::Sequential,
+    )
+    .expect("batch");
+    for (s, b) in solo.iter().zip(&reports) {
         assert_eq!(deterministic_fields(s), deterministic_fields(b));
     }
 }
@@ -254,22 +258,20 @@ fn assert_packed_equals_sequential<S: BatchElement>(inst: &Instance, widths: &[u
         for &lanes in widths {
             for k in [1usize, lanes.saturating_sub(1).max(1), lanes, lanes + 1] {
                 let seeds: Vec<u64> = (0..k as u64).map(|s| 700 + s).collect();
-                let seq = run_algorithm_batch_traced::<S, _>(
+                let seq = batch::<S>(
                     inst,
                     Algorithm::BoundedTriangles,
                     &seeds,
                     compress,
                     BatchMode::Sequential,
-                    &mut NoopTracer,
                 )
                 .expect("sequential batch");
-                let packed = run_algorithm_batch_traced::<S, _>(
+                let packed = batch::<S>(
                     inst,
                     Algorithm::BoundedTriangles,
                     &seeds,
                     compress,
                     BatchMode::Packed { lanes },
-                    &mut NoopTracer,
                 )
                 .expect("packed batch");
                 assert_eq!(packed.len(), seq.len(), "lanes={lanes} k={k}");
@@ -367,10 +369,11 @@ fn random_instances_packed_equals_solo() {
         let lanes = [4usize, 8, 16][rng.gen_range(0..3)];
         let k = rng.gen_range(1..=lanes + 1);
         let seeds: Vec<u64> = (0..k as u64).map(|s| 1000 * case + s).collect();
-        let packed = run_algorithm_batch::<Fp>(
+        let packed = batch::<Fp>(
             &inst,
             Algorithm::BoundedTriangles,
             &seeds,
+            false,
             BatchMode::Packed { lanes },
         )
         .expect("packed batch");
@@ -395,14 +398,15 @@ fn random_instances_batch_equals_solo() {
         let d = rng.gen_range(1..4usize);
         let inst = us_instance(n, d, 300 + case);
         let seeds = [case, case + 1];
-        let batch = run_algorithm_batch::<Fp>(
+        let reports = batch::<Fp>(
             &inst,
             Algorithm::BoundedTriangles,
             &seeds,
+            false,
             BatchMode::Sequential,
         )
         .expect("batch");
-        for (&seed, b) in seeds.iter().zip(&batch) {
+        for (&seed, b) in seeds.iter().zip(&reports) {
             let solo = run_algorithm::<Fp>(&inst, Algorithm::BoundedTriangles, seed).expect("solo");
             assert_eq!(
                 deterministic_fields(&solo),
@@ -411,57 +415,4 @@ fn random_instances_batch_equals_solo() {
             );
         }
     }
-}
-
-#[test]
-fn more_workers_than_seeds_yields_empty_shards_not_panics() {
-    // Satellite regression (ISSUE 9): K < threads must run cleanly — the
-    // surplus workers get empty seed shares, never out-of-bounds slices.
-    let inst = us_instance(16, 2, 120);
-    for k in [1usize, 2, 3] {
-        let seeds: Vec<u64> = (0..k as u64).map(|s| 900 + s).collect();
-        let solo: Vec<RunReport> = seeds
-            .iter()
-            .map(|&s| run_algorithm::<Fp>(&inst, Algorithm::BoundedTriangles, s).expect("solo"))
-            .collect();
-        for threads in [k + 1, 2 * k + 3, 64] {
-            let batch = run_algorithm_batch::<Fp>(
-                &inst,
-                Algorithm::BoundedTriangles,
-                &seeds,
-                BatchMode::Parallel { threads },
-            )
-            .expect("oversubscribed batch");
-            assert_eq!(batch.len(), k, "k={k} threads={threads}");
-            for (s, b) in solo.iter().zip(&batch) {
-                assert_eq!(deterministic_fields(s), deterministic_fields(b));
-            }
-        }
-    }
-    // The shard partition itself: more shards than items ⇒ empty tails.
-    let bounds = lowband::model::parallel::shard_bounds(2, 5);
-    assert_eq!(bounds[0], 0);
-    assert_eq!(bounds[5], 2);
-    let owned: usize = (0..5).map(|s| bounds[s + 1] - bounds[s]).sum();
-    assert_eq!(owned, 2);
-}
-
-#[test]
-fn zero_worker_batches_are_rejected_with_a_typed_error() {
-    // `Parallel { threads: 0 }` must be a typed configuration error, not a
-    // divide-by-zero or a silent machine-dependent substitution.
-    use lowband::model::ModelError;
-    let inst = us_instance(16, 2, 121);
-    let seeds = [1u64, 2, 3];
-    assert_eq!(
-        run_algorithm_batch::<Fp>(
-            &inst,
-            Algorithm::BoundedTriangles,
-            &seeds,
-            BatchMode::Parallel { threads: 0 },
-        ),
-        Err(ModelError::ZeroWorkers)
-    );
-    // And `shard_bounds(n, 0)` itself is the zero-shard partition.
-    assert_eq!(lowband::model::parallel::shard_bounds(7, 0), vec![0]);
 }

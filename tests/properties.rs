@@ -191,10 +191,13 @@ fn lemma31_round_envelope() {
     }
 }
 
-/// Schedule serialization round-trips full algorithm schedules.
+/// Schedule serialization round-trips full algorithm schedules: the
+/// linked `binser` payload a plan file stores decodes and de-links back to
+/// the source schedule in link order.
 #[test]
 fn schedule_serialization_roundtrip() {
     use lowband::core::TriangleSet;
+    use lowband::model::binser::{decode_linked, delink, encode_linked};
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x5E1A + case);
         let a = random_support(&mut rng, 10, 30);
@@ -206,9 +209,9 @@ fn schedule_serialization_roundtrip() {
             lowband::core::lemma31::process_triangles(&inst, &ts.triangles, ts.kappa(inst.n), 0)
                 .unwrap();
         let mut buf = Vec::new();
-        lowband::model::write_schedule(&schedule, &mut buf).unwrap();
-        let back = lowband::model::read_schedule(buf.as_slice()).unwrap();
-        assert_eq!(back, schedule);
+        encode_linked(&lowband::model::link(&schedule).unwrap(), &mut buf);
+        let back = delink(&decode_linked(&buf, 0).unwrap(), 0).unwrap();
+        assert_eq!(back, schedule.into_link_order());
     }
 }
 
