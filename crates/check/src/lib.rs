@@ -37,6 +37,6 @@ pub mod shrink;
 pub use diff::{run_differential, run_differential_windowed, HookMode, Mismatch};
 pub use fuzz::{fuzz_range, fuzz_seed, FuzzFailure, FuzzReport};
 pub use gen::{generate, generate_for_seed, GeneratedCase};
-pub use lint::{lint_linked, lint_linked_traced, lint_schedule, lint_schedule_traced, LintOptions};
+pub use lint::{lint_linked, lint_linked_traced, lint_schedule, LintOptions};
 pub use report::{CheckError, CheckReport, Severity};
 pub use shrink::{shrink, ShrunkCase};

@@ -287,20 +287,6 @@ pub fn lint_schedule(schedule: &Schedule, opts: &LintOptions<'_>) -> CheckReport
     report
 }
 
-/// [`lint_schedule`], also emitting the result as `check.*` counters on a
-/// tracer (inside a `"check.lint"` span).
-pub fn lint_schedule_traced<T: Tracer>(
-    schedule: &Schedule,
-    opts: &LintOptions<'_>,
-    tracer: &mut T,
-) -> CheckReport {
-    tracer.span_enter("check.lint");
-    let report = lint_schedule(schedule, opts);
-    report.emit(tracer);
-    tracer.span_exit("check.lint");
-    report
-}
-
 fn check_slot(
     report: &mut CheckReport,
     linked: &LinkedSchedule,
@@ -1259,7 +1245,8 @@ mod tests {
         .unwrap();
         let s = b.build();
         let mut tracer = MetricsRegistry::new();
-        let report = lint_schedule_traced(&s, &LintOptions::default(), &mut tracer);
+        let report = lint_schedule(&s, &LintOptions::default());
+        report.emit(&mut tracer);
         assert_eq!(report.violations().len(), 1);
         assert_eq!(tracer.counter_value("check.read_never_written"), Some(1));
         assert_eq!(tracer.counter_value("check.errors"), Some(1));

@@ -335,9 +335,8 @@ impl PackedSites {
     }
 
     /// Load one lane's value matrices through the precomputed sites —
-    /// equivalent to [`Instance::load_values`] through a
-    /// [`PackedLaneStore`], minus every per-entry placement lookup and
-    /// slot search.
+    /// what [`Instance::load_values`] does for a scalar store, minus
+    /// every per-entry placement lookup and slot search.
     pub fn load_lane<S: PackedSemiring<LANES>, const LANES: usize>(
         &self,
         machine: &mut PackedLinkedMachine<'_, S, LANES>,
@@ -358,23 +357,10 @@ impl PackedSites {
     }
 
     /// Read one lane's computed `X` off the machine through the
-    /// precomputed sites — equivalent to [`Instance::extract_x_from`]
-    /// through a [`PackedLaneStore`], minus every per-entry placement
-    /// lookup and slot search.
-    pub fn extract_lane<S: PackedSemiring<LANES>, const LANES: usize>(
-        &self,
-        xhat: &Support,
-        machine: &PackedLinkedMachine<'_, S, LANES>,
-        lane: usize,
-    ) -> SparseMatrix<S> {
-        let mut out = SparseMatrix::zeros(xhat.clone());
-        self.extract_lane_into(machine, lane, &mut out);
-        out
-    }
-
-    /// [`PackedSites::extract_lane`] overwriting a caller-owned matrix on
-    /// the `X̂` support, so per-lane extraction in a batch reuses one
-    /// scratch allocation.
+    /// precomputed sites into a caller-owned matrix on the `X̂` support —
+    /// what [`Instance::extract_x_from`] does for a scalar store, minus
+    /// every per-entry placement lookup and slot search, and reusing one
+    /// scratch allocation across a batch's lanes.
     pub fn extract_lane_into<S: PackedSemiring<LANES>, const LANES: usize>(
         &self,
         machine: &PackedLinkedMachine<'_, S, LANES>,
@@ -390,30 +376,6 @@ impl PackedSites {
                 SiteRef::Extra(key) => machine.get_or_zero_lane(node, key, lane),
             }
         });
-    }
-}
-
-/// One lane of a [`PackedLinkedMachine`] viewed as a scalar [`ValueStore`]:
-/// lets the instance-loading and output-extraction paths address a single
-/// batch member of the struct-of-arrays executor exactly as they address a
-/// scalar machine. The packed batch runner loads lane `k` of each group
-/// through `PackedLaneStore { machine, lane: k }`, runs the plane machine
-/// once, then extracts each lane's output through the same adapter.
-pub struct PackedLaneStore<'m, 's, S: PackedSemiring<LANES>, const LANES: usize> {
-    /// The shared plane machine.
-    pub machine: &'m mut PackedLinkedMachine<'s, S, LANES>,
-    /// Which batch member this view addresses (`< LANES`).
-    pub lane: usize,
-}
-
-impl<S: PackedSemiring<LANES>, const LANES: usize> ValueStore<S>
-    for PackedLaneStore<'_, '_, S, LANES>
-{
-    fn load(&mut self, node: NodeId, key: Key, value: S) {
-        self.machine.load_lane(node, key, self.lane, value);
-    }
-    fn get_or_zero(&self, node: NodeId, key: Key) -> S {
-        self.machine.get_or_zero_lane(node, key, self.lane)
     }
 }
 

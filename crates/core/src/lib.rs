@@ -47,12 +47,12 @@ pub use budget::{
     element_load, entries_for_observed, entries_for_report, predicted_rounds, Prediction,
 };
 pub use classify::{classify, Classification};
-pub use instance::{Instance, PackedLaneStore, PackedSites, Placement, ValueStore};
+pub use instance::{Instance, PackedSites, Placement, ValueStore};
 pub use runner::{
     compile_plan, compile_plan_traced, compile_schedule, fill_fault_kinds, run_algorithm,
     run_algorithm_traced, run_plan_batch_traced, run_reference_seeded, run_resilient,
-    run_resilient_plan_traced, run_resilient_recorded, run_resilient_traced, Algorithm,
-    BatchElement, BatchMode, CompiledPlan, ResilientReport, RetryPolicy, RunReport, Supervision,
+    run_resilient_plan_traced, run_resilient_traced, Algorithm, BatchElement, BatchMode,
+    CompiledPlan, ResilientReport, RetryPolicy, RunReport, Supervision,
 };
 pub use supervise::{Backoff, Deadline, ResilientError, Rung};
 pub use triangles::{Triangle, TriangleSet};

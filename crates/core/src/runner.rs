@@ -16,9 +16,7 @@ use lowband_model::{
     NoopFaults, NoopTracer, PackedLinkedMachine, PackedSemiring, RunWindow, Schedule, Semiring,
     Tracer,
 };
-use lowband_trace::{FlightRecorder, Json, MetricsRegistry};
 use rand::SeedableRng;
-use std::path::PathBuf;
 
 use crate::algorithms::bounded_triangles::solve_bounded_triangles_from;
 use crate::algorithms::dense::solve_dense_cube_from;
@@ -557,8 +555,8 @@ pub fn run_resilient_traced<S: Semiring + SampleElement, T: Tracer>(
 }
 
 /// The retry-loop controls of one supervised resilient run: the retry
-/// policy plus the request-level [`Deadline`] and optional [`Backoff`]
-/// shared across every rung of a degradation ladder.
+/// policy plus the request-level [`Deadline`] and optional [`Backoff`],
+/// which the supervisor goes on charging after the run.
 pub struct Supervision<'a> {
     /// Checkpoint cadence and give-up thresholds.
     pub policy: RetryPolicy,
@@ -590,10 +588,10 @@ pub fn fill_fault_kinds(stats: &mut ExecutionStats, log: &[Fault]) {
 /// fire — rolling back and replaying on every detected fault, under an
 /// externally owned [`FaultPlan`], [`Deadline`] and optional [`Backoff`].
 ///
-/// The caller owns the fault plan so one plan can span several attempts
-/// (the degradation ladder drains its one-shot faults across rungs). On
-/// failure the typed [`ResilientError`] carries the partial
-/// [`ResilientReport`] accumulated so far (`report.correct == false`).
+/// The caller owns the fault plan, so it can read the fired-fault log
+/// ([`FaultPlan::log`]) whatever the outcome. On failure the typed
+/// [`ResilientError`] carries the partial [`ResilientReport`] accumulated
+/// so far (`report.correct == false`).
 /// On success, `out` (when given) receives the extracted product so
 /// callers can compare outputs bit-for-bit across rungs.
 pub fn run_resilient_plan_traced<S: Semiring + SampleElement, T: Tracer>(
@@ -809,41 +807,6 @@ pub fn run_reference_seeded<S: Semiring + SampleElement>(
         events_per_sec: None,
         rung: Rung::Reference,
     }
-}
-
-/// [`run_resilient_traced`] under a flight recorder: `recorder` and
-/// `metrics` observe the whole run as a composed sink, and if the run
-/// **aborts** (fault budget overrun, unrecoverable error — recovered
-/// faults dump nothing), the recorder's ring is written to
-/// `results/postmortem/<label>-<seq>.trace.json` as a Chrome trace with
-/// the error and the metrics snapshot embedded in `otherData`. Returns
-/// the run result plus the dump path, if one was written.
-#[allow(clippy::too_many_arguments)]
-pub fn run_resilient_recorded<S: Semiring + SampleElement>(
-    inst: &Instance,
-    algorithm: Algorithm,
-    seed: u64,
-    spec: &FaultSpec,
-    policy: RetryPolicy,
-    recorder: &mut FlightRecorder,
-    metrics: &mut MetricsRegistry,
-    label: &str,
-) -> (Result<ResilientReport, ModelError>, Option<PathBuf>) {
-    let result = {
-        let mut pair = (&mut *recorder, &mut *metrics);
-        run_resilient_traced::<S, _>(inst, algorithm, seed, spec, policy, &mut pair)
-    };
-    let dump = match &result {
-        Ok(_) => None,
-        Err(e) => {
-            let reason = format!("{e:?}");
-            let extra = Json::obj()
-                .set("error", reason.as_str())
-                .set("metrics", metrics.snapshot());
-            recorder.dump_postmortem(label, &reason, extra).ok()
-        }
-    };
-    (result, dump)
 }
 
 /// Compile an instance with the selected algorithm and return the

@@ -5,9 +5,9 @@
 //! These are the `core`-side building blocks of the serving layer's
 //! `Supervisor` (`lowband-serve::supervise`): everything here is
 //! deterministic under a seed (the backoff RNG is the vendored
-//! `lowband-rng`, and delays are *virtual* by default — accounted against
-//! the [`Deadline`] without sleeping — so supervised fault logs and
-//! deadline decisions are bit-identical across runs and machines).
+//! `lowband-rng`, and delays are *virtual* — accounted against the
+//! [`Deadline`] without sleeping — so supervised fault logs and deadline
+//! decisions are bit-identical across runs and machines).
 
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -17,7 +17,7 @@ use lowband_model::ModelError;
 
 /// A per-request wall-clock budget, threaded through the retry loop of
 /// [`run_resilient_plan_traced`](crate::runner::run_resilient_plan_traced)
-/// and across every rung of the degradation ladder.
+/// and the supervisor's backoff before its reference fallback.
 ///
 /// Elapsed time is the sum of two clocks: the real monotonic clock since
 /// construction, and a *virtual* component advanced by [`Backoff`] delays
@@ -49,7 +49,7 @@ impl Deadline {
         }
     }
 
-    /// Advance the virtual clock (used by virtual [`Backoff`] delays so
+    /// Advance the virtual clock (used by [`Backoff`] delays so
     /// backoff consumes budget without sleeping, and by deterministic
     /// tests). Saturates rather than panicking when extreme backoff
     /// delays (cap near `u64::MAX` ns) accumulate past `Duration::MAX`.
@@ -82,18 +82,15 @@ impl Deadline {
 /// `delay = min(cap, uniform(base, prev × 3))`, seeded via the vendored
 /// `lowband-rng` so the delay sequence is deterministic.
 ///
-/// By default delays are **virtual**: [`Backoff::pause`] advances the
+/// Delays are **virtual**: [`Backoff::pause`] advances the
 /// [`Deadline`]'s virtual clock instead of sleeping, which keeps
-/// supervised runs fast and bit-reproducible. [`Backoff::sleeping`] opts
-/// into real `thread::sleep` delays (the wall clock then advances on its
-/// own, so the deadline is *not* additionally advanced).
+/// supervised runs fast and bit-reproducible.
 #[derive(Clone, Debug)]
 pub struct Backoff {
     base: Duration,
     cap: Duration,
     prev: Duration,
     rng: rand::rngs::StdRng,
-    real: bool,
     /// Total delay issued so far.
     pub total: Duration,
     /// Number of delays issued so far.
@@ -108,16 +105,9 @@ impl Backoff {
             cap,
             prev: base,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
-            real: false,
             total: Duration::ZERO,
             delays: 0,
         }
-    }
-
-    /// Switch to real `thread::sleep` delays.
-    pub fn sleeping(mut self) -> Backoff {
-        self.real = true;
-        self
     }
 
     /// Draw the next decorrelated-jitter delay without applying it.
@@ -144,16 +134,11 @@ impl Backoff {
         d
     }
 
-    /// Draw the next delay and apply it: sleep for it when real, or
-    /// charge it to `deadline`'s virtual clock when virtual. Returns the
-    /// delay.
+    /// Draw the next delay and charge it to `deadline`'s virtual clock.
+    /// Returns the delay.
     pub fn pause(&mut self, deadline: &mut Deadline) -> Duration {
         let d = self.next_delay();
-        if self.real {
-            std::thread::sleep(d);
-        } else {
-            deadline.advance(d);
-        }
+        deadline.advance(d);
         d
     }
 }
@@ -174,14 +159,6 @@ pub enum Rung {
 }
 
 impl Rung {
-    /// The rung below, or `None` at the bottom.
-    pub fn below(self) -> Option<Rung> {
-        match self {
-            Rung::Linked => Some(Rung::Reference),
-            Rung::Reference => None,
-        }
-    }
-
     /// Stable lowercase name (JSON section keys, counters).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -288,14 +265,7 @@ mod tests {
 
     #[test]
     fn ladder_descends_to_reference() {
-        let mut rung = Rung::Linked;
-        let mut seen = vec![rung];
-        while let Some(next) = rung.below() {
-            rung = next;
-            seen.push(rung);
-        }
-        assert_eq!(seen, [Rung::Linked, Rung::Reference]);
-        assert_eq!(rung, Rung::Reference);
-        assert_eq!(rung.as_str(), "reference");
+        assert_eq!(Rung::Linked.as_str(), "linked");
+        assert_eq!(Rung::Reference.as_str(), "reference");
     }
 }

@@ -115,17 +115,6 @@ pub enum FaultKind {
     Crash,
 }
 
-impl FaultKind {
-    /// Stable lowercase name, used in post-mortem dumps and artifacts.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Corrupt => "corrupt",
-            FaultKind::Crash => "crash",
-        }
-    }
-}
-
 /// One planned (or fired) fault.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Fault {
@@ -136,14 +125,6 @@ pub struct Fault {
     pub node: u32,
     /// Failure mode.
     pub kind: FaultKind,
-}
-
-impl Fault {
-    /// One-line description (`"corrupt@r12 node 3"`), the form the flight
-    /// recorder's post-mortem dump and the recovery artifacts use.
-    pub fn describe(&self) -> String {
-        format!("{}@r{} node {}", self.kind.as_str(), self.round, self.node)
-    }
 }
 
 /// Per-round fault *rates* plus a seed — the reproducible description of a

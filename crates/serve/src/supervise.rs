@@ -9,8 +9,9 @@
 //!    expiry surfaces as [`ServeError::DeadlineExceeded`] carrying the
 //!    partial [`lowband_core::ResilientReport`].
 //! 2. **Backoff** — decorrelated-jitter delays ([`Backoff`]) between
-//!    rollback/replay attempts and between ladder rungs, seeded via the
-//!    vendored `lowband-rng` so supervised runs stay deterministic.
+//!    rollback/replay attempts and before the reference fallback, seeded
+//!    via the vendored `lowband-rng` so supervised runs stay
+//!    deterministic.
 //! 3. **Circuit breakers** — one [`CircuitBreaker`] per [`StructureKey`]:
 //!    `N` consecutive distributed-path failures open it; while open,
 //!    requests are refused ([`ServeError::BreakerOpen`]) for a cooldown
@@ -21,18 +22,14 @@
 //!    ([`ScheduleCache::quarantine_traced`]); quarantined requests are
 //!    served plan-free at the bottom rung until
 //!    [`ScheduleCache::try_readmit_traced`] passes a clean lint + probe.
-//! 5. **Graceful degradation** — the two-rung ladder
-//!    [`Rung::Linked`] → [`Rung::Reference`]. Every request enters at the
-//!    linked rung (checkpointed retry on `LinkedMachine`); a supervised
-//!    failure there descends one rung. The bottom rung computes the
-//!    sequential reference product locally and cannot fail, so a request
+//! 5. **Graceful degradation** — a linked attempt with a reference
+//!    fallback. Every request first runs at [`Rung::Linked`]
+//!    (checkpointed retry on `LinkedMachine`); only if that attempt fails
+//!    does it descend to [`Rung::Reference`], which computes the
+//!    sequential reference product locally and cannot fail. So a request
 //!    that keeps its deadline and passes admission *always* produces the
 //!    correct product — the rung it landed on is recorded in
 //!    [`RunReport::rung`].
-//!
-//! The fault plan is created once per request and shared across rungs, so
-//! the one-shot faults drain as the ladder descends — exactly the
-//! behavior of a transient storm hitting one request.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -216,13 +213,12 @@ pub struct SupervisedOutcome {
     pub result: Result<RunReport, ServeError>,
     /// The rung of the final attempt (the landing rung on `Ok`).
     pub rung: Rung,
-    /// Supervised failures that forced a rung descent.
+    /// 1 when the linked attempt failed and the request descended to the
+    /// reference rung, else 0.
     pub descents: usize,
-    /// One rendered description per rung failure, descent order.
+    /// The rendered failure of plan acquisition or of the linked attempt,
+    /// when either failed.
     pub failures: Vec<String>,
-    /// The linked rung's recovery accounting, when that rung ran to
-    /// completion.
-    pub resilient: Option<ResilientReport>,
     /// The request's deadline expired.
     pub deadline_missed: bool,
     /// The breaker refused the request (no execution happened).
@@ -230,10 +226,9 @@ pub struct SupervisedOutcome {
     /// The structure was quarantined, so the request was served plan-free
     /// at the bottom rung.
     pub quarantined: bool,
-    /// Total backoff delay issued (virtual + real).
-    pub backoff_total: Duration,
-    /// Every fault that actually fired across the request's rungs (the
-    /// shared plan's log) — what the chaos harness tallies per kind.
+    /// Every fault that actually fired during the linked attempt (the
+    /// reference rung consumes none) — what the chaos harness tallies per
+    /// kind.
     pub fault_log: Vec<lowband_model::faults::Fault>,
 }
 
@@ -242,8 +237,9 @@ pub struct SupervisedOutcome {
 const BACKOFF_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The supervision layer: a [`ScheduleCache`] plus per-structure breakers
-/// and failure strikes, driving every request down the degradation ladder
-/// as needed. See the module docs for the full state-machine story.
+/// and failure strikes, falling back to the reference product when a
+/// request's linked attempt fails. See the module docs for the full
+/// state-machine story.
 pub struct Supervisor {
     config: SupervisorConfig,
     cache: ScheduleCache,
@@ -319,11 +315,9 @@ impl Supervisor {
             rung: Rung::Linked,
             descents: 0,
             failures: Vec::new(),
-            resilient: None,
             deadline_missed: false,
             breaker_rejected: false,
             quarantined: false,
-            backoff_total: Duration::ZERO,
             fault_log: Vec::new(),
         };
 
@@ -338,9 +332,9 @@ impl Supervisor {
             return outcome;
         }
 
-        // A quarantined structure skips the plan rungs entirely: the
-        // request is served plan-free at the bottom rung (degraded but
-        // correct), and does not count against the breaker.
+        // A quarantined structure skips the linked attempt: the request
+        // is served plan-free at the bottom rung (degraded but correct),
+        // and does not count against the breaker.
         if self.cache.is_quarantined_key(&key) {
             tracer.counter("serve.quarantine.degraded", 1);
             outcome.quarantined = true;
@@ -378,77 +372,65 @@ impl Supervisor {
             self.config.backoff_base,
             self.config.backoff_cap,
         );
-        // One fault plan for the whole request: its one-shot faults drain
-        // as the ladder descends, like a storm hitting one request.
         let mut faults = spec.plan(plan.linked.rounds(), plan.linked.n());
-        let mut rung = Rung::Linked;
 
-        let result = loop {
+        // `Err` is a deadline miss, carrying the partial report: the
+        // linked attempt's when it left one, else a synthesized one.
+        let served: Result<RunReport, Box<ResilientReport>> = 'serve: {
             if deadline.expired() {
-                tracer.counter("serve.deadline.miss", 1);
-                outcome.deadline_missed = true;
-                let partial = outcome.resilient.clone().unwrap_or_else(|| {
-                    synthesized_partial(&plan, rung, outcome.descents, &faults.log())
-                });
-                break Err(ServeError::DeadlineExceeded {
-                    partial: Box::new(partial),
-                });
+                let partial = synthesized_partial(&plan, Rung::Linked, 0, &faults.log());
+                break 'serve Err(Box::new(partial));
             }
-            outcome.rung = rung;
-            let attempt: Result<RunReport, String> = match rung {
-                Rung::Linked => {
-                    let mut sup = Supervision {
-                        policy: self.config.retry,
-                        deadline: &mut deadline,
-                        backoff: Some(&mut backoff),
-                    };
-                    match run_resilient_plan_traced::<S, T>(
-                        inst,
-                        &plan,
-                        seed,
-                        &mut faults,
-                        &mut sup,
-                        out.as_deref_mut(),
-                        tracer,
-                    ) {
-                        Ok(resilient) => {
-                            let report = resilient.report.clone();
-                            outcome.resilient = Some(resilient);
-                            require_correct(report)
+            let mut sup = Supervision {
+                policy: self.config.retry,
+                deadline: &mut deadline,
+                backoff: Some(&mut backoff),
+            };
+            let attempt = run_resilient_plan_traced::<S, T>(
+                inst,
+                &plan,
+                seed,
+                &mut faults,
+                &mut sup,
+                out.as_deref_mut(),
+                tracer,
+            );
+            let (failure, linked) = match attempt {
+                Ok(resilient) if resilient.report.correct => break 'serve Ok(resilient.report),
+                Ok(resilient) => (
+                    "undetected corruption (output check failed)".to_string(),
+                    Some(Box::new(resilient)),
+                ),
+                Err(ResilientError::DeadlineExceeded { partial }) => break 'serve Err(partial),
+                Err(e) => {
+                    let failure = e.to_string();
+                    match e {
+                        ResilientError::RetriesExhausted { partial, .. } => {
+                            (failure, Some(partial))
                         }
-                        Err(ResilientError::DeadlineExceeded { partial }) => {
-                            tracer.counter("serve.deadline.miss", 1);
-                            outcome.deadline_missed = true;
-                            break Err(ServeError::DeadlineExceeded { partial });
-                        }
-                        Err(e) => {
-                            if let ResilientError::RetriesExhausted { partial, .. } = &e {
-                                outcome.resilient = Some(partial.as_ref().clone());
-                            }
-                            Err(format!("linked: {e}"))
-                        }
+                        _ => (failure, None),
                     }
                 }
-                Rung::Reference => Ok(run_reference_seeded::<S>(
-                    inst,
-                    Some(&plan),
-                    seed,
-                    out.as_deref_mut(),
-                )),
             };
-            match attempt {
-                Ok(report) => break Ok(report),
-                Err(desc) => {
-                    outcome.failures.push(desc);
-                    outcome.descents += 1;
-                    tracer.counter("serve.supervise.descend", 1);
-                    rung = rung.below().expect("the reference rung cannot fail");
-                    // Inter-rung backoff: give a transient storm room to
-                    // pass before the next (cheaper) backend tries.
-                    backoff.pause(&mut deadline);
-                }
+            outcome.failures.push(format!("linked: {failure}"));
+            outcome.descents = 1;
+            tracer.counter("serve.supervise.descend", 1);
+            // Give a transient storm room to pass before the fallback.
+            backoff.pause(&mut deadline);
+            if deadline.expired() {
+                let log = faults.log();
+                break 'serve Err(linked.unwrap_or_else(|| {
+                    Box::new(synthesized_partial(&plan, Rung::Reference, 1, &log))
+                }));
             }
+            outcome.rung = Rung::Reference;
+            Ok(run_reference_seeded::<S>(inst, Some(&plan), seed, out))
         };
+        let result = served.map_err(|partial| {
+            tracer.counter("serve.deadline.miss", 1);
+            outcome.deadline_missed = true;
+            ServeError::DeadlineExceeded { partial }
+        });
 
         // Health bookkeeping: the breaker tracks the *distributed* path —
         // landing on the bottom rung means that path failed end to end.
@@ -475,7 +457,6 @@ impl Supervisor {
         if result.is_ok() && outcome.rung == Rung::Reference {
             tracer.counter("serve.supervise.reference_landing", 1);
         }
-        outcome.backoff_total = backoff.total;
         outcome.fault_log = faults.log();
         outcome.result = result;
         outcome
@@ -503,21 +484,9 @@ impl Supervisor {
     }
 }
 
-/// `Ok` iff the report verified; otherwise the supervised-failure string
-/// of an *undetected* corruption the output check caught.
-fn require_correct(report: RunReport) -> Result<RunReport, String> {
-    if report.correct {
-        Ok(report)
-    } else {
-        Err(format!(
-            "{}: undetected corruption (output check failed)",
-            report.rung.as_str()
-        ))
-    }
-}
-
-/// A partial [`ResilientReport`] for deadline expiry outside the linked
-/// rung (no resilient attempt to snapshot).
+/// A partial [`ResilientReport`] for a deadline miss that the linked
+/// attempt left no partial for: one before the attempt, or after an
+/// attempt that failed fatally.
 fn synthesized_partial(
     plan: &CompiledPlan,
     rung: Rung,

@@ -40,7 +40,7 @@ use lowband_core::{Algorithm, Rung};
 use lowband_matrix::{Bool, Fp, Gf2, MinPlus, SampleElement, Semiring, SparseMatrix, Wrap64};
 use lowband_model::parallel::shard_bounds;
 use lowband_serve::{ServeError, Supervisor, SupervisorConfig};
-use lowband_trace::{FlightRecorder, Json, MetricsRegistry};
+use lowband_trace::{FlightRecorder, Json};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -191,7 +191,6 @@ struct Shared {
     /// The supervisor's tuning, kept to build a fresh one after a request
     /// panics mid-run.
     config: SupervisorConfig,
-    metrics: Mutex<MetricsRegistry>,
     counters: Counters,
     shutdown: AtomicBool,
     max_n: u32,
@@ -203,7 +202,6 @@ impl Shared {
         Shared {
             supervisor: Mutex::new(Supervisor::new(config.supervisor.clone())),
             config: config.supervisor.clone(),
-            metrics: Mutex::new(MetricsRegistry::default()),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
             max_n: config.max_n,
@@ -528,20 +526,18 @@ fn execute_typed<S: Semiring + SampleElement>(shared: &Shared, req: &ExecuteRequ
     let started = Instant::now();
     let outcome = {
         let mut supervisor = shared.supervisor.lock().unwrap();
-        let mut metrics = shared.metrics.lock().unwrap();
-        // A panic must not unwind through the guards, which would poison
-        // both mutexes for every worker. It fails this request alone; the
+        // A panic must not unwind through the guard, which would poison
+        // the mutex for every worker. It fails this request alone; the
         // supervisor may have been mid-update, so a fresh one replaces it
         // (a cold plan cache — the disk tier reopens from the same root).
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            supervisor.run_supervised_traced::<S, _>(
+            supervisor.run_supervised::<S>(
                 &inst,
                 req.algorithm,
                 req.seed,
                 req.compress,
                 &spec,
                 Some(&mut out),
-                &mut *metrics,
             )
         }));
         match run {
@@ -612,8 +608,8 @@ mod tests {
     lowband_model::impl_packed_semiring_array!(Boom);
 
     /// A request that panics inside the supervised run answers `Failed`,
-    /// leaves neither mutex poisoned, and the next request on the same
-    /// daemon state is served by a fresh supervisor.
+    /// leaves the supervisor mutex unpoisoned, and the next request on
+    /// the same daemon state is served by a fresh supervisor.
     #[test]
     fn a_panicking_run_fails_one_request_and_poisons_nothing() {
         let shared = Shared::new(&ServerConfig::default(), Vec::new());
@@ -626,13 +622,13 @@ mod tests {
             Response::Failed { detail } => assert!(detail.contains("poisoned multiply")),
             other => panic!("a panicking run must answer Failed, got {other:?}"),
         }
-        assert!(!shared.supervisor.is_poisoned() && !shared.metrics.is_poisoned());
+        assert!(!shared.supervisor.is_poisoned());
 
         match execute_typed::<Fp>(&shared, &req) {
             Response::Ok { digest, .. } => assert_eq!(digest, expected_digest::<Fp>(&inst, 7)),
             other => panic!("the next request must be served, got {other:?}"),
         }
-        assert!(!shared.supervisor.is_poisoned() && !shared.metrics.is_poisoned());
+        assert!(!shared.supervisor.is_poisoned());
         assert_eq!(
             shared.supervisor.lock().unwrap().requests(),
             1,

@@ -13,7 +13,7 @@
 
 use lowband::core::{
     compile_plan, run_algorithm, run_algorithm_traced, run_plan_batch_traced, Algorithm,
-    BatchElement, BatchMode, Instance, PackedLaneStore, RunReport,
+    BatchElement, BatchMode, Instance, PackedSites, RunReport,
 };
 use lowband::matrix::{gen, reference_multiply, Bool, Fp, Gf2, SparseMatrix, Wrap64};
 use lowband::model::{ModelError, NoopTracer, PackedLinkedMachine};
@@ -316,27 +316,21 @@ fn packed_equals_sequential_gf2_bit_sliced() {
 #[test]
 fn packed_lanes_agree_with_hash_reference_executor() {
     // Cross-backend check at the store level: each lane of a packed run,
-    // read through its `PackedLaneStore` view, must extract exactly the X
-    // the hash-map reference executor computes for that lane's seed — so
-    // the plane machine agrees not just report-wise but value-wise with
-    // the least-optimized backend.
+    // loaded and read through the batch runner's `PackedSites`, must
+    // extract exactly the X the hash-map reference executor computes for
+    // that lane's seed — so the plane machine agrees not just report-wise
+    // but value-wise with the least-optimized backend.
     const LANES: usize = 4;
     let inst = us_instance(24, 3, 114);
     let plan = compile_plan(&inst, Algorithm::BoundedTriangles, false).expect("plan");
+    let sites = PackedSites::new(&inst, &plan.linked);
     let mut packed: PackedLinkedMachine<'_, Fp, LANES> = PackedLinkedMachine::new(&plan.linked);
     let mut value_sets = Vec::new();
     for (lane, seed) in (900u64..900 + LANES as u64).enumerate() {
         let mut rng = StdRng::seed_from_u64(seed);
         let a: SparseMatrix<Fp> = SparseMatrix::randomize(inst.ahat.clone(), &mut rng);
         let b: SparseMatrix<Fp> = SparseMatrix::randomize(inst.bhat.clone(), &mut rng);
-        inst.load_values(
-            &mut PackedLaneStore {
-                machine: &mut packed,
-                lane,
-            },
-            &a,
-            &b,
-        );
+        sites.load_lane(&mut packed, lane, &a, &b);
         value_sets.push((a, b));
     }
     packed.run().expect("packed run");
@@ -344,10 +338,8 @@ fn packed_lanes_agree_with_hash_reference_executor() {
         let mut hash = inst.load_machine(a, b);
         hash.run(&plan.schedule).expect("hash executor");
         let want = inst.extract_x(&hash);
-        let got = inst.extract_x_from(&PackedLaneStore {
-            machine: &mut packed,
-            lane,
-        });
+        let mut got = SparseMatrix::zeros(inst.xhat.clone());
+        sites.extract_lane_into(&packed, lane, &mut got);
         assert_eq!(got, want, "lane {lane} diverges from the hash backend");
         assert_eq!(
             want,

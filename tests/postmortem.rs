@@ -1,13 +1,14 @@
 //! End-to-end post-mortem: a seeded fault plan plus a no-retry policy
-//! aborts a resilient run, and the flight recorder's dump must land under
-//! the results directory as a parseable, balanced Chrome trace carrying
-//! the abort reason and the metrics snapshot.
+//! aborts a resilient run traced into a flight recorder composed with a
+//! metrics registry, and the recorder's dump must land under the results
+//! directory as a parseable, balanced Chrome trace carrying the abort
+//! reason and the metrics snapshot.
 //!
 //! Kept as its own test binary: it mutates `LOWBAND_RESULTS_DIR`, which
 //! is process-global — and the tests below serialize on [`ENV_LOCK`] so
 //! they never see each other's override.
 
-use lowband::core::{run_resilient_recorded, Algorithm, Instance, RetryPolicy};
+use lowband::core::{run_resilient_traced, Algorithm, Instance, RetryPolicy};
 use lowband::matrix::{gen, Fp};
 use lowband::model::trace::{json, FlightRecorder, MetricsRegistry, Tracer};
 use lowband::model::FaultSpec;
@@ -45,18 +46,22 @@ fn aborted_run_dumps_a_parseable_postmortem() {
     };
     let mut recorder = FlightRecorder::new(128);
     let mut metrics = MetricsRegistry::new();
-    let (result, dump) = run_resilient_recorded::<Fp>(
+    let result = run_resilient_traced::<Fp, _>(
         &inst,
         Algorithm::BoundedTriangles,
         7,
         &spec,
         policy,
-        &mut recorder,
-        &mut metrics,
-        "faulted-run",
+        &mut (&mut recorder, &mut metrics),
     );
-    assert!(result.is_err(), "no-retry policy must abort under faults");
-    let path = dump.expect("abort must produce a post-mortem dump");
+    let error = result.expect_err("no-retry policy must abort under faults");
+    let reason = format!("{error:?}");
+    let extra = json::Json::obj()
+        .set("error", reason.as_str())
+        .set("metrics", metrics.snapshot());
+    let path = recorder
+        .dump_postmortem("faulted-run", &reason, extra)
+        .expect("abort must produce a post-mortem dump");
     assert!(path.starts_with(dir.join("postmortem")));
     assert!(path
         .file_name()

@@ -302,3 +302,52 @@ fn tight_deadline_surfaces_typed_error_with_partial_report() {
     assert!(!ok.deadline_missed);
     assert!(ok.result.expect("served").correct);
 }
+
+/// A deadline the linked attempt keeps but the descent backoff spends:
+/// the request misses it before the reference rung runs, still reports
+/// the linked rung, and carries the linked attempt's exhaustion partial.
+#[test]
+fn deadline_spent_by_the_descent_backoff_skips_the_reference_rung() {
+    let inst = us_instance(24, 3, 0xDE5C);
+    let mut sup = Supervisor::new(SupervisorConfig {
+        deadline: Some(Duration::from_secs(600)),
+        backoff_base: Duration::from_secs(3600),
+        backoff_cap: Duration::from_secs(7200),
+        retry: RetryPolicy {
+            checkpoint_every: 4,
+            max_attempts: 0,
+            base_round_budget: 64,
+        },
+        breaker_threshold: u32::MAX,
+        quarantine_threshold: u32::MAX,
+        ..SupervisorConfig::default()
+    });
+    let placeholder = out_slot(&inst, 4);
+    let mut out = placeholder.clone();
+    let outcome = sup.run_supervised::<Fp>(
+        &inst,
+        Algorithm::BoundedTriangles,
+        5,
+        false,
+        &total_storm(0xDE5C),
+        Some(&mut out),
+    );
+    assert!(outcome.deadline_missed);
+    assert_eq!(outcome.descents, 1);
+    assert_eq!(outcome.rung, Rung::Linked, "the reference rung never ran");
+    assert_eq!(outcome.failures.len(), 1);
+    assert!(
+        outcome.failures[0].starts_with("linked: retries exhausted"),
+        "{:?}",
+        outcome.failures
+    );
+    match outcome.result {
+        Err(ServeError::DeadlineExceeded { partial }) => {
+            assert_eq!(partial.failures, 1, "the linked attempt's partial");
+            assert_eq!(partial.report.rung, Rung::Linked);
+            assert!(!partial.report.correct);
+        }
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    assert_eq!(out, placeholder, "a missed request writes no product");
+}
