@@ -20,9 +20,9 @@
 //!
 //! **Fuzz mode** runs the seeded cross-executor differential battery
 //! ([`lowband_check::fuzz_range`]): every seed's schedule (and its
-//! compressed form) must produce bit-identical stores and stats on all
-//! executor backends, including windowed checkpoint/restore chains that
-//! migrate state across backends mid-run.
+//! compressed form) must produce bit-identical stores and stats on both
+//! executors, including windowed linked runs that restore every window's
+//! checkpoint onto a fresh machine.
 //!
 //! Exit status is non-zero if any lint *error* (warnings pass) or any
 //! fuzz failure is found.

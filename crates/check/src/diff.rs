@@ -5,20 +5,21 @@
 //! at one lane ([`LinkedMachine`]) and at four (every lane loaded alike),
 //! must produce bit-identical final stores and identical model-level
 //! [`ExecutionStats`]. [`run_differential`] checks the full runs;
-//! [`run_differential_windowed`] additionally chops the run into
-//! checkpoint windows and migrates the state *across backends* at every
-//! boundary — exercising executor-interchangeable [`Checkpoint`]s, the
-//! window budget on plain (`NoopFaults`) runs, and the guarded path with
-//! an enabled-but-empty fault plan. Checkpoints and the fault hook exist
-//! at one lane only, so the four-lane machine sits out the windowed
-//! rotation.
+//! [`run_differential_windowed`] additionally chops the linked run into
+//! checkpoint windows and resumes every window on a *fresh*
+//! [`LinkedMachine`] restored from the previous window's checkpoint —
+//! exercising checkpoint/restore, the window budget on plain
+//! (`NoopFaults`) runs, and the guarded path with an enabled-but-empty
+//! fault plan — then diffs the end state against the unwindowed reference
+//! run. Checkpoints and run windows exist at one lane only, so the
+//! four-lane machine sits out the windowed chain.
 
 use std::collections::HashMap;
 
 use lowband_model::algebra::Nat;
 use lowband_model::{
-    link, Checkpoint, ExecutionStats, FaultPlan, Key, LinkedMachine, Machine, ModelError, NodeId,
-    NoopFaults, NoopTracer, PackedLinkedMachine, RunWindow, Schedule,
+    link, ExecutionStats, FaultPlan, Key, LinkedMachine, Machine, ModelError, NodeId, NoopFaults,
+    NoopTracer, PackedLinkedMachine, RunWindow, Schedule,
 };
 
 /// Lane count of the packed backend.
@@ -167,50 +168,11 @@ pub enum HookMode {
     EmptyPlan,
 }
 
-/// Either the checkpoint a paused window produced, or the final state of
-/// a completed run.
-type WindowOutcome = Result<Checkpoint<Nat>, (Snapshots, ExecutionStats)>;
-
-/// One window of at most `max_rounds` rounds on one backend, resuming
-/// from `ckpt`, driven by the given fault hook.
-fn run_one_window<F: lowband_model::FaultHook>(
-    schedule: &Schedule,
-    linked: &lowband_model::LinkedSchedule,
-    backend: usize,
-    faults: &mut F,
-    ckpt: &Checkpoint<Nat>,
-    max_rounds: usize,
-    stats: &mut ExecutionStats,
-) -> Result<WindowOutcome, ModelError> {
-    let n = schedule.n();
-    let window = RunWindow::new(ckpt.next_step(), max_rounds);
-    let snap =
-        |get: &dyn Fn(u32) -> HashMap<Key, Nat>| (0..n as u32).map(get).collect::<Snapshots>();
-    match backend % 2 {
-        0 => {
-            let mut m: Machine<Nat> = Machine::new(n);
-            m.restore(ckpt)?;
-            match m.run_guarded(schedule, &mut NoopTracer, faults, window, stats)? {
-                Some(next) => Ok(Ok(m.checkpoint(next, *stats))),
-                None => Ok(Err((snap(&|v| m.snapshot(NodeId(v))), *stats))),
-            }
-        }
-        _ => {
-            let mut m: LinkedMachine<Nat> = LinkedMachine::new(linked);
-            m.restore(ckpt)?;
-            match m.run_guarded(&mut NoopTracer, faults, window, stats)? {
-                Some(next) => Ok(Ok(m.checkpoint(next, *stats))),
-                None => Ok(Err((snap(&|v| m.snapshot(NodeId(v))), *stats))),
-            }
-        }
-    }
-}
-
-/// Run the schedule in windows of `max_rounds` rounds, rotating the
-/// executor backend at every checkpoint boundary (reference → linked →
-/// reference → …), and check the final state against an
-/// unwindowed reference run. A checkpoint taken on any backend must
-/// restore bit-for-bit onto every other.
+/// Run the linked schedule in windows of `max_rounds` rounds, each on a
+/// fresh [`LinkedMachine`] restored from the previous window's
+/// checkpoint, and check the final state against an unwindowed reference
+/// run. Restoring must carry stores, side maps, stats and the step cursor
+/// bit-for-bit across machines.
 pub fn run_differential_windowed(
     schedule: &Schedule,
     loads: &[(u32, Key, u64)],
@@ -224,59 +186,51 @@ pub fn run_differential_windowed(
         // Full differential covers link refusals; nothing to window.
         Err(_) => return Ok(()),
     };
-
-    let n = schedule.n();
-    let mut stores: Snapshots = vec![HashMap::new(); n];
-    for &(node, key, v) in loads {
-        stores[node as usize].insert(key, Nat(v));
-    }
-    let mut ckpt = Checkpoint::new(0, ExecutionStats::default(), stores);
-    let mut stats = ExecutionStats::default();
     let executor = match hook {
         HookMode::Disabled => "windowed",
         HookMode::EmptyPlan => "windowed-guarded",
     };
 
-    let mut backend = 0;
+    let mut loaded: LinkedMachine<Nat> = LinkedMachine::new(&linked);
+    for &(node, key, v) in loads {
+        loaded.load(NodeId(node), key, Nat(v));
+    }
+    let mut ckpt = loaded.checkpoint(0, ExecutionStats::default());
     loop {
-        let outcome = match hook {
-            HookMode::Disabled => run_one_window(
-                schedule,
-                &linked,
-                backend,
-                &mut NoopFaults,
-                &ckpt,
-                max_rounds,
-                &mut stats,
-            ),
+        let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
+        let mut stats = ckpt.stats();
+        let window = RunWindow::new(ckpt.next_step(), max_rounds);
+        let outcome = m.restore(&ckpt).and_then(|()| match hook {
+            HookMode::Disabled => {
+                m.run_guarded(&mut NoopTracer, &mut NoopFaults, window, &mut stats)
+            }
             // A fresh empty plan per window: enabled-but-inert hooks are
             // stateless by construction.
-            HookMode::EmptyPlan => run_one_window(
-                schedule,
-                &linked,
-                backend,
+            HookMode::EmptyPlan => m.run_guarded(
+                &mut NoopTracer,
                 &mut FaultPlan::new(vec![]),
-                &ckpt,
-                max_rounds,
+                window,
                 &mut stats,
             ),
-        };
+        });
         match outcome {
             Err(e) => return compare(executor, &want, Err(e)),
-            Ok(Ok(next)) => {
-                if next.next_step() == ckpt.next_step() && max_rounds > 0 {
-                    // Defensive: a window that paused without advancing
-                    // would loop forever.
-                    return Err(mismatch(
-                        executor,
-                        format!("window made no progress at step {}", next.next_step()),
-                    ));
-                }
-                ckpt = next;
+            Ok(None) => {
+                let stores = (0..schedule.n() as u32)
+                    .map(|v| m.snapshot(NodeId(v)))
+                    .collect();
+                return compare(executor, &want, Ok((stores, stats)));
             }
-            Ok(Err(fin)) => return compare(executor, &want, Ok(fin)),
+            // Defensive: a window that paused without advancing would
+            // loop forever.
+            Ok(Some(next)) if next == ckpt.next_step() => {
+                return Err(mismatch(
+                    executor,
+                    format!("window made no progress at step {next}"),
+                ));
+            }
+            Ok(Some(next)) => ckpt = m.checkpoint(next, stats),
         }
-        backend += 1;
     }
 }
 

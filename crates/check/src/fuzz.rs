@@ -7,8 +7,9 @@
 //!    and both linked forms (the generator's contract is lint-clean
 //!    output — an error here is a generator or linter bug);
 //! 2. the full cross-executor differential on both forms;
-//! 3. the windowed checkpoint/restore differential, rotating backends,
-//!    with both fault-hook modes and two window sizes.
+//! 3. the windowed checkpoint/restore differential, each window resumed
+//!    on a fresh linked machine, with both fault-hook modes and two
+//!    window sizes.
 //!
 //! Any failure is minimized with [`crate::shrink`](fn@crate::shrink)
 //! before being reported, so a regression lands as a small committed test

@@ -14,10 +14,11 @@
 //!   tracer counters.
 //!
 //! * **Differential fuzzing** ([`fuzz_seed`], [`fuzz_range`]): generate
-//!   seeded random valid schedules ([`gen`]), run them on all executor
-//!   backends — plain, windowed with checkpoint/restore *across*
-//!   backends, with and without an enabled fault hook — and demand
-//!   bit-identical stores and stats ([`diff`]). Any divergence is
+//!   seeded random valid schedules ([`gen`]), run them on both executors
+//!   — the hash-map reference, the slot machine at one and four lanes,
+//!   and windowed linked chains that restore every window's checkpoint
+//!   onto a fresh machine, with and without an enabled fault hook — and
+//!   demand bit-identical stores and stats ([`diff`]). Any divergence is
 //!   minimized to a small replayable case ([`shrink`](mod@shrink)) before
 //!   being reported.
 //!

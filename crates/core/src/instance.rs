@@ -189,8 +189,8 @@ impl Instance {
 
     /// Load the runtime values of `A` and `B` into a fresh slot-store
     /// machine bound to `schedule` — the one-lane [`PackedLinkedMachine`],
-    /// which carries one value set and alone has the fault path
-    /// (`run_guarded`, `checkpoint`, `restore`).
+    /// which carries one value set and alone has run windows and
+    /// checkpoints (`run_guarded`, `checkpoint`, `restore`).
     pub fn load_linked<'s, S: PackedSemiring<1>>(
         &self,
         a: &SparseMatrix<S>,

@@ -89,7 +89,7 @@ pub fn run_algorithm<S: Semiring + SampleElement>(
 /// slot ids linking interned), `"load"`, `"run"`, `"verify"` — plus
 /// artifact sizes as counters (`schedule.rounds`, `schedule.messages`,
 /// `compress.*`, `link.*`) and the executor's per-round event stream (see
-/// [`lowband_model::Machine::run_traced`]).
+/// [`lowband_model::PackedLinkedMachine::run_traced`]).
 pub fn run_algorithm_traced<S: Semiring + SampleElement, T: Tracer>(
     inst: &Instance,
     algorithm: Algorithm,

@@ -223,16 +223,6 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// Number of planned faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// `true` if the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
     /// The faults that actually fired, in plan order. This is the
     /// reproducibility artifact: identical across repeated runs with the
     /// same seed and across executor backends.
@@ -248,12 +238,6 @@ impl FaultPlan {
     /// Number of faults injected so far.
     pub fn injected(&self) -> usize {
         self.fired.iter().filter(|&&f| f).count()
-    }
-
-    /// Re-arm every fault (clear the fired flags), so the same plan can
-    /// drive a fresh run from scratch.
-    pub fn rearm(&mut self) {
-        self.fired.fill(false);
     }
 
     /// `true` while an unfired fault targets `round` or a later round —
@@ -338,7 +322,7 @@ mod tests {
         let a = spec.plan(200, 16);
         let b = spec.plan(200, 16);
         assert_eq!(a.faults(), b.faults());
-        assert!(!a.is_empty(), "rates this high must yield faults");
+        assert!(!a.faults().is_empty(), "rates this high must yield faults");
         let other = FaultSpec { seed: 43, ..spec }.plan(200, 16);
         assert_ne!(a.faults(), other.faults(), "different seed, different plan");
     }
@@ -363,9 +347,6 @@ mod tests {
         assert_eq!(plan.tamper(5, 2), Tamper::None);
         assert_eq!(plan.injected(), 2);
         assert_eq!(plan.log().len(), 2);
-        plan.rearm();
-        assert_eq!(plan.injected(), 0);
-        assert_eq!(plan.crash(3), Some(1), "rearmed faults fire again");
     }
 
     #[test]
@@ -382,8 +363,6 @@ mod tests {
         assert!(!plan.pending_from(6), "the fault lies behind round 6");
         assert_eq!(plan.crash(5), Some(0));
         assert!(!plan.pending_from(0), "a fired fault is no longer pending");
-        plan.rearm();
-        assert!(plan.pending_from(0), "rearm makes it pending again");
     }
 
     #[test]

@@ -22,6 +22,17 @@ pub enum ModelError {
     /// A schedule built for `expected` nodes was run on a machine with
     /// `actual` nodes.
     SizeMismatch { expected: usize, actual: usize },
+    /// A checkpoint holding `expected` slots at `node` was restored onto
+    /// a machine whose linked schedule interns `actual` slots there: the
+    /// checkpoint was taken against another schedule.
+    LayoutMismatch {
+        /// The first node whose slot count differs.
+        node: NodeId,
+        /// Slots the checkpoint holds at `node`.
+        expected: usize,
+        /// Slots the restoring machine has at `node`.
+        actual: usize,
+    },
     /// An op required algebraic structure the value type lacks (e.g.
     /// subtraction over a plain semiring).
     UnsupportedOp {
@@ -76,6 +87,16 @@ impl std::fmt::Display for ModelError {
                 write!(
                     f,
                     "schedule compiled for {expected} nodes run on machine with {actual} nodes"
+                )
+            }
+            ModelError::LayoutMismatch {
+                node,
+                expected,
+                actual,
+            } => {
+                write!(
+                    f,
+                    "checkpoint holds {expected} slots at node {node}, machine has {actual}"
                 )
             }
             ModelError::UnsupportedOp { node, step, what } => {

@@ -61,7 +61,6 @@ pub mod key;
 pub mod link;
 pub mod machine;
 pub mod parallel;
-pub mod recovery;
 pub mod schedule;
 pub mod serial;
 pub mod stats;
@@ -72,11 +71,10 @@ pub use compress::{compress, compress_and_link_traced};
 pub use error::ModelError;
 pub use key::Key;
 pub use link::{
-    link, link_traced, sort_by_node, LinkedMachine, LinkedOp, LinkedSchedule, LinkedStepView,
-    LinkedTransfer, PackedLinkedMachine,
+    link, link_traced, sort_by_node, Checkpoint, LinkedMachine, LinkedOp, LinkedSchedule,
+    LinkedStepView, LinkedTransfer, PackedLinkedMachine, RunWindow,
 };
 pub use machine::{ExecutionStats, Machine};
-pub use recovery::{Checkpoint, RunWindow};
 pub use schedule::{LocalOp, Merge, Round, Schedule, ScheduleBuilder, Step, Transfer};
 pub use serial::write_schedule;
 pub use stats::ScheduleStats;

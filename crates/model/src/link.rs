@@ -44,7 +44,6 @@ use std::time::Instant;
 use lowband_faults::{mix64, FaultHook, NoopFaults, Tamper};
 use lowband_trace::{NoopTracer, RoundEvent, Tracer};
 
-use crate::recovery::{Checkpoint, RunWindow};
 use crate::schedule::{LocalOp, Merge, Round, Step};
 use crate::{ExecutionStats, Key, ModelError, NodeId, PackedSemiring, Schedule};
 
@@ -703,10 +702,11 @@ pub fn link_traced<T: Tracer>(
 /// At one lane this is [`LinkedMachine`], the executor of single value
 /// sets, and only there does it have the key-addressed single-value
 /// surface ([`PackedLinkedMachine::load`], [`PackedLinkedMachine::get`],
-/// [`PackedLinkedMachine::snapshot`]) and the fault path: a fault hook and
-/// round checksums ([`PackedLinkedMachine::run_guarded`]) and checkpoints
-/// ([`PackedLinkedMachine::checkpoint`], [`PackedLinkedMachine::restore`]).
-/// Wider machines serve fault-free lane batches.
+/// [`PackedLinkedMachine::snapshot`]) and the fault path: a fault hook,
+/// round checksums and run windows ([`PackedLinkedMachine::run_guarded`])
+/// and checkpoints ([`PackedLinkedMachine::checkpoint`],
+/// [`PackedLinkedMachine::restore`]). Wider machines serve fault-free lane
+/// batches.
 #[derive(Clone, Debug)]
 pub struct PackedLinkedMachine<'s, V: PackedSemiring<LANES>, const LANES: usize> {
     schedule: &'s LinkedSchedule,
@@ -716,8 +716,7 @@ pub struct PackedLinkedMachine<'s, V: PackedSemiring<LANES>, const LANES: usize>
 
 /// The executor of one value set: the one-lane [`PackedLinkedMachine`].
 /// Supervised requests, fault-injected runs and sequential batch members
-/// run here; it is the only executor besides the hash-map oracle with a
-/// fault hook and checkpoints.
+/// run here; it is the only executor with run windows and checkpoints.
 pub type LinkedMachine<'s, V> = PackedLinkedMachine<'s, V, 1>;
 
 impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V, LANES> {
@@ -917,7 +916,8 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
             match lstep {
                 LinkedStep::Comm { transfers, step } => {
                     // The window budget binds on every run, fault hook or
-                    // not (see `crate::Machine::run_window`).
+                    // not: a windowed plain run stops at the boundary and
+                    // returns its resume cursor just like a guarded one.
                     if window_rounds == window.max_rounds {
                         if T::ENABLED {
                             tracer.node_loads(&node_sends, &node_recvs);
@@ -1046,6 +1046,65 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
     }
 }
 
+/// The step range and round budget of one execution window.
+#[derive(Clone, Copy, Debug)]
+pub struct RunWindow {
+    /// First schedule step to execute (0 for a fresh run; a checkpoint's
+    /// `next_step` when resuming).
+    pub start_step: usize,
+    /// Stop *before* the communication step that would begin round
+    /// `max_rounds + 1` of this window, returning the resume cursor.
+    /// `usize::MAX` runs to completion. The budget binds on **every** run,
+    /// with or without a fault hook: a windowed plain run
+    /// ([`NoopFaults`]) stops at the boundary and returns `Ok(Some(step))`
+    /// exactly like a guarded one.
+    pub max_rounds: usize,
+}
+
+impl RunWindow {
+    /// The whole schedule in one window (no checkpoint boundary).
+    pub fn full() -> RunWindow {
+        RunWindow {
+            start_step: 0,
+            max_rounds: usize::MAX,
+        }
+    }
+
+    /// Resume at `start_step`, stopping after at most `max_rounds` rounds.
+    pub fn new(start_step: usize, max_rounds: usize) -> RunWindow {
+        RunWindow {
+            start_step,
+            max_rounds,
+        }
+    }
+}
+
+/// A [`LinkedMachine`]'s state at a step boundary: a copy of its slot
+/// vectors and side maps, plus the step cursor and the statistics
+/// accumulated so far. It restores onto any machine linked against a
+/// schedule with the same per-node slot layout — in practice the one it
+/// was taken on, or a fresh machine over the same [`LinkedSchedule`].
+#[derive(Clone, Debug)]
+pub struct Checkpoint<V: PackedSemiring<1>> {
+    next_step: usize,
+    stats: ExecutionStats,
+    slots: Vec<Vec<Option<V::Plane>>>,
+    extra: Vec<HashMap<Key, V::Plane>>,
+}
+
+impl<V: PackedSemiring<1>> Checkpoint<V> {
+    /// The schedule step execution resumes at: a **source**-schedule step
+    /// index, since linking produces exactly one step per source step.
+    pub fn next_step(&self) -> usize {
+        self.next_step
+    }
+
+    /// Statistics accumulated up to the checkpoint.
+    pub fn stats(&self) -> ExecutionStats {
+        self.stats
+    }
+}
+
 /// The single-value surface and the fault path exist at one lane only:
 /// supervised and fault-injected runs execute one value set at a time.
 impl<'s, V: PackedSemiring<1>> PackedLinkedMachine<'s, V, 1> {
@@ -1070,11 +1129,23 @@ impl<'s, V: PackedSemiring<1>> PackedLinkedMachine<'s, V, 1> {
         self.snapshot_lane(node, 0)
     }
 
-    /// Fault-guarded, windowed variant of [`PackedLinkedMachine::run_traced`];
-    /// same contract as [`crate::Machine::run_guarded`]. Because linking
-    /// produces exactly one step per source step, `window.start_step` and
-    /// the returned resume cursor are **source**-schedule step indices —
-    /// checkpoints are interchangeable with the reference executor.
+    /// Fault-guarded, windowed variant of [`PackedLinkedMachine::run_traced`]:
+    /// executes the schedule steps of `window`, querying `faults` at every
+    /// round boundary and message, accumulating into `stats` (pass the
+    /// stats of the checkpoint being resumed; the round index handed to
+    /// the fault hook is `stats.rounds`, so it stays global across
+    /// windows).
+    ///
+    /// Returns `Ok(None)` when the schedule completed, or `Ok(Some(step))`
+    /// when the window's round budget was exhausted — `step` is the resume
+    /// cursor to checkpoint, a **source**-schedule step index. On an
+    /// injected crash the victim's planes and side map are wiped and the
+    /// run aborts with [`ModelError::NodeCrashed`]; a lost/corrupted
+    /// message fails the round's payload checksum and aborts with
+    /// [`ModelError::Corruption`]. `stats` is valid on every exit path
+    /// (errors included), so callers can measure replayed work. Over a
+    /// full window, the outcome, fault log, stats and stores equal
+    /// [`crate::Machine::run_guarded`]'s under the same fault plan.
     pub fn run_guarded<T: Tracer, F: FaultHook>(
         &mut self,
         tracer: &mut T,
@@ -1088,40 +1159,41 @@ impl<'s, V: PackedSemiring<1>> PackedLinkedMachine<'s, V, 1> {
         result
     }
 
-    /// Snapshot machine state into an executor-independent [`Checkpoint`]
-    /// (stores in canonical hash-map form, so it restores onto any backend).
+    /// Copy the slot vectors and side maps into a [`Checkpoint`] that
+    /// resumes at `next_step` with the given accumulated `stats`.
     pub fn checkpoint(&self, next_step: usize, stats: ExecutionStats) -> Checkpoint<V> {
-        let stores = (0..self.n())
-            .map(|i| self.snapshot(NodeId(i as u32)))
-            .collect();
-        Checkpoint::new(next_step, stats, stores)
+        Checkpoint {
+            next_step,
+            stats,
+            slots: self.slots.clone(),
+            extra: self.extra.clone(),
+        }
     }
 
-    /// Restore every store from a [`Checkpoint`] taken on any executor
-    /// backend of the same network size. Keys the linked schedule never
-    /// mentions land back in the side map, exactly as
-    /// [`PackedLinkedMachine::load`] places them.
+    /// Restore every slot and side map from a [`Checkpoint`], reusing this
+    /// machine's allocations. A checkpoint taken against another slot
+    /// layout is refused before anything is written: a different network
+    /// size with [`ModelError::SizeMismatch`], a different slot count at
+    /// some node with [`ModelError::LayoutMismatch`].
     pub fn restore(&mut self, ckpt: &Checkpoint<V>) -> Result<(), ModelError> {
-        if ckpt.n() != self.n() {
+        if ckpt.slots.len() != self.slots.len() {
             return Err(ModelError::SizeMismatch {
-                expected: ckpt.n(),
-                actual: self.n(),
+                expected: ckpt.slots.len(),
+                actual: self.slots.len(),
             });
         }
-        self.reset();
-        for (i, saved) in ckpt.stores().iter().enumerate() {
-            for (key, value) in saved {
-                self.load(NodeId(i as u32), *key, value.clone());
+        for (node, (saved, live)) in ckpt.slots.iter().zip(&self.slots).enumerate() {
+            if saved.len() != live.len() {
+                return Err(ModelError::LayoutMismatch {
+                    node: NodeId(node as u32),
+                    expected: saved.len(),
+                    actual: live.len(),
+                });
             }
         }
+        self.slots.clone_from(&ckpt.slots);
+        self.extra.clone_from(&ckpt.extra);
         Ok(())
-    }
-
-    /// Alias of [`PackedLinkedMachine::reset_values`], kept so the
-    /// checkpoint/restore surface (`checkpoint`/`restore`/`reset`) stays
-    /// interchangeable with [`crate::Machine`]'s.
-    pub fn reset(&mut self) {
-        self.reset_values();
     }
 }
 
@@ -1681,5 +1753,32 @@ mod tests {
             }
         }
         packed.run().unwrap();
+    }
+
+    #[test]
+    fn checkpoint_accessors_roundtrip() {
+        let s = mixed_schedule(2);
+        let l = LinkedSchedule::link(&s).unwrap();
+        let mut m: LinkedMachine<Nat> = LinkedMachine::new(&l);
+        m.load(NodeId(0), Key::a(0, 0), Nat(7));
+        let stats = ExecutionStats {
+            rounds: 3,
+            ..Default::default()
+        };
+        let ckpt = m.checkpoint(5, stats);
+        assert_eq!(ckpt.next_step(), 5);
+        assert_eq!(ckpt.stats().rounds, 3);
+        m.reset_values();
+        m.restore(&ckpt).unwrap();
+        assert_eq!(m.get(NodeId(0), Key::a(0, 0)), Some(Nat(7)));
+    }
+
+    #[test]
+    fn full_window_runs_everything() {
+        let w = RunWindow::full();
+        assert_eq!(w.start_step, 0);
+        assert_eq!(w.max_rounds, usize::MAX);
+        let w = RunWindow::new(4, 8);
+        assert_eq!((w.start_step, w.max_rounds), (4, 8));
     }
 }

@@ -1,12 +1,12 @@
-//! The runtime: executes a [`Schedule`] against per-node value stores.
+//! The reference runtime: executes a [`Schedule`] against per-node
+//! hash-map value stores — the oracle every other executor is diffed
+//! against.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use lowband_faults::{mix64, FaultHook, NoopFaults, Tamper};
-use lowband_trace::{NoopTracer, RoundEvent, Tracer};
 
-use crate::recovery::{Checkpoint, RunWindow};
 use crate::schedule::{LocalOp, Merge, Step};
 use crate::{Key, ModelError, NodeId, Schedule, Semiring};
 
@@ -20,6 +20,12 @@ pub use crate::stats::ExecutionStats;
 /// [`crate::ScheduleBuilder`] already enforces it, but schedules can be
 /// constructed by other means), so a successful [`Machine::run`] certifies
 /// that the computation fits the low-bandwidth model.
+///
+/// This is the oracle: it runs whole schedules only. Run windows and
+/// checkpoints belong to the slot machine
+/// ([`crate::LinkedMachine`]), which serves every program path; the
+/// oracle keeps one whole-run fault hook ([`Machine::run_guarded`]) as the
+/// reference for faulted outcomes.
 #[derive(Clone, Debug)]
 pub struct Machine<V: Semiring> {
     stores: Vec<HashMap<Key, V>>,
@@ -65,59 +71,34 @@ impl<V: Semiring> Machine<V> {
     }
 
     /// Execute a schedule. On success returns the cost accounting; on
-    /// failure the machine state is left as of the failing step — call
-    /// [`Machine::reset`] (or [`Machine::restore`] with an earlier
-    /// [`Checkpoint`]) to reuse the machine afterwards.
+    /// failure the machine state is left as of the failing step.
     pub fn run(&mut self, schedule: &Schedule) -> Result<ExecutionStats, ModelError> {
-        self.run_traced(schedule, &mut NoopTracer)
-    }
-
-    /// [`Machine::run`] with an instrumentation sink: emits one
-    /// [`RoundEvent`] per communication round (messages delivered, local
-    /// ops since the previous round, wall time), a `run.local_ops` counter
-    /// per compute step, and per-node send/receive loads at the end. With
-    /// [`NoopTracer`] this compiles to exactly [`Machine::run`].
-    pub fn run_traced<T: Tracer>(
-        &mut self,
-        schedule: &Schedule,
-        tracer: &mut T,
-    ) -> Result<ExecutionStats, ModelError> {
         let mut stats = ExecutionStats::default();
-        self.run_guarded(
-            schedule,
-            tracer,
-            &mut NoopFaults,
-            RunWindow::full(),
-            &mut stats,
-        )?;
+        self.run_guarded(schedule, &mut NoopFaults, &mut stats)?;
         Ok(stats)
     }
 
-    /// The full-control entry point behind [`Machine::run_traced`]: executes
-    /// the schedule steps of `window`, querying `faults` at every round
-    /// boundary and message, accumulating into `stats` (pass the stats of
-    /// the checkpoint being resumed; the round index handed to the fault
-    /// hook is `stats.rounds`, so it stays global across windows).
+    /// [`Machine::run`] under a fault hook: executes the whole schedule,
+    /// querying `faults` at every round boundary and message and
+    /// accumulating into `stats`, which is valid on every exit path
+    /// (errors included). The round index handed to the hook is
+    /// `stats.rounds`.
     ///
-    /// Returns `Ok(None)` when the schedule completed, or `Ok(Some(step))`
-    /// when the window's round budget was exhausted — `step` is the resume
-    /// cursor to checkpoint. On an injected crash the victim's store is
-    /// wiped and the run aborts with [`ModelError::NodeCrashed`]; a
-    /// lost/corrupted message fails the round's payload checksum and aborts
-    /// with [`ModelError::Corruption`]. `stats` is valid on every exit path
-    /// (errors included), so drivers can measure replayed work.
+    /// On an injected crash the victim's store is wiped and the run aborts
+    /// with [`ModelError::NodeCrashed`]; a lost/corrupted message fails
+    /// the round's payload checksum and aborts with
+    /// [`ModelError::Corruption`]. This is the reference the slot
+    /// machine's fault path is checked against: one fault plan must give
+    /// both executors the same outcome, fault log, stats and stores.
     ///
     /// All fault bookkeeping is guarded by `F::ENABLED` (a constant): with
-    /// [`NoopFaults`] and a full window this compiles to exactly
-    /// [`Machine::run_traced`].
-    pub fn run_guarded<T: Tracer, F: FaultHook>(
+    /// [`NoopFaults`] this compiles to exactly [`Machine::run`].
+    pub fn run_guarded<F: FaultHook>(
         &mut self,
         schedule: &Schedule,
-        tracer: &mut T,
         faults: &mut F,
-        window: RunWindow,
         stats: &mut ExecutionStats,
-    ) -> Result<Option<usize>, ModelError> {
+    ) -> Result<(), ModelError> {
         if schedule.n() != self.n() {
             return Err(ModelError::SizeMismatch {
                 expected: schedule.n(),
@@ -125,57 +106,28 @@ impl<V: Semiring> Machine<V> {
             });
         }
         let start = Instant::now();
-        let result = self.run_window(schedule, tracer, faults, window, stats);
+        let result = self.run_steps(schedule, faults, stats);
         stats.elapsed += start.elapsed();
         result
     }
 
-    fn run_window<T: Tracer, F: FaultHook>(
+    fn run_steps<F: FaultHook>(
         &mut self,
         schedule: &Schedule,
-        tracer: &mut T,
         faults: &mut F,
-        window: RunWindow,
         stats: &mut ExecutionStats,
-    ) -> Result<Option<usize>, ModelError> {
+    ) -> Result<(), ModelError> {
         let cap = schedule.capacity() as u32;
         let mut inbox: Vec<(NodeId, Key, Merge, V)> = Vec::new();
-        // Per-node load tallies and the ops-since-last-round count only
-        // exist for real sinks; `T::ENABLED` is const, so the disabled
-        // branches fold away entirely. The same applies to every fault
-        // branch under `F::ENABLED`.
-        let (mut node_sends, mut node_recvs) = if T::ENABLED {
-            (vec![0u64; self.n()], vec![0u64; self.n()])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let mut ops_since_round = 0u64;
-        let mut window_rounds = 0usize;
-        let steps = schedule.steps();
-        let first = window.start_step.min(steps.len());
-        for (offset, step) in steps[first..].iter().enumerate() {
-            let step_idx = first + offset;
+        for (step_idx, step) in schedule.steps().iter().enumerate() {
             match step {
                 Step::Comm(round) => {
-                    // The window budget binds on every run, fault hook or
-                    // not: a windowed plain run stops at the boundary and
-                    // returns its resume cursor just like a guarded one.
-                    if window_rounds == window.max_rounds {
-                        if T::ENABLED {
-                            tracer.node_loads(&node_sends, &node_recvs);
-                        }
-                        return Ok(Some(step_idx));
-                    }
-                    window_rounds += 1;
                     if F::ENABLED {
                         if let Some(victim) = faults.crash(stats.rounds) {
                             let victim = NodeId(victim);
                             // Targets outside the network (a plan generated
                             // for a different n) are ignored, never a panic.
                             if victim.index() < self.n() {
-                                if T::ENABLED {
-                                    tracer.fault("fault.injected.crash", stats.rounds as u64);
-                                }
                                 self.stores[victim.index()].clear();
                                 return Err(ModelError::NodeCrashed {
                                     node: victim,
@@ -184,19 +136,14 @@ impl<V: Semiring> Machine<V> {
                             }
                         }
                     }
-                    let round_start = if T::ENABLED {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
                     self.stamp += 1;
                     let stamp = self.stamp;
                     inbox.clear();
                     inbox.reserve(round.transfers.len());
                     // Commutative rolling checksums of the payloads as sent
                     // vs. as delivered: order-independent (wrapping sum of
-                    // mixed digests), so every executor backend computes the
-                    // same value for the same round.
+                    // mixed digests), so every executor computes the same
+                    // value for the same round.
                     let (mut sent_sum, mut recv_sum) = (0u64, 0u64);
                     // Read phase: gather all payloads and validate the
                     // bandwidth constraint before any store is mutated, so
@@ -239,26 +186,12 @@ impl<V: Semiring> Machine<V> {
                                 key: t.src_key,
                                 step: step_idx,
                             })?;
-                        if T::ENABLED {
-                            node_sends[si] += 1;
-                            node_recvs[di] += 1;
-                        }
                         if F::ENABLED {
                             sent_sum = sent_sum.wrapping_add(mix64(payload.digest()));
                             match faults.tamper(stats.rounds, t.src.0) {
                                 Tamper::None => {}
-                                Tamper::Drop => {
-                                    if T::ENABLED {
-                                        tracer.fault("fault.injected.drop", stats.rounds as u64);
-                                    }
-                                    continue;
-                                }
-                                Tamper::Corrupt => {
-                                    if T::ENABLED {
-                                        tracer.fault("fault.injected.corrupt", stats.rounds as u64);
-                                    }
-                                    payload = payload.corrupted();
-                                }
+                                Tamper::Drop => continue,
+                                Tamper::Corrupt => payload = payload.corrupted(),
                             }
                             recv_sum = recv_sum.wrapping_add(mix64(payload.digest()));
                         }
@@ -278,70 +211,21 @@ impl<V: Semiring> Machine<V> {
                         }
                     }
                     if F::ENABLED && sent_sum != recv_sum {
-                        if T::ENABLED {
-                            tracer.fault("fault.detected", stats.rounds as u64);
-                        }
                         return Err(ModelError::Corruption {
                             round: stats.rounds,
                         });
                     }
                     stats.record_round(round.transfers.len());
-                    if T::ENABLED {
-                        tracer.round(RoundEvent {
-                            index: (stats.rounds - 1) as u64,
-                            messages: round.transfers.len() as u64,
-                            local_ops: ops_since_round,
-                            nanos: round_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                        });
-                        ops_since_round = 0;
-                    }
                 }
                 Step::Compute(ops) => {
                     for op in ops {
                         self.apply_local(*op, step_idx)?;
                         stats.local_ops += 1;
                     }
-                    tracer.counter("run.local_ops", ops.len() as u64);
-                    if T::ENABLED {
-                        ops_since_round += ops.len() as u64;
-                    }
                 }
             }
         }
-        if T::ENABLED {
-            tracer.node_loads(&node_sends, &node_recvs);
-        }
-        Ok(None)
-    }
-
-    /// Snapshot machine state into an executor-independent [`Checkpoint`]
-    /// that resumes at `next_step` with the given accumulated `stats`.
-    pub fn checkpoint(&self, next_step: usize, stats: ExecutionStats) -> Checkpoint<V> {
-        Checkpoint::new(next_step, stats, self.stores.clone())
-    }
-
-    /// Restore every store from a [`Checkpoint`] (taken on *any* executor
-    /// backend of the same network size). Fails with
-    /// [`ModelError::SizeMismatch`] if the sizes differ.
-    pub fn restore(&mut self, ckpt: &Checkpoint<V>) -> Result<(), ModelError> {
-        if ckpt.n() != self.n() {
-            return Err(ModelError::SizeMismatch {
-                expected: ckpt.n(),
-                actual: self.n(),
-            });
-        }
-        for (store, saved) in self.stores.iter_mut().zip(ckpt.stores()) {
-            store.clone_from(saved);
-        }
         Ok(())
-    }
-
-    /// Clear every store, returning the machine to its freshly-constructed
-    /// state so it can be reloaded and reused after a failed run.
-    pub fn reset(&mut self) {
-        for store in &mut self.stores {
-            store.clear();
-        }
     }
 
     /// Clone of the full key–value store at `node` (for equivalence tests

@@ -3,14 +3,17 @@
 //! The contracts under test:
 //!
 //! * **cross-executor determinism** — one seeded [`FaultSpec`] produces the
-//!   same injected-fault log, the same outcome and (on capacity-1
-//!   schedules) bitwise-equal stores on the hash-map and linked executors;
+//!   same injected-fault log, the same outcome, the same stats and (on
+//!   capacity-1 schedules) bitwise-equal stores on the linked executor and
+//!   on the hash-map reference's whole-run fault hook;
 //! * **detection** — a dropped or corrupted message fails the round
 //!   checksum; a crash surfaces as [`ModelError::NodeCrashed`] with the
 //!   victim's store wiped;
-//! * **checkpoint/restore** — a [`Checkpoint`] taken on one backend
-//!   restores onto any other and replaying the tail reproduces the exact
-//!   final stores;
+//! * **checkpoint/restore** — a linked [`Checkpoint`] rewinds the machine
+//!   it was taken on, resumes on a fresh machine over the same linked
+//!   schedule with the exact final stores of an uninterrupted run, and is
+//!   refused with a typed error by a machine linked against another
+//!   schedule;
 //! * **recovery** — [`run_resilient`] drives a faulted run to the correct
 //!   product within its retry budget, reproducibly.
 
@@ -22,8 +25,8 @@ use lowband::faults::{Fault, FaultKind, FaultPlan, FaultSpec};
 use lowband::matrix::{gen, Fp, SparseMatrix};
 use lowband::model::algebra::Nat;
 use lowband::model::{
-    link, ExecutionStats, Key, LinkedMachine, LocalOp, Machine, Merge, ModelError, NodeId,
-    NoopTracer, RunWindow, Schedule, ScheduleBuilder, Transfer,
+    link, Checkpoint, ExecutionStats, Key, LinkedMachine, LocalOp, Machine, Merge, ModelError,
+    NodeId, NoopTracer, RunWindow, Schedule, ScheduleBuilder, Transfer,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,13 +96,7 @@ fn same_plan_same_outcome_across_executors() {
         load_ring(&mut |node, key, v| m.load(node, key, v), n);
         let mut plan_m = spec.plan(rounds, n);
         let mut stats_m = ExecutionStats::default();
-        let res_m = m.run_guarded(
-            &s,
-            &mut NoopTracer,
-            &mut plan_m,
-            RunWindow::full(),
-            &mut stats_m,
-        );
+        let res_m = m.run_guarded(&s, &mut plan_m, &mut stats_m);
 
         let mut l: LinkedMachine<Nat> = LinkedMachine::new(&linked);
         load_ring(&mut |node, key, v| l.load(node, key, v), n);
@@ -112,7 +109,11 @@ fn same_plan_same_outcome_across_executors() {
             &mut stats_l,
         );
 
-        assert_eq!(res_m, res_l, "case {case}: machine vs linked outcome");
+        assert_eq!(
+            res_m.map(|()| None),
+            res_l,
+            "case {case}: machine vs linked outcome"
+        );
         assert_eq!(plan_m.log(), plan_l.log(), "case {case}: fault logs");
         assert_eq!(stats_m, stats_l, "case {case}: stats");
         for i in 0..n as u32 {
@@ -131,7 +132,8 @@ fn same_plan_same_outcome_across_executors() {
 fn tampering_is_detected_by_the_round_checksum() {
     for kind in [FaultKind::Drop, FaultKind::Corrupt] {
         let s = ring_schedule(5, 3);
-        let mut m: Machine<Nat> = Machine::new(5);
+        let linked = link(&s).unwrap();
+        let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
         load_ring(&mut |node, key, v| m.load(node, key, v), 5);
         let mut plan = FaultPlan::new(vec![
             Fault {
@@ -147,13 +149,7 @@ fn tampering_is_detected_by_the_round_checksum() {
         ]);
         let mut stats = ExecutionStats::default();
         let err = m
-            .run_guarded(
-                &s,
-                &mut NoopTracer,
-                &mut plan,
-                RunWindow::full(),
-                &mut stats,
-            )
+            .run_guarded(&mut NoopTracer, &mut plan, RunWindow::full(), &mut stats)
             .unwrap_err();
         assert_eq!(err, ModelError::Corruption { round: 2 }, "{kind:?}");
         assert_eq!(stats.rounds, 2, "the failed round is not recorded");
@@ -166,7 +162,8 @@ fn tampering_is_detected_by_the_round_checksum() {
 fn crash_restore_rerun_completes() {
     let (n, rounds) = (6usize, 4usize);
     let s = ring_schedule(n, rounds);
-    let mut m: Machine<Nat> = Machine::new(n);
+    let linked = link(&s).unwrap();
+    let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
     load_ring(&mut |node, key, v| m.load(node, key, v), n);
     let ckpt = m.checkpoint(0, ExecutionStats::default());
 
@@ -177,13 +174,7 @@ fn crash_restore_rerun_completes() {
     }]);
     let mut stats = ExecutionStats::default();
     let err = m
-        .run_guarded(
-            &s,
-            &mut NoopTracer,
-            &mut plan,
-            RunWindow::full(),
-            &mut stats,
-        )
+        .run_guarded(&mut NoopTracer, &mut plan, RunWindow::full(), &mut stats)
         .unwrap_err();
     assert_eq!(
         err,
@@ -199,42 +190,36 @@ fn crash_restore_rerun_completes() {
     assert!(!m.snapshot(NodeId(2)).is_empty(), "restore rehydrates");
     let mut stats2 = ExecutionStats::default();
     let done = m
-        .run_guarded(
-            &s,
-            &mut NoopTracer,
-            &mut plan,
-            RunWindow::full(),
-            &mut stats2,
-        )
+        .run_guarded(&mut NoopTracer, &mut plan, RunWindow::full(), &mut stats2)
         .unwrap();
     assert_eq!(done, None, "exhausted one-shot plan lets the rerun finish");
     assert_eq!(stats2.rounds, rounds);
-
-    m.reset();
-    assert!((0..n as u32).all(|i| m.snapshot(NodeId(i)).is_empty()));
-    let mut small: Machine<Nat> = Machine::new(3);
-    assert!(matches!(
-        small.restore(&ckpt),
-        Err(ModelError::SizeMismatch { .. })
-    ));
 }
 
-/// Snapshot → keep running → restore: the checkpoint round-trips onto every
-/// backend, and replaying the tail reproduces the exact final stores.
+/// Snapshot → keep running → restore: the checkpoint rewinds the machine
+/// it was taken on, and replaying the tail from it on a fresh machine
+/// reproduces the final stores of an uninterrupted reference run.
 #[test]
-fn checkpoints_are_executor_interchangeable() {
+fn checkpoints_rewind_and_resume_on_a_fresh_machine() {
     let (n, rounds) = (8usize, 6usize);
     let s = ring_schedule(n, rounds);
     let linked = link(&s).unwrap();
 
-    // Run the first 3 rounds on the hash-map machine; checkpoint there.
-    let mut m: Machine<Nat> = Machine::new(n);
+    // Ground truth: the whole schedule on the hash-map reference.
+    let mut reference: Machine<Nat> = Machine::new(n);
+    load_ring(&mut |node, key, v| reference.load(node, key, v), n);
+    reference.run(&s).unwrap();
+    let final_stores: Vec<_> = (0..n as u32)
+        .map(|i| reference.snapshot(NodeId(i)))
+        .collect();
+
+    // Run the first 3 rounds; checkpoint there.
+    let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
     load_ring(&mut |node, key, v| m.load(node, key, v), n);
     let mut no_faults = FaultPlan::new(Vec::new()); // enabled hook, injects nothing
     let mut stats = ExecutionStats::default();
     let cursor = m
         .run_guarded(
-            &s,
             &mut NoopTracer,
             &mut no_faults,
             RunWindow::new(0, 3),
@@ -245,10 +230,10 @@ fn checkpoints_are_executor_interchangeable() {
     let ckpt = m.checkpoint(cursor, stats);
     assert_eq!(ckpt.stats().rounds, 3);
 
-    // Finish on the same machine: this is the ground-truth final state.
+    // Run on past the checkpoint; restoring rewinds the machine.
+    let at_ckpt: Vec<_> = (0..n as u32).map(|i| m.snapshot(NodeId(i))).collect();
     let done = m
         .run_guarded(
-            &s,
             &mut NoopTracer,
             &mut no_faults,
             RunWindow::new(cursor, usize::MAX),
@@ -257,34 +242,75 @@ fn checkpoints_are_executor_interchangeable() {
         .unwrap();
     assert_eq!(done, None);
     assert_eq!(stats.rounds, rounds);
-    let final_stores: Vec<_> = (0..n as u32).map(|i| m.snapshot(NodeId(i))).collect();
-
-    // The machine has moved past the checkpoint; restoring rewinds it.
     let moved: Vec<_> = (0..n as u32).map(|i| m.snapshot(NodeId(i))).collect();
     m.restore(&ckpt).unwrap();
     let rewound: Vec<_> = (0..n as u32).map(|i| m.snapshot(NodeId(i))).collect();
     assert_ne!(moved, rewound, "restore must rewind state");
+    assert_eq!(rewound, at_ckpt, "restore lands exactly on the checkpoint");
 
-    // Replay the tail from the same checkpoint on the linked backend.
-    let mut l: LinkedMachine<Nat> = LinkedMachine::new(&linked);
-    l.restore(&ckpt).unwrap();
-    let mut lstats = ckpt.stats();
-    l.run_guarded(
-        &mut NoopTracer,
-        &mut no_faults,
-        RunWindow::new(ckpt.next_step(), usize::MAX),
-        &mut lstats,
-    )
-    .unwrap();
-    assert_eq!(lstats.rounds, rounds, "resumed stats stay global");
+    // Replay the tail from the same checkpoint on a fresh machine.
+    let mut fresh: LinkedMachine<Nat> = LinkedMachine::new(&linked);
+    fresh.restore(&ckpt).unwrap();
+    let mut fstats = ckpt.stats();
+    fresh
+        .run_guarded(
+            &mut NoopTracer,
+            &mut no_faults,
+            RunWindow::new(ckpt.next_step(), usize::MAX),
+            &mut fstats,
+        )
+        .unwrap();
+    assert_eq!(fstats.rounds, rounds, "resumed stats stay global");
 
     for i in 0..n as u32 {
         assert_eq!(
-            l.snapshot(NodeId(i)),
+            fresh.snapshot(NodeId(i)),
             final_stores[i as usize],
-            "linked tail replay diverged at node {i}"
+            "tail replay diverged from the reference at node {i}"
         );
     }
+}
+
+/// A checkpoint restores only onto a machine with its slot layout: one
+/// linked against another schedule refuses it with a typed error and
+/// keeps its own state, whether the network size or only the per-node
+/// slot counts differ.
+#[test]
+fn foreign_checkpoints_are_refused() {
+    let n = 6usize;
+    let s = ring_schedule(n, 4);
+    let linked = link(&s).unwrap();
+    let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
+    load_ring(&mut |node, key, v| m.load(node, key, v), n);
+    let ckpt: Checkpoint<Nat> = m.checkpoint(0, ExecutionStats::default());
+
+    let small_linked = link(&ring_schedule(3, 4)).unwrap();
+    let mut small: LinkedMachine<Nat> = LinkedMachine::new(&small_linked);
+    assert_eq!(
+        small.restore(&ckpt),
+        Err(ModelError::SizeMismatch {
+            expected: n,
+            actual: 3
+        })
+    );
+
+    // Same n, one round instead of four: each node interns 2 keys, not 5.
+    let short_linked = link(&ring_schedule(n, 1)).unwrap();
+    let mut short: LinkedMachine<Nat> = LinkedMachine::new(&short_linked);
+    short.load(NodeId(0), Key::tmp(0, 0), Nat(9));
+    assert_eq!(
+        short.restore(&ckpt),
+        Err(ModelError::LayoutMismatch {
+            node: NodeId(0),
+            expected: linked.slots_at(NodeId(0)),
+            actual: short_linked.slots_at(NodeId(0)),
+        })
+    );
+    assert_eq!(
+        short.get(NodeId(0), Key::tmp(0, 0)),
+        Some(Nat(9)),
+        "a refused restore writes nothing"
+    );
 }
 
 /// Values loaded under keys the linked schedule never interns survive a
@@ -297,7 +323,7 @@ fn linked_checkpoint_preserves_extra_keys() {
     load_ring(&mut |node, key, v| l.load(node, key, v), 4);
     l.load(NodeId(1), Key::tmp(77, 77), Nat(123)); // never mentioned
     let ckpt = l.checkpoint(0, ExecutionStats::default());
-    l.reset();
+    l.reset_values();
     assert!(l.get(NodeId(1), Key::tmp(77, 77)).is_none());
     l.restore(&ckpt).unwrap();
     assert_eq!(l.get(NodeId(1), Key::tmp(77, 77)), Some(Nat(123)));
@@ -429,19 +455,14 @@ fn hopeless_runs_give_up_within_budget() {
         })
         .collect();
     let mut plan = FaultPlan::new(faults);
-    let mut m: Machine<Nat> = Machine::new(n);
+    let linked = link(&s).unwrap();
+    let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
     load_ring(&mut |node, key, v| m.load(node, key, v), n);
     let ckpt = m.checkpoint(0, ExecutionStats::default());
     let mut attempts = 0usize;
     let err = loop {
         let mut stats = ckpt.stats();
-        match m.run_guarded(
-            &s,
-            &mut NoopTracer,
-            &mut plan,
-            RunWindow::full(),
-            &mut stats,
-        ) {
+        match m.run_guarded(&mut NoopTracer, &mut plan, RunWindow::full(), &mut stats) {
             Ok(_) => {
                 // One-shot faults: after `rounds` attempts the plan is dry.
                 assert!(attempts >= 2, "plan must fault the first attempts");
@@ -461,8 +482,9 @@ fn hopeless_runs_give_up_within_budget() {
     assert_eq!(attempts, 3);
 }
 
-/// Random schedules × random fault plans: never a panic on any backend,
-/// and all three backends agree on the outcome and the fault log.
+/// Random schedules × random fault plans: never a panic on either
+/// executor, and both agree on the outcome, the fault log, the stats and
+/// the stores.
 #[test]
 fn random_faulted_runs_never_panic_and_agree() {
     for case in 0..CASES {
@@ -524,13 +546,7 @@ fn random_faulted_runs_never_panic_and_agree() {
         load_all(&mut |node, key, v| m.load(node, key, v));
         let mut plan_m = spec.plan(rounds, n);
         let mut stats_m = ExecutionStats::default();
-        let res_m = m.run_guarded(
-            &s,
-            &mut NoopTracer,
-            &mut plan_m,
-            RunWindow::full(),
-            &mut stats_m,
-        );
+        let res_m = m.run_guarded(&s, &mut plan_m, &mut stats_m);
 
         let mut l: LinkedMachine<Nat> = LinkedMachine::new(&linked);
         load_all(&mut |node, key, v| l.load(node, key, v));
@@ -543,8 +559,16 @@ fn random_faulted_runs_never_panic_and_agree() {
             &mut stats_l,
         );
 
-        assert_eq!(res_m, res_l, "case {case}");
+        assert_eq!(res_m.map(|()| None), res_l, "case {case}");
         assert_eq!(plan_m.log(), plan_l.log(), "case {case}");
+        assert_eq!(stats_m, stats_l, "case {case}");
+        for i in 0..n as u32 {
+            assert_eq!(
+                m.snapshot(NodeId(i)),
+                l.snapshot(NodeId(i)),
+                "case {case}: node {i} store"
+            );
+        }
     }
 }
 
@@ -734,11 +758,11 @@ fn checkpoints_stop_after_the_last_fault() {
     }
 }
 
-/// Backoff arithmetic at the extremes (ISSUE 9 satellite): with `cap`
-/// near `u64::MAX` nanoseconds the decorrelated-jitter step must saturate
-/// — never wrap into a tiny delay, truncate the `u128` nanosecond count,
-/// or panic on an empty sample range — and the accumulated totals must
-/// keep charging the virtual [`Deadline`] without overflow panics.
+/// Backoff arithmetic at the extremes: with `cap` near `u64::MAX`
+/// nanoseconds the decorrelated-jitter step must saturate — never wrap
+/// into a tiny delay, truncate the `u128` nanosecond count, or panic on an
+/// empty sample range — and repeated pauses must keep charging the
+/// virtual [`Deadline`] without overflow panics.
 #[test]
 fn backoff_saturates_at_extreme_caps() {
     use lowband::core::Backoff;
@@ -749,11 +773,12 @@ fn backoff_saturates_at_extreme_caps() {
     // pin at the cap, and multiplying `prev` by 3 must saturate.
     let mut pinned = Backoff::new(1, huge_cap, huge_cap);
     let mut deadline = Deadline::within(Duration::from_secs(60));
-    for _ in 0..4 {
-        let d = pinned.pause(&mut deadline);
-        assert_eq!(d, huge_cap, "base == cap pins every delay at the cap");
-    }
-    assert_eq!(pinned.delays, 4);
+    let paused: Vec<Duration> = (0..4).map(|_| pinned.pause(&mut deadline)).collect();
+    assert_eq!(
+        paused,
+        vec![huge_cap; 4],
+        "base == cap pins every delay at the cap"
+    );
     assert!(deadline.expired(), "virtual charges still consume budget");
 
     // Small base, huge cap: prev grows ×3 per step and must clamp to the

@@ -4,12 +4,12 @@
 //! `RunWindow::max_rounds` was silently ignored when the fault hook was
 //! statically disabled (`NoopFaults`): a windowed plain run executed the
 //! whole schedule instead of pausing at the boundary. The budget must
-//! bind on every run, on every executor backend.
+//! bind on every windowed run, hooked or not.
 
 use lowband::model::algebra::Nat;
 use lowband::model::{
-    link, ExecutionStats, Key, LinkedMachine, LocalOp, Machine, Merge, ModelError, NodeId,
-    NoopFaults, NoopTracer, RunWindow, ScheduleBuilder, Transfer,
+    link, ExecutionStats, Key, LinkedMachine, LocalOp, Machine, Merge, NodeId, NoopFaults,
+    NoopTracer, RunWindow, ScheduleBuilder, Transfer,
 };
 
 fn transfer(src: u32, src_key: Key, dst: u32, dst_key: Key) -> Transfer {
@@ -56,7 +56,7 @@ fn windowed_fixture() -> (lowband::model::Schedule, Vec<(u32, Key, u64)>) {
 
 /// A windowed run with the statically-disabled `NoopFaults` hook must stop
 /// at the round budget, return the resume cursor, and complete to the same
-/// state as an unwindowed run — on every executor backend.
+/// state as an unwindowed reference run.
 #[test]
 fn window_budget_binds_without_fault_hook() {
     let (schedule, loads) = windowed_fixture();
@@ -70,74 +70,34 @@ fn window_budget_binds_without_fault_hook() {
     let ref_stats = reference.run(&schedule).unwrap();
     assert_eq!(ref_stats.rounds, 4);
 
-    // Each backend: a 2-round window must pause (the old bug ran to
-    // completion and returned Ok(None)), then resuming must finish.
-    let check = |paused: Result<Option<usize>, ModelError>,
-                 stats: &ExecutionStats,
-                 backend: &str|
-     -> usize {
-        let cursor = paused
-            .unwrap()
-            .unwrap_or_else(|| panic!("{backend}: windowed plain run ignored max_rounds"));
-        assert_eq!(stats.rounds, 2, "{backend}: wrong rounds at the boundary");
-        cursor
-    };
-
-    {
-        let mut m: Machine<Nat> = Machine::new(3);
-        for &(node, key, v) in &loads {
-            m.load(NodeId(node), key, Nat(v));
-        }
-        let mut stats = ExecutionStats::default();
-        let paused = m.run_guarded(
-            &schedule,
-            &mut NoopTracer,
-            &mut NoopFaults,
-            RunWindow::new(0, 2),
-            &mut stats,
-        );
-        let cursor = check(paused, &stats, "Machine");
-        let done = m
-            .run_guarded(
-                &schedule,
-                &mut NoopTracer,
-                &mut NoopFaults,
-                RunWindow::new(cursor, usize::MAX),
-                &mut stats,
-            )
-            .unwrap();
-        assert_eq!(done, None);
-        assert_eq!(stats.rounds, 4);
-        for node in 0..3 {
-            assert_eq!(m.snapshot(NodeId(node)), reference.snapshot(NodeId(node)));
-        }
+    // A 2-round window must pause (the old bug ran to completion and
+    // returned Ok(None)), then resuming must finish.
+    let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
+    for &(node, key, v) in &loads {
+        m.load(NodeId(node), key, Nat(v));
     }
-
-    {
-        let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
-        for &(node, key, v) in &loads {
-            m.load(NodeId(node), key, Nat(v));
-        }
-        let mut stats = ExecutionStats::default();
-        let paused = m.run_guarded(
+    let mut stats = ExecutionStats::default();
+    let cursor = m
+        .run_guarded(
             &mut NoopTracer,
             &mut NoopFaults,
             RunWindow::new(0, 2),
             &mut stats,
-        );
-        let cursor = check(paused, &stats, "LinkedMachine");
-        let done = m
-            .run_guarded(
-                &mut NoopTracer,
-                &mut NoopFaults,
-                RunWindow::new(cursor, usize::MAX),
-                &mut stats,
-            )
-            .unwrap();
-        assert_eq!(done, None);
-        assert_eq!(stats.rounds, 4);
-        for node in 0..3 {
-            assert_eq!(m.snapshot(NodeId(node)), reference.snapshot(NodeId(node)));
-        }
+        )
+        .unwrap()
+        .expect("windowed plain run ignored max_rounds");
+    assert_eq!(stats.rounds, 2, "wrong rounds at the boundary");
+    let done = m
+        .run_guarded(
+            &mut NoopTracer,
+            &mut NoopFaults,
+            RunWindow::new(cursor, usize::MAX),
+            &mut stats,
+        )
+        .unwrap();
+    assert_eq!(done, None);
+    assert_eq!(stats, ref_stats);
+    for node in 0..3 {
+        assert_eq!(m.snapshot(NodeId(node)), reference.snapshot(NodeId(node)));
     }
 }
