@@ -190,8 +190,8 @@ fn main() {
 ///
 /// * **cold** — full `compile_plan` (triangle enumeration, schedule
 ///   compilation, linking) from the instance;
-/// * **disk** — `PlanStore::load`: read, checksum, decode and run the
-///   full admission gate (`lint_linked`) on the published binser file;
+/// * **disk** — `PlanStore::load`: read, checksum, decode and de-link the
+///   published binser file and check its key (the full admission gate);
 /// * **warm** — a primed `ScheduleCache` memory hit.
 ///
 /// Gated: cold ≥ disk ≥ warm and disk ≤ 0.3 × cold — the restart story
@@ -203,8 +203,8 @@ fn plan_store_triple(artifact: &mut JsonReport) {
     // clusters, 256K triangles) under the Theorem 4.2 two-phase
     // algorithm — the regime the persistent tier exists for: the compile
     // pays triangle enumeration, cluster extraction and the compression
-    // re-schedule, while the disk hit pays a linear decode + admission
-    // lint of the finished plan.
+    // re-schedule, while the disk hit pays a linear decode and de-link of
+    // the finished plan.
     let inst = block_workload(64, 16);
     let algorithm = Algorithm::TwoPhase {
         d: 16,

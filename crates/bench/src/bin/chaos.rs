@@ -72,12 +72,6 @@ impl Tally {
     fn absorb(&mut self, outcome: &SupervisedOutcome) {
         self.completed += 1;
         self.descents += outcome.descents as u64;
-        if outcome.deadline_missed {
-            self.deadline_misses += 1;
-        }
-        if outcome.breaker_rejected {
-            self.breaker_rejected += 1;
-        }
         if outcome.quarantined {
             self.quarantine_served += 1;
         }
@@ -96,7 +90,14 @@ impl Tally {
                     self.incorrect += 1;
                 }
             }
-            Err(_) => self.refused += 1,
+            Err(e) => {
+                self.refused += 1;
+                match e {
+                    ServeError::DeadlineExceeded { .. } => self.deadline_misses += 1,
+                    ServeError::BreakerOpen { .. } => self.breaker_rejected += 1,
+                    _ => {}
+                }
+            }
         }
     }
 
@@ -457,12 +458,8 @@ fn deadline_slice(
             None,
             metrics,
         );
-        if outcome.deadline_missed {
+        if matches!(outcome.result, Err(ServeError::DeadlineExceeded { .. })) {
             misses += 1;
-            assert!(
-                matches!(outcome.result, Err(ServeError::DeadlineExceeded { .. })),
-                "a missed deadline must surface as the typed error"
-            );
         }
         tally.absorb(&outcome);
     }

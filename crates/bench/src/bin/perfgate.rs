@@ -16,11 +16,12 @@
 //!   (the linked slot-store must stay decisively faster than hashing; it
 //!   is also the canary for the `NoopTracer` zero-cost claim, since the
 //!   executors run fully traced-out);
-//! * **admission gate** — `decode_over_compile` and `lint_over_compile`:
-//!   the two layers of a plan-store load, over a compile of the same plan
-//!   — `decode_plan` of the encoded plan file (envelope, checksums,
-//!   schedule and linked decode) and the `lint_linked` pass (both must
-//!   stay a small fraction of what a disk hit saves);
+//! * **admission gate** — `decode_over_compile` and `lint_over_compile`,
+//!   over a compile of the same plan: `decode_plan` of the encoded plan
+//!   file (envelope, checksums, linked decode and de-link — a disk hit's
+//!   whole gate apart from the key check) and the `lint_linked` pass a
+//!   fresh compile takes before insertion (both must stay a small
+//!   fraction of the compile);
 //! * **compile internals** — `extract_over_compile`: one cluster-extraction
 //!   pass on the batch-n1024 benchmark structure (n = 1024, two-phase
 //!   d = 16) over that structure's whole compile (the extraction indexes
@@ -174,7 +175,7 @@ fn measure(k: usize) -> Measurements {
     probe("linked_run_ns", linked_ns);
     probe("linked_over_hash", linked_ns / hash_ns);
 
-    // ---- admission-gate probes: plan decode and link-fidelity lint -------
+    // ---- admission-gate probes: plan decode and insert-time lint --------
     let file = encode_plan(0, &plan);
     let mut res = Reservoir::new(k);
     let decode_ns = median_ns(k, &mut res, || decode_plan(&file).expect("plan decodes"));

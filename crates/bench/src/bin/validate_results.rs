@@ -64,7 +64,7 @@ fn validate_batch_cache(doc: &lowband_bench::report::Json) -> Result<(), String>
 
 /// Batch-specific deep check for the plan-store triple (DESIGN.md §16):
 /// the tiers must be ordered cold ≥ disk ≥ warm, and a disk load
-/// (read + checksum + decode + admission lint) must cost at most 0.3× the
+/// (read + checksum + decode + de-link) must cost at most 0.3× the
 /// cold compile it replaces — otherwise the persistent tier is not
 /// pulling its weight.
 fn validate_batch_plan_store(doc: &lowband_bench::report::Json) -> Result<(), String> {

@@ -8,7 +8,7 @@
 //!   send/receive capacity (including capacity `c > 1`), node ranges,
 //!   strict-read liveness, same-round read-after-overwrite and
 //!   write-write hazards, declared-total consistency, and linking
-//!   integrity (step drift, dangling slots, slot↔key interning).
+//!   integrity (step kinds and counts, dangling slots, slot↔key interning).
 //!   Violations come back as typed [`CheckError`]s with
 //!   step/round/node/key provenance and can be emitted as `check.*`
 //!   tracer counters.

@@ -5,7 +5,7 @@
 //! per-round send/receive capacity, node ranges, strict-read liveness,
 //! same-round read-after-overwrite and write-write hazards, and the
 //! schedule's declared round/message totals. [`lint_linked`] then checks a
-//! [`LinkedSchedule`] against its source: step counts and indices, per-step
+//! [`LinkedSchedule`] against its source: step counts and kinds, per-step
 //! event counts, slot bounds, and slot↔key interning agreement. It pairs
 //! events in the linker's order without hashing and falls back to an
 //! order-free matcher only where that order disagrees.
@@ -640,8 +640,8 @@ fn lint_linked_block_by_node(
 
 /// Verify a linked schedule against its source: matching totals
 /// (`n`/`capacity`/`rounds`/`messages`), one linked step per source step
-/// with the same index and kind ([`CheckError::StepDrift`]), per-step
-/// transfer/op counts, every slot id in range for its node
+/// and of the same kind (a linked step's index is its position),
+/// per-step transfer/op counts, every slot id in range for its node
 /// ([`CheckError::DanglingSlot`]), and slot↔key interning agreement on
 /// every event ([`CheckError::SlotKeyMismatch`]).
 ///
@@ -683,18 +683,8 @@ fn lint_linked_with(schedule: &Schedule, linked: &LinkedSchedule, fast: bool) ->
     }
     let mut order = Vec::new();
     for (i, view) in linked.step_views().enumerate() {
-        let found_step = match view {
-            LinkedStepView::Comm { step, .. } | LinkedStepView::Compute { step, .. } => step,
-        };
-        if found_step != i {
-            report.push(CheckError::StepDrift {
-                linked_index: i,
-                expected_step: i,
-                found_step,
-            });
-        }
         match (&schedule.steps()[i], view) {
-            (Step::Comm(round), LinkedStepView::Comm { transfers, .. }) => {
+            (Step::Comm(round), LinkedStepView::Comm { transfers }) => {
                 if fast
                     && (round_agrees_as_is(linked, &round.transfers, transfers) || {
                         link_order(&mut order, &round.transfers, |t| t.dst.0);
@@ -705,7 +695,7 @@ fn lint_linked_with(schedule: &Schedule, linked: &LinkedSchedule, fast: bool) ->
                 }
                 lint_linked_round(&mut report, linked, i, &round.transfers, transfers);
             }
-            (Step::Compute(src_ops), LinkedStepView::Compute { ops, .. }) => {
+            (Step::Compute(src_ops), LinkedStepView::Compute { ops }) => {
                 if src_ops.len() != ops.len() {
                     report.push(CheckError::OpCountMismatch {
                         step: i,
@@ -1139,7 +1129,7 @@ mod tests {
         // The edit really reordered the round, so the fast path cannot
         // accept it and the matcher must.
         let order = |l: &LinkedSchedule| match l.step_views().next() {
-            Some(LinkedStepView::Comm { transfers, .. }) => {
+            Some(LinkedStepView::Comm { transfers }) => {
                 transfers.iter().map(|t| t.src).collect::<Vec<_>>()
             }
             _ => unreachable!("step 0 is the round"),
@@ -1203,7 +1193,7 @@ mod tests {
                 let op_count: usize = ls
                     .step_views()
                     .map(|v| match v {
-                        LinkedStepView::Compute { ops, .. } => ops.len(),
+                        LinkedStepView::Compute { ops } => ops.len(),
                         LinkedStepView::Comm { .. } => 0,
                     })
                     .sum();

@@ -22,8 +22,8 @@ pub enum Severity {
 /// node, key/slot) to point at the offending event.
 ///
 /// Step indices always refer to the *source* schedule's step list, even for
-/// violations found in the linked form — linking preserves step positions,
-/// and the linter checks that it does ([`CheckError::StepDrift`]).
+/// violations found in the linked form — a linked step's index is its
+/// position, and linking produces one linked step per source step.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CheckError {
     /// A node sends more than `capacity` messages in one round.
@@ -120,16 +120,6 @@ pub enum CheckError {
         /// Linked schedule step count.
         linked_steps: usize,
     },
-    /// A linked step's recorded source-step index disagrees with its
-    /// position, so runtime errors would point at the wrong step.
-    StepDrift {
-        /// Position in the linked step list.
-        linked_index: usize,
-        /// The source-step index that position must carry.
-        expected_step: usize,
-        /// The source-step index actually recorded.
-        found_step: usize,
-    },
     /// A linked step is a round where the source has a compute block, or
     /// vice versa.
     StepKindMismatch {
@@ -216,7 +206,6 @@ impl CheckError {
             CheckError::WriteWriteConflict { .. } => "check.write_write_conflict",
             CheckError::TotalsMismatch { .. } => "check.totals_mismatch",
             CheckError::StepCountMismatch { .. } => "check.step_count_mismatch",
-            CheckError::StepDrift { .. } => "check.step_drift",
             CheckError::StepKindMismatch { .. } => "check.step_kind_mismatch",
             CheckError::TransferCountMismatch { .. } => "check.transfer_count_mismatch",
             CheckError::OpCountMismatch { .. } => "check.op_count_mismatch",
@@ -288,14 +277,6 @@ impl std::fmt::Display for CheckError {
             } => write!(
                 f,
                 "linked schedule has {linked_steps} steps, source has {schedule_steps}"
-            ),
-            CheckError::StepDrift {
-                linked_index,
-                expected_step,
-                found_step,
-            } => write!(
-                f,
-                "linked step {linked_index} records source step {found_step}, expected {expected_step}"
             ),
             CheckError::StepKindMismatch { step } => {
                 write!(f, "step {step}: linked and source step kinds disagree")

@@ -45,15 +45,16 @@
 //! returned: each node's key run must be strictly ascending (the slot
 //! numbering [`LinkedSchedule::slot_of`] searches, which also rules out a
 //! key interned twice — one comparison per key, no map is built), nodes,
-//! slots, step ranges and block tables must be in bounds, and no compute
-//! step may be empty. Each key run and the transfer and op tables are
-//! taken as one bounds-checked slice and decoded at a fixed 16- or
+//! slots, step ranges and block tables must be in bounds, no compute
+//! step may be empty, and each step record's source-step word must equal
+//! its position (a linked step's index is its position; the word keeps
+//! the record at 32 bytes). Each key run and the transfer and op tables
+//! are taken as one bounds-checked slice and decoded at a fixed 16- or
 //! 20-byte stride. [`delink`] then rebuilds the source [`Schedule`]
 //! through [`ScheduleBuilder`], re-proving the bandwidth constraint, and
 //! refuses a `BlockMulAdd` whose cells are not one namespace's
-//! `Key::tmp(ns, 0..dim²)`. `lowband-check::lint_linked` still runs on
-//! every disk load before admission; against a de-linked schedule it
-//! re-checks totals, step indices and per-step counts.
+//! `Key::tmp(ns, 0..dim²)`. A de-linked schedule agrees with its linked
+//! form by construction, so no lint runs at load.
 
 use std::ops::Range;
 
@@ -606,7 +607,8 @@ const LOP_FREE: u32 = 7;
 /// Append the linked payload: header words, per-node key runs (each
 /// strictly ascending, since slot ids follow key order), then the
 /// step/transfer/op/block tables as dense fixed-stride runs (u128 key
-/// runs at 16-byte stride; transfer and op records at 20-byte stride of
+/// runs at 16-byte stride; step records of `kind u32 ‖ 0u32 ‖ start u64 ‖
+/// end u64 ‖ position u64`; transfer and op records at 20-byte stride of
 /// `u32` words).
 pub fn encode_linked(ls: &LinkedSchedule, out: &mut Vec<u8>) {
     out.extend_from_slice(&(ls.n as u64).to_le_bytes());
@@ -620,16 +622,16 @@ pub fn encode_linked(ls: &LinkedSchedule, out: &mut Vec<u8>) {
         }
     }
     out.extend_from_slice(&(ls.steps.len() as u64).to_le_bytes());
-    for step in &ls.steps {
-        let (kind, range, src) = match step {
-            LinkedStep::Comm { transfers, step } => (0u32, transfers, *step),
-            LinkedStep::Compute { ops, step } => (1u32, ops, *step),
+    for (position, step) in ls.steps.iter().enumerate() {
+        let (kind, range) = match step {
+            LinkedStep::Comm { transfers } => (0u32, transfers),
+            LinkedStep::Compute { ops } => (1u32, ops),
         };
         out.extend_from_slice(&kind.to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&(range.start as u64).to_le_bytes());
         out.extend_from_slice(&(range.end as u64).to_le_bytes());
-        out.extend_from_slice(&(src as u64).to_le_bytes());
+        out.extend_from_slice(&(position as u64).to_le_bytes());
     }
     out.extend_from_slice(&(ls.transfers.len() as u64).to_le_bytes());
     for t in &ls.transfers {
@@ -753,7 +755,7 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
 
     let step_count = rd.count(32)?;
     let mut raw_steps = Vec::with_capacity(step_count);
-    for _ in 0..step_count {
+    for position in 0..step_count {
         let kind_at = rd.offset();
         let kind = rd.u32()?;
         let pad_at = rd.offset();
@@ -767,7 +769,16 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
         if start > end {
             return Err(malformed(end_at, format!("inverted range {start}..{end}")));
         }
-        let src_step = rd.u64()? as usize;
+        let src_at = rd.offset();
+        let src_step = rd.u64()?;
+        if src_step != position as u64 {
+            // A step's index is its position; the word is stored so the
+            // record keeps its 32-byte stride.
+            return Err(malformed(
+                src_at,
+                format!("step {position} records source step {src_step}"),
+            ));
+        }
         if kind > 1 {
             return Err(malformed(kind_at, format!("bad step kind {kind}")));
         }
@@ -776,7 +787,7 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
             // emits one and the de-link could not round-trip it.
             return Err(malformed(end_at, "empty compute step"));
         }
-        raw_steps.push((kind, start..end, src_step, kind_at));
+        raw_steps.push((kind, start..end, kind_at));
     }
 
     let (table, table_at) = rd.table(20)?;
@@ -880,8 +891,8 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
     // Structural bounds check: every index decoded above must land inside
     // the arrays decoded alongside it, and the step tables must partition
     // the flat event arrays exactly. An artifact passing this check can be
-    // *executed* without out-of-bounds access; whether it faithfully
-    // mirrors its source schedule is the linter's question.
+    // *executed* without out-of-bounds access, and `delink` rebuilds its
+    // source schedule from it.
     let slot_count = |node: u32| node_keys[node as usize].len() as u32;
     let check_node = |node: u32, what: &str| -> Result<(), BinSerError> {
         if (node as usize) < n {
@@ -946,7 +957,7 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
     let mut next_op = 0usize;
     let mut comm_steps = 0usize;
     let mut steps = Vec::with_capacity(raw_steps.len());
-    for (kind, range, src_step, at) in raw_steps {
+    for (kind, range, at) in raw_steps {
         let (cursor, total) = if kind == 0 {
             (&mut next_transfer, transfers.len())
         } else {
@@ -964,15 +975,9 @@ pub fn decode_linked(payload: &[u8], base: usize) -> Result<LinkedSchedule, BinS
         *cursor = range.end;
         if kind == 0 {
             comm_steps += 1;
-            steps.push(LinkedStep::Comm {
-                transfers: range,
-                step: src_step,
-            });
+            steps.push(LinkedStep::Comm { transfers: range });
         } else {
-            steps.push(LinkedStep::Compute {
-                ops: range,
-                step: src_step,
-            });
+            steps.push(LinkedStep::Compute { ops: range });
         }
     }
     if next_transfer != transfers.len() || next_op != ops.len() {
@@ -1028,7 +1033,7 @@ pub fn delink(ls: &LinkedSchedule, base: usize) -> Result<Schedule, BinSerError>
     let mut b = ScheduleBuilder::with_capacity(ls.n, ls.capacity);
     for step in &ls.steps {
         match step {
-            LinkedStep::Comm { transfers, .. } => {
+            LinkedStep::Comm { transfers } => {
                 let linked = &ls.transfers[transfers.clone()];
                 let mut round = Vec::with_capacity(linked.len());
                 for t in linked {
@@ -1042,7 +1047,7 @@ pub fn delink(ls: &LinkedSchedule, base: usize) -> Result<Schedule, BinSerError>
                 }
                 b.round(round)?;
             }
-            LinkedStep::Compute { ops, .. } => {
+            LinkedStep::Compute { ops } => {
                 let linked = &ls.ops[ops.clone()];
                 let mut block = Vec::with_capacity(linked.len());
                 for op in linked {
@@ -1432,8 +1437,7 @@ mod tests {
         let mut payload = Vec::new();
         encode_linked(&ls, &mut payload);
         // Walk every u32-aligned word, overwrite with a huge value, and
-        // require a typed error or a decode identical to the pristine one
-        // (some words — e.g. source-step indices — are diagnostic only).
+        // require a typed error or a decode that still runs in bounds.
         let pristine = decode_linked(&payload, 0).unwrap();
         for word in 0..payload.len() / 4 {
             let mut corrupt = payload.clone();

@@ -417,11 +417,11 @@ fn place_and_emit(mut source: LinkedSchedule) -> LinkedSchedule {
     let mut slot_of = vec![0u32; source.ops.len()];
     for step in &source.steps {
         match step {
-            LinkedStep::Comm { transfers, .. } => placer.place_round(
+            LinkedStep::Comm { transfers } => placer.place_round(
                 &source.transfers[transfers.clone()],
                 &mut round_of[transfers.clone()],
             ),
-            LinkedStep::Compute { ops, .. } => {
+            LinkedStep::Compute { ops } => {
                 for (op, at) in source.ops[ops.clone()]
                     .iter()
                     .zip(&mut slot_of[ops.clone()])
@@ -466,10 +466,8 @@ fn place_and_emit(mut source: LinkedSchedule) -> LinkedSchedule {
                 }
                 out.ops.push(op);
             }
-            let step = out.steps.len();
             out.steps.push(LinkedStep::Compute {
                 ops: start..out.ops.len(),
-                step,
             });
         }
         if s < rounds {
@@ -479,10 +477,8 @@ fn place_and_emit(mut source: LinkedSchedule) -> LinkedSchedule {
                     .iter()
                     .map(|&i| source.transfers[i as usize]),
             );
-            let step = out.steps.len();
             out.steps.push(LinkedStep::Comm {
                 transfers: start..out.transfers.len(),
-                step,
             });
         }
     }

@@ -60,7 +60,6 @@ pub mod error;
 pub mod key;
 pub mod link;
 pub mod machine;
-pub mod parallel;
 pub mod schedule;
 pub mod serial;
 pub mod stats;

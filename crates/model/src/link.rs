@@ -167,39 +167,30 @@ pub(crate) struct BlockSlots {
 }
 
 /// One step of a linked schedule; ranges index the flat transfer/op arrays.
-/// `step` is the step index in the *source* schedule, so runtime errors
-/// point at the same step as the reference executor's.
+/// A step's index is its position: linking produces exactly one linked
+/// step per source step, so runtime errors name the same step as the
+/// reference executor's.
 #[derive(Clone, Debug)]
 pub(crate) enum LinkedStep {
-    Comm {
-        transfers: Range<usize>,
-        step: usize,
-    },
-    Compute {
-        ops: Range<usize>,
-        step: usize,
-    },
+    Comm { transfers: Range<usize> },
+    Compute { ops: Range<usize> },
 }
 
 /// One step of a linked schedule in borrowed, slot-addressed form — the
-/// public view behind [`LinkedSchedule::step_views`]. `step` is the index
-/// of the corresponding step in the *source* schedule (linking produces
-/// exactly one linked step per source step).
+/// public view behind [`LinkedSchedule::step_views`]. The `i`-th view is
+/// source step `i` (linking produces exactly one linked step per source
+/// step).
 #[derive(Clone, Copy, Debug)]
 pub enum LinkedStepView<'a> {
     /// A communication round.
     Comm {
         /// The round's transfers, stable-sorted by destination node.
         transfers: &'a [LinkedTransfer],
-        /// Source-schedule step index.
-        step: usize,
     },
     /// A block of local ops.
     Compute {
         /// The block's ops, stable-sorted by node.
         ops: &'a [LinkedOp],
-        /// Source-schedule step index.
-        step: usize,
     },
 }
 
@@ -281,7 +272,7 @@ impl LinkedSchedule {
             Ok(i)
         };
 
-        for (step_idx, step) in schedule.steps().iter().enumerate() {
+        for step in schedule.steps() {
             match step {
                 Step::Comm(Round { transfers }) => {
                     stamp += 1;
@@ -325,7 +316,6 @@ impl LinkedSchedule {
                     ls.messages += transfers.len();
                     ls.steps.push(LinkedStep::Comm {
                         transfers: start..ls.transfers.len(),
-                        step: step_idx,
                     });
                 }
                 Step::Compute(ops) => {
@@ -400,7 +390,6 @@ impl LinkedSchedule {
                     }
                     ls.steps.push(LinkedStep::Compute {
                         ops: start..ls.ops.len(),
-                        step: step_idx,
                     });
                 }
             }
@@ -418,10 +407,10 @@ impl LinkedSchedule {
     pub(crate) fn sort_into_link_order(&mut self) {
         for step in &self.steps {
             match step {
-                LinkedStep::Comm { transfers, .. } => {
+                LinkedStep::Comm { transfers } => {
                     sort_by_node(&mut self.transfers[transfers.clone()], |t| t.dst)
                 }
-                LinkedStep::Compute { ops, .. } => {
+                LinkedStep::Compute { ops } => {
                     sort_by_node(&mut self.ops[ops.clone()], LinkedOp::node)
                 }
             }
@@ -565,13 +554,11 @@ impl LinkedSchedule {
     /// validators (the `lowband-check` linter) walk.
     pub fn step_views(&self) -> impl Iterator<Item = LinkedStepView<'_>> {
         self.steps.iter().map(|s| match s {
-            LinkedStep::Comm { transfers, step } => LinkedStepView::Comm {
+            LinkedStep::Comm { transfers } => LinkedStepView::Comm {
                 transfers: &self.transfers[transfers.clone()],
-                step: *step,
             },
-            LinkedStep::Compute { ops, step } => LinkedStepView::Compute {
+            LinkedStep::Compute { ops } => LinkedStepView::Compute {
                 ops: &self.ops[ops.clone()],
-                step: *step,
             },
         })
     }
@@ -911,10 +898,9 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
         };
         let mut ops_since_round = 0u64;
         let mut window_rounds = 0usize;
-        let first = window.start_step.min(schedule.steps.len());
-        for lstep in &schedule.steps[first..] {
+        for (step, lstep) in schedule.steps.iter().enumerate().skip(window.start_step) {
             match lstep {
-                LinkedStep::Comm { transfers, step } => {
+                LinkedStep::Comm { transfers } => {
                     // The window budget binds on every run, fault hook or
                     // not: a windowed plain run stops at the boundary and
                     // returns its resume cursor just like a guarded one.
@@ -922,7 +908,7 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
                         if T::ENABLED {
                             tracer.node_loads(&node_sends, &node_recvs);
                         }
-                        return Ok(Some(*step));
+                        return Ok(Some(step));
                     }
                     window_rounds += 1;
                     if F::ENABLED {
@@ -960,7 +946,7 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
                     for (i, t) in ts.iter().enumerate() {
                         let mut plane = self.slots[t.src as usize][t.src_slot as usize]
                             .clone()
-                            .ok_or_else(|| schedule.missing(t.src, t.src_slot, *step))?;
+                            .ok_or_else(|| schedule.missing(t.src, t.src_slot, step))?;
                         if F::ENABLED {
                             sent_sum = sent_sum.wrapping_add(checksum(&plane));
                             match faults.tamper(stats.rounds, t.src) {
@@ -1026,10 +1012,10 @@ impl<'s, V: PackedSemiring<LANES>, const LANES: usize> PackedLinkedMachine<'s, V
                         ops_since_round = 0;
                     }
                 }
-                LinkedStep::Compute { ops, step } => {
+                LinkedStep::Compute { ops } => {
                     for op in &schedule.ops[ops.clone()] {
                         let store = &mut self.slots[op.node() as usize];
-                        apply_op::<V, LANES>(store, op, schedule, *step)?;
+                        apply_op::<V, LANES>(store, op, schedule, step)?;
                         stats.local_ops += 1;
                     }
                     tracer.counter("run.local_ops", ops.len() as u64);
@@ -1454,7 +1440,7 @@ mod tests {
         let s = mixed_schedule(8);
         let l = LinkedSchedule::link(&s).unwrap();
         for step in &l.steps {
-            if let LinkedStep::Comm { transfers, .. } = step {
+            if let LinkedStep::Comm { transfers } = step {
                 let ts = &l.transfers[transfers.clone()];
                 assert!(ts.windows(2).all(|w| w[0].dst <= w[1].dst));
             }
@@ -1560,24 +1546,6 @@ mod tests {
         let mut m: LinkedMachine<Nat> = LinkedMachine::new(&l);
         m.load(NodeId(0), Key::a(0, 0), Nat(3));
         assert!(matches!(m.run(), Err(ModelError::UnsupportedOp { .. })));
-    }
-
-    /// `shard_bounds` blocks must be exactly the items its documented
-    /// owner formula `i * threads / n` maps to each shard: the batch
-    /// fan-out that runs linked machines per worker slices its seed list
-    /// by these bounds.
-    #[test]
-    fn sharding_invariant_holds_for_awkward_sizes() {
-        for n in [1usize, 2, 5, 13, 64, 100] {
-            for threads in [1usize, 2, 3, 7, 16] {
-                let bounds = crate::parallel::shard_bounds(n, threads);
-                let holds = (0..n).all(|node| {
-                    let s = node * threads / n;
-                    bounds[s] <= node && node < bounds[s + 1]
-                });
-                assert!(holds, "n={n} threads={threads} bounds={bounds:?}");
-            }
-        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! requested), linked, **lint-checked once** (`lowband-check::lint_linked`
 //! — a cached artifact is served many times, so it is validated at insert,
 //! not per run) and stored; on a hit the cached artifact comes back with
-//! zero structure-dependent work. The cache is LRU-bounded: inserting into
+//! zero structure-dependent work. A miss answered by the disk tier
+//! ([`PlanStore`]) passes that tier's admission gate instead and is not
+//! linted again. The cache is LRU-bounded: inserting into
 //! a full cache evicts the least-recently-used entry. Hits, misses and
 //! evictions are counted on the cache and emitted as `serve.cache.*`
 //! tracer counters.
@@ -117,8 +119,8 @@ pub struct CacheStats {
     pub disk_hits: u64,
     /// Memory misses with no file published in the disk tier.
     pub disk_misses: u64,
-    /// Disk files rejected by the admission gate (corrupt, stale,
-    /// mis-keyed or lint-failing) — each degraded to a recompile.
+    /// Disk files rejected by the admission gate (corrupt, stale or
+    /// mis-keyed) — each degraded to a recompile.
     pub disk_rejects: u64,
     /// Plans written through to the disk tier.
     pub disk_writes: u64,
@@ -275,7 +277,7 @@ impl ScheduleCache {
 
     /// Consult the disk tier on a memory miss. A gate-passing file is a
     /// disk hit; an absent file is a disk miss; a rejected file (corrupt,
-    /// stale version, wrong key, lint failure) is counted and treated as
+    /// stale version, malformed, wrong key) is counted and treated as
     /// a miss, so the caller recompiles and the write-through overwrites
     /// the bad file — the store self-heals.
     fn load_from_store<T: Tracer>(

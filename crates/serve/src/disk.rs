@@ -26,13 +26,14 @@
 //! 3. **Key equality** — the file embeds the [`StructureKey`] it was
 //!    saved under; a renamed or mis-published file is rejected even when
 //!    its contents are internally consistent.
-//! 4. **`lint_linked`** — the schedule/link lint from `lowband-check`,
-//!    the same check a fresh compile must pass before insertion. Against
-//!    a de-linked schedule it re-checks the totals, the step indices and
-//!    kinds and the per-step counts; key fidelity to the compiler's
-//!    schedule is proved at compile time and by per-request
-//!    verification, not re-proved per load. The schedule is in link
-//!    order, so the lint pairs every event without hashing or sorting.
+//!
+//! No lint runs at load. The insert-time `lint_linked` of a fresh compile
+//! checks the linker against the compiler's schedule; a loaded plan's
+//! schedule *is* the de-link of its linked form, so the lint's totals,
+//! kinds and per-step counts hold by construction, and a linked step's
+//! index is its position (the decoder refuses a step record that says
+//! otherwise). Key fidelity to the compiler's schedule is proved at
+//! compile time and by per-request verification, not re-proved per load.
 //!
 //! A file failing any step degrades to a cache miss — the caller
 //! recompiles and overwrites, so a corrupt store heals itself and can
@@ -53,7 +54,6 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process;
 
-use lowband_check::lint_linked;
 use lowband_core::CompiledPlan;
 use lowband_model::binser::{
     decode_linked, delink, encode_linked, BinSerError, ByteReader, FileReader, FileWriter,
@@ -81,13 +81,6 @@ pub enum StoreError {
         /// Key embedded in the file.
         found: u128,
     },
-    /// The decoded artifact failed the `lint_linked` admission lint.
-    Lint {
-        /// Number of lint errors.
-        errors: usize,
-        /// The first lint error, rendered.
-        first: String,
-    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -99,12 +92,6 @@ impl std::fmt::Display for StoreError {
                 f,
                 "plan file key mismatch: expected {expected:032x}, file holds {found:032x}"
             ),
-            StoreError::Lint { errors, first } => {
-                write!(
-                    f,
-                    "plan file failed admission lint ({errors} error(s)): {first}"
-                )
-            }
         }
     }
 }
@@ -142,8 +129,8 @@ pub fn encode_plan(key: u128, plan: &CompiledPlan) -> Vec<u8> {
 
 /// Decode a plan file: envelope, checksums, structural validation and
 /// the de-link that rebuilds `schedule` (re-proving capacity). The
-/// embedded key is returned for the caller to check; the lint is the
-/// admission gate's next step, not this one.
+/// embedded key is returned for the caller to check, the admission
+/// gate's last step.
 pub fn decode_plan(bytes: &[u8]) -> Result<(u128, CompiledPlan), BinSerError> {
     let r = FileReader::new(bytes)?;
     let (meta, meta_base) = r.require(TAG_META)?;
@@ -236,38 +223,13 @@ impl PlanStore {
             Err(e) => return Err(StoreError::Io(e)),
         };
         let (embedded, plan) = decode_plan(&bytes)?;
-        // The plan owns its decoded tables; free the file before the lint
-        // allocates.
-        drop(bytes);
         if embedded != key.as_u128() {
             return Err(StoreError::KeyMismatch {
                 expected: key.as_u128(),
                 found: embedded,
             });
         }
-        let lint = lint_linked(&plan.schedule, &plan.linked);
-        let errors = lint.errors().count();
-        if errors > 0 {
-            return Err(StoreError::Lint {
-                errors,
-                first: lint
-                    .errors()
-                    .next()
-                    .map(|e| e.to_string())
-                    .unwrap_or_default(),
-            });
-        }
         Ok(Some(plan))
-    }
-
-    /// Remove the file published under `key`, if any. Used by tests and
-    /// by operators retiring a structure; a missing file is not an error.
-    pub fn evict(&self, key: StructureKey) -> Result<bool, StoreError> {
-        match fs::remove_file(self.path_for(key)) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(StoreError::Io(e)),
-        }
     }
 }
 
@@ -352,18 +314,6 @@ mod tests {
         bytes[mid] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(store.load(key), Err(StoreError::Format(_))));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn evict_removes_the_file() {
-        let root = tmp_root("evict");
-        let store = PlanStore::open(&root).unwrap();
-        let (key, plan) = plan_and_key(6);
-        store.save(key, &plan).unwrap();
-        assert!(store.evict(key).unwrap());
-        assert!(!store.evict(key).unwrap(), "second evict is a no-op");
-        assert!(store.load(key).unwrap().is_none());
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -17,8 +17,8 @@
 //!   [`ScheduleCache::stats`] and as `serve.cache.*` tracer counters.
 //! * [`PlanStore`] — an on-disk second tier behind the LRU: one
 //!   content-addressed `model::binser` file per structure key, published
-//!   by atomic rename and re-validated (checksums, key equality,
-//!   `lint_linked`) on every load, so a tampered or stale file degrades
+//!   by atomic rename and re-validated (checksums, decode and de-link,
+//!   key equality) on every load, so a tampered or stale file degrades
 //!   to a miss + recompile rather than an execution.
 //! * [`run_batch`] / [`run_batch_traced`] — stream `K` seeded value-sets
 //!   through one cached plan, sequentially (one slot store, reset between

@@ -205,8 +205,9 @@ impl Default for SupervisorConfig {
 }
 
 /// What one supervised request came back with: the result plus the whole
-/// supervision story (rung landed on, descents, deadline/breaker/
-/// quarantine interactions, the linked rung's resilient accounting).
+/// supervision story (rung landed on, descents, quarantine, the faults
+/// that fired). A breaker refusal or a deadline miss is the `result`
+/// itself: [`ServeError::BreakerOpen`] or [`ServeError::DeadlineExceeded`].
 #[derive(Clone, Debug)]
 pub struct SupervisedOutcome {
     /// The answer: a verified report, or a typed refusal/abandonment.
@@ -219,10 +220,6 @@ pub struct SupervisedOutcome {
     /// The rendered failure of plan acquisition or of the linked attempt,
     /// when either failed.
     pub failures: Vec<String>,
-    /// The request's deadline expired.
-    pub deadline_missed: bool,
-    /// The breaker refused the request (no execution happened).
-    pub breaker_rejected: bool,
     /// The structure was quarantined, so the request was served plan-free
     /// at the bottom rung.
     pub quarantined: bool,
@@ -315,8 +312,6 @@ impl Supervisor {
             rung: Rung::Linked,
             descents: 0,
             failures: Vec::new(),
-            deadline_missed: false,
-            breaker_rejected: false,
             quarantined: false,
             fault_log: Vec::new(),
         };
@@ -327,7 +322,6 @@ impl Supervisor {
             CircuitBreaker::new(self.config.breaker_threshold, self.config.breaker_cooldown)
         });
         if let Err(cooldown_left) = breaker.admit(tracer) {
-            outcome.breaker_rejected = true;
             outcome.result = Err(ServeError::BreakerOpen { cooldown_left });
             return outcome;
         }
@@ -428,14 +422,13 @@ impl Supervisor {
         };
         let result = served.map_err(|partial| {
             tracer.counter("serve.deadline.miss", 1);
-            outcome.deadline_missed = true;
             ServeError::DeadlineExceeded { partial }
         });
+        let deadline_missed = matches!(result, Err(ServeError::DeadlineExceeded { .. }));
 
         // Health bookkeeping: the breaker tracks the *distributed* path —
         // landing on the bottom rung means that path failed end to end.
-        let distributed_ok =
-            result.is_ok() && !outcome.deadline_missed && outcome.rung != Rung::Reference;
+        let distributed_ok = result.is_ok() && outcome.rung != Rung::Reference;
         self.breakers
             .get_mut(&key)
             .expect("breaker was just inserted")
@@ -443,7 +436,7 @@ impl Supervisor {
 
         // Quarantine strikes: consecutive requests with supervised
         // failures poison the plan; a clean request clears the count.
-        if outcome.descents > 0 || outcome.deadline_missed {
+        if outcome.descents > 0 || deadline_missed {
             let strikes = self.strikes.entry(key).or_insert(0);
             *strikes += 1;
             if *strikes >= self.config.quarantine_threshold {

@@ -41,7 +41,7 @@ use lowband_bench::{block_workload, mixed_workload, scattered_workload, TablePri
 use lowband_core::budget::entries_for_report;
 use lowband_core::{run_algorithm_traced, Algorithm, Instance};
 use lowband_matrix::Fp;
-use lowband_served::server::{serve, ServerConfig};
+use lowband_served::server::{serve, shard_bounds, ServerConfig};
 use lowband_served::{expected_digest, Client, ExecuteRequest, Request, Response};
 use lowband_trace::MetricsRegistry;
 use rand::rngs::StdRng;
@@ -215,7 +215,7 @@ fn main() {
         per_struct: vec![0; entries.len()],
         ..Tally::default()
     });
-    let bounds = lowband_model::parallel::shard_bounds(requests, connections);
+    let bounds = shard_bounds(requests, connections);
     let started = Instant::now();
     std::thread::scope(|scope| {
         for c in 0..connections {

@@ -4,10 +4,9 @@
 //!
 //! One accept thread plus `workers` worker threads. Each worker owns a
 //! bounded connection queue; the queue capacities partition the total
-//! `backlog` budget with [`lowband_model::parallel::shard_bounds`] — the
-//! same contiguous-block sharding the batch executors use to split seeds
-//! across threads, reused here to split admission slots across workers
-//! (a surplus worker simply owns an empty shard and sits idle). The
+//! `backlog` budget in contiguous blocks with [`shard_bounds`] (which
+//! `loadgen` also uses to split requests across its connections); a
+//! surplus worker simply owns an empty shard and sits idle. The
 //! accept thread dispatches round-robin, skipping full queues; when
 //! **every** queue is full the connection is refused with a typed
 //! [`Response::Overloaded`] frame and closed — backpressure is explicit
@@ -38,7 +37,6 @@ use crate::wire::{read_frame, write_frame, ExecuteRequest, Request, Response, Wi
 use lowband_core::densemm::DenseEngine;
 use lowband_core::{Algorithm, Rung};
 use lowband_matrix::{Bool, Fp, Gf2, MinPlus, SampleElement, Semiring, SparseMatrix, Wrap64};
-use lowband_model::parallel::shard_bounds;
 use lowband_serve::{ServeError, Supervisor, SupervisorConfig};
 use lowband_trace::{FlightRecorder, Json};
 use std::collections::VecDeque;
@@ -268,6 +266,23 @@ impl ServerHandle {
     }
 }
 
+/// First item of each shard when `n` items are split across `threads`
+/// workers (length `threads + 1`; shard `s` owns `bounds[s]..bounds[s+1]`).
+/// Item `i` lands in shard `i * threads / n`, so blocks are contiguous and
+/// differ in size by at most one.
+///
+/// Degenerate shapes are well defined: `threads > n` yields `threads - n`
+/// empty shards (never out-of-bounds), and `threads == 0` yields
+/// the zero-shard partition `[0]` — no shard owns anything, so a caller
+/// with `n > 0` items must reject zero workers up front.
+pub fn shard_bounds(n: usize, threads: usize) -> Vec<usize> {
+    if threads == 0 {
+        return vec![0];
+    }
+    // Shard `s` starts at the first item `i` with `i * threads >= s * n`.
+    (0..=threads).map(|s| (s * n).div_ceil(threads)).collect()
+}
+
 /// Bind and start a daemon.
 pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
@@ -275,10 +290,10 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
 
     let workers = config.resolved_workers();
-    // The admission budget is one contiguous block per worker — the
-    // batch executors' sharding, reused. With fewer budget slots than
-    // workers the tail shards are empty and those workers stay idle,
-    // exactly the `threads > n` shape `shard_bounds` pins down.
+    // The admission budget is one contiguous block per worker. With
+    // fewer budget slots than workers the tail shards are empty and those
+    // workers stay idle, exactly the `threads > n` shape `shard_bounds`
+    // pins down.
     let bounds = shard_bounds(config.backlog.max(workers), workers);
     let queues: Vec<WorkerQueue> = (0..workers)
         .map(|w| WorkerQueue::new(bounds[w + 1] - bounds[w]))
@@ -606,6 +621,64 @@ mod tests {
     }
 
     lowband_model::impl_packed_semiring_array!(Boom);
+
+    #[test]
+    fn shard_bounds_zero_threads_is_the_empty_partition() {
+        for n in [0usize, 1, 5, 100] {
+            assert_eq!(shard_bounds(n, 0), vec![0], "n={n}");
+        }
+    }
+
+    #[test]
+    fn shard_bounds_with_more_threads_than_nodes_has_empty_tail_shards() {
+        for (n, threads) in [(0usize, 4usize), (1, 8), (3, 7), (5, 64)] {
+            let bounds = shard_bounds(n, threads);
+            assert_eq!(bounds.len(), threads + 1);
+            assert_eq!(bounds[0], 0);
+            assert_eq!(bounds[threads], n);
+            for s in 0..threads {
+                assert!(
+                    bounds[s] <= bounds[s + 1] && bounds[s + 1] <= n,
+                    "n={n} t={threads} shard={s} bounds={bounds:?}"
+                );
+            }
+            let owned: usize = (0..threads).map(|s| bounds[s + 1] - bounds[s]).sum();
+            assert_eq!(owned, n, "every node owned exactly once");
+        }
+    }
+
+    #[test]
+    fn shard_bounds_partition_the_nodes() {
+        for (n, threads) in [(10usize, 3usize), (7, 7), (16, 4), (5, 1), (1, 1)] {
+            let bounds = shard_bounds(n, threads);
+            assert_eq!(bounds[0], 0);
+            assert_eq!(bounds[threads], n);
+            for node in 0..n {
+                let s = node * threads / n;
+                assert!(
+                    bounds[s] <= node && node < bounds[s + 1],
+                    "n={n} t={threads} node={node} shard={s} bounds={bounds:?}"
+                );
+            }
+        }
+    }
+
+    /// `shard_bounds` blocks must be exactly the items its documented
+    /// owner formula `i * threads / n` maps to each shard: the daemon's
+    /// backlog shards and `loadgen`'s connection split rely on it.
+    #[test]
+    fn sharding_invariant_holds_for_awkward_sizes() {
+        for n in [1usize, 2, 5, 13, 64, 100] {
+            for threads in [1usize, 2, 3, 7, 16] {
+                let bounds = shard_bounds(n, threads);
+                let holds = (0..n).all(|node| {
+                    let s = node * threads / n;
+                    bounds[s] <= node && node < bounds[s + 1]
+                });
+                assert!(holds, "n={n} threads={threads} bounds={bounds:?}");
+            }
+        }
+    }
 
     /// A request that panics inside the supervised run answers `Failed`,
     /// leaves the supervisor mutex unpoisoned, and the next request on

@@ -3,8 +3,8 @@
 //! Chrome/Perfetto trace when a run dies.
 //!
 //! A [`FlightRecorder`] is a [`Tracer`] sink that keeps only the **last
-//! `capacity` events** — span enters/exits, (optionally 1-in-N sampled)
-//! [`RoundEvent`]s, and fault events — each stamped with microseconds
+//! `capacity` events** — span enters/exits, [`RoundEvent`]s, and fault
+//! events — each stamped with microseconds
 //! since the recorder was created. Aggregate events (counters,
 //! histograms, node loads) are deliberately ignored: those belong to a
 //! [`crate::MetricsRegistry`], which composes alongside via the `(A, B)`
@@ -17,7 +17,7 @@
 //! `results/postmortem/<label>-<seq>.trace.json`: a valid Chrome
 //! `trace_event` JSON object (loadable in `chrome://tracing` / Perfetto
 //! as-is) whose extra `otherData` key carries the abort reason, the drop
-//! counters, and any caller-supplied metrics snapshot.
+//! counter, and any caller-supplied metrics snapshot.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,7 +42,7 @@ pub enum FlightKind {
     SpanEnter(&'static str),
     /// A span closed.
     SpanExit(&'static str),
-    /// One communication round (subject to 1-in-N sampling).
+    /// One communication round.
     Round(RoundEvent),
     /// A fault-layer event (`fault.injected.*`, `fault.detected`, …) at a
     /// global round index.
@@ -63,25 +63,11 @@ pub struct FlightRecorder {
     head: usize,
     /// Events overwritten by ring overflow.
     dropped: u64,
-    /// Record every `sample_every`-th round event (1 = all).
-    sample_every: u64,
-    /// Round events skipped by sampling.
-    sampled_out: u64,
-    rounds_seen: u64,
 }
 
 impl FlightRecorder {
-    /// A recorder retaining the last `capacity` events (floored at 1),
-    /// with every round event recorded.
+    /// A recorder retaining the last `capacity` events (floored at 1).
     pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder::with_sampling(capacity, 1)
-    }
-
-    /// A recorder that additionally records only every
-    /// `sample_every`-th [`RoundEvent`] (floored at 1) — the knob that
-    /// makes it cheap enough for always-on batch serving, where rounds
-    /// dominate the event stream by orders of magnitude.
-    pub fn with_sampling(capacity: usize, sample_every: u64) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             epoch: Instant::now(),
@@ -89,9 +75,6 @@ impl FlightRecorder {
             capacity,
             head: 0,
             dropped: 0,
-            sample_every: sample_every.max(1),
-            sampled_out: 0,
-            rounds_seen: 0,
         }
     }
 
@@ -122,11 +105,6 @@ impl FlightRecorder {
         self.dropped
     }
 
-    /// Round events skipped by the 1-in-N sampler.
-    pub fn sampled_out(&self) -> u64 {
-        self.sampled_out
-    }
-
     /// Retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
         let (newer, older) = self.ring.split_at(self.head);
@@ -140,7 +118,7 @@ impl FlightRecorder {
     /// B/E stream always balances (required by strict trace viewers): an
     /// exit whose enter was overwritten becomes an instant event, and a
     /// still-open enter gets a synthetic exit at the last timestamp.
-    /// `reason` and the drop counters land in `otherData`, plus every
+    /// `reason` and the drop counter land in `otherData`, plus every
     /// key of `extra` when it is an object (pass `Json::Null` for none).
     pub fn to_chrome_json(&self, reason: &str, extra: Json) -> Json {
         let mut events: Vec<Json> = Vec::with_capacity(self.ring.len() + 8);
@@ -193,9 +171,7 @@ impl FlightRecorder {
             .set("reason", reason)
             .set("recorded", self.ring.len() as u64)
             .set("capacity", self.capacity as u64)
-            .set("dropped", self.dropped)
-            .set("sampled_out", self.sampled_out)
-            .set("round_sample_every", self.sample_every);
+            .set("dropped", self.dropped);
         if let Json::Obj(fields) = extra {
             for (k, v) in fields {
                 other = other.set(&k, v);
@@ -265,12 +241,7 @@ impl Tracer for FlightRecorder {
     fn histogram(&mut self, _name: &'static str, _value: u64) {}
 
     fn round(&mut self, event: RoundEvent) {
-        self.rounds_seen += 1;
-        if (self.rounds_seen - 1).is_multiple_of(self.sample_every) {
-            self.push(FlightKind::Round(event));
-        } else {
-            self.sampled_out += 1;
-        }
+        self.push(FlightKind::Round(event));
     }
 
     #[inline]
@@ -326,21 +297,6 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![6, 7, 8, 9], "oldest-first, newest retained");
-    }
-
-    #[test]
-    fn sampling_records_one_in_n() {
-        let mut r = FlightRecorder::with_sampling(100, 4);
-        for i in 0..16u64 {
-            r.round(RoundEvent {
-                index: i,
-                messages: 0,
-                local_ops: 0,
-                nanos: 0,
-            });
-        }
-        assert_eq!(r.len(), 4, "rounds 0, 4, 8, 12");
-        assert_eq!(r.sampled_out(), 12);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! The second-generation layer (DESIGN.md §13) adds:
 //!
 //! * [`FlightRecorder`] — a fixed-capacity ring of recent spans/rounds
-//!   with overflow drop-counters and 1-in-N round sampling, dumpable as a
-//!   post-mortem Chrome trace into `results/postmortem/` when a run dies;
+//!   with an overflow drop counter, dumpable as a post-mortem Chrome
+//!   trace into `results/postmortem/` when a run dies;
 //! * [`percentile`] — p50/p95/p99/p999 surfaces from the log₂-bucket
 //!   [`Histogram`]s (documented < 2× bucket-bound error) and an exact
 //!   small-N [`Reservoir`], the `percentiles` section of every artifact;

@@ -5,13 +5,15 @@
 //! panic, allocate unboundedly, or yield a plan that executes differently
 //! from some pristine plan's source schedule.** Every mutation below must
 //! land in one of two buckets — a typed [`BinSerError`] (or store-level
-//! rejection), or a decode that still passes the full admission lint.
+//! rejection), or a decode whose linked schedule lints clean against its
+//! own de-link, which is why the store runs no lint at load.
 //!
 //! Mutations: seeded single-byte flips over a corpus of real compiled
 //! plans, truncation at every section boundary (and every prefix of the
 //! smallest file), magic/version mutations, length-field inflation, and
-//! count-field inflation and out-of-order or repeated linked keys behind
-//! freshly sealed checksums. A final pair of
+//! — behind freshly sealed checksums — count-field inflation, out-of-order
+//! or repeated linked keys, rewritten step indices and seeded single-word
+//! rewrites of the linked payload. A final pair of
 //! tests drives the same corruption through `PlanStore`/`ScheduleCache`
 //! and checks it degrades to a recompile, not an execution.
 //!
@@ -28,6 +30,9 @@ use lowband::model::NodeId;
 use lowband::serve::{decode_plan, encode_plan, PlanStore, ScheduleCache, StructureKey};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Tag of a plan file's linked-schedule section.
+const TAG_LINKED: [u8; 4] = *b"LNKD";
 
 #[cfg(feature = "proptest-tests")]
 const FLIPS_PER_FILE: usize = 4096;
@@ -55,17 +60,18 @@ fn corpus() -> Vec<(String, u128, CompiledPlan, Vec<u8>)> {
 }
 
 /// What a mutated file is allowed to do, mirroring the store's admission
-/// gate: a typed [`BinSerError`] (checksum/structure layer), a decode
-/// whose schedule↔link fidelity check fails (`lint_linked` layer — the
-/// store degrades it to a miss), or a decode that clears the full gate —
-/// which by the gate's own proof is a well-formed executable plan. The
-/// only forbidden outcomes are a panic or unbounded allocation, and those
-/// fail the test by crashing it.
+/// gate: a typed [`BinSerError`] (checksum, structure or de-link layer),
+/// or a decode that clears the gate — which by the gate's own proof is a
+/// well-formed executable plan whose schedule is the de-link of its
+/// linked form, so it must lint clean. A panic or unbounded allocation
+/// fails the test by crashing it.
 fn must_degrade_cleanly(bytes: &[u8]) {
     if let Ok((_key, plan)) = decode_plan(bytes) {
-        // Exercise the gate's semantic layer the way `PlanStore::load`
-        // does; either verdict is acceptable, it just must not panic.
-        let _ = lint_linked(&plan.schedule, &plan.linked).errors().count();
+        let report = lint_linked(&plan.schedule, &plan.linked);
+        assert!(
+            report.is_clean(),
+            "a decoded mutant fails the lint: {report}"
+        );
     }
 }
 
@@ -239,7 +245,6 @@ fn count_field_inflation_behind_valid_checksums_is_rejected() {
 /// offending key's file offset — not admit it, not panic.
 #[test]
 fn unordered_or_repeated_keys_behind_valid_checksums_are_rejected() {
-    const TAG_LINKED: [u8; 4] = *b"LNKD";
     for (name, _key, plan, bytes) in corpus() {
         let sections = sections_of(&bytes);
         let victim = sections
@@ -250,18 +255,8 @@ fn unordered_or_repeated_keys_behind_valid_checksums_are_rejected() {
         let (_, payload_at) = reader.require(TAG_LINKED).expect("linked section");
         drop(reader);
 
-        // Offset (inside the payload) of each node's first key: four
-        // header words, then per node a u64 count and 16 bytes per key.
-        let linked = &plan.linked;
-        let mut run_at = Vec::new();
-        let mut at = 32;
-        for v in 0..linked.n() as u32 {
-            let slots = linked.slots_at(NodeId(v));
-            if slots >= 2 {
-                run_at.push((at + 8, slots));
-            }
-            at += 8 + 16 * slots;
-        }
+        let (mut run_at, _) = linked_layout(&plan);
+        run_at.retain(|&(_, slots)| slots >= 2);
         assert!(!run_at.is_empty(), "{name}: no node holds two keys");
 
         let mut rng = StdRng::seed_from_u64(0x5EED_0A7E);
@@ -288,6 +283,90 @@ fn unordered_or_repeated_keys_behind_valid_checksums_are_rejected() {
                     Ok(_) => panic!("{name} repeat={repeat}: key run out of order was admitted"),
                 }
             }
+        }
+    }
+}
+
+/// Offset inside the linked payload of each node's key run and of the
+/// step table: four header words, then per node a u64 count and 16 bytes
+/// per key, then the u64 step count and 32-byte step records.
+fn linked_layout(plan: &CompiledPlan) -> (Vec<(usize, usize)>, usize) {
+    let linked = &plan.linked;
+    let mut runs = Vec::new();
+    let mut at = 32;
+    for v in 0..linked.n() as u32 {
+        let slots = linked.slots_at(NodeId(v));
+        runs.push((at + 8, slots));
+        at += 8 + 16 * slots;
+    }
+    (runs, at + 8)
+}
+
+/// A linked step's index is its position. Rewrite each step record's
+/// source-step word behind freshly sealed checksums: the decoder must
+/// refuse the file as `Malformed` at that word, not admit a plan whose
+/// runtime errors would name the wrong step.
+#[test]
+fn rewritten_step_indices_behind_valid_checksums_are_rejected() {
+    for (name, _key, plan, bytes) in corpus() {
+        let sections = sections_of(&bytes);
+        let victim = sections
+            .iter()
+            .position(|(tag, _)| *tag == TAG_LINKED)
+            .expect("linked section");
+        let reader = FileReader::new(&bytes).expect("pristine envelope");
+        let (_, payload_at) = reader.require(TAG_LINKED).expect("linked section");
+        drop(reader);
+        let (_, steps_at) = linked_layout(&plan);
+        for step in 0..plan.linked.step_count() {
+            let word = steps_at + 32 * step + 24;
+            let position = step as u64;
+            for rewritten in [position + 1, position ^ 3, 1_000_000] {
+                let mut mutated = sections.clone();
+                mutated[victim].1[word..word + 8].copy_from_slice(&rewritten.to_le_bytes());
+                match decode_plan(&reseal(&mutated)) {
+                    Err(BinSerError::Malformed { offset, .. }) => assert_eq!(
+                        offset,
+                        payload_at + word,
+                        "{name} step {step} -> {rewritten}: wrong word blamed"
+                    ),
+                    Err(other) => {
+                        panic!("{name} step {step} -> {rewritten}: expected Malformed, got {other}")
+                    }
+                    Ok(_) => panic!("{name} step {step} -> {rewritten}: decoded"),
+                }
+            }
+        }
+    }
+}
+
+/// Seeded single-word rewrites anywhere in the linked payload, behind
+/// freshly sealed checksums so each one reaches the payload decoder and
+/// the de-link: every mutant is refused with a typed error or decodes to
+/// a plan that lints clean.
+#[test]
+fn resealed_linked_word_rewrites_degrade_cleanly() {
+    for (_name, _key, _plan, bytes) in corpus() {
+        let sections = sections_of(&bytes);
+        let victim = sections
+            .iter()
+            .position(|(tag, _)| *tag == TAG_LINKED)
+            .expect("linked section");
+        let words = sections[victim].1.len() / 4;
+        let mut rng = StdRng::seed_from_u64(0x11D_3070);
+        for _case in 0..FLIPS_PER_FILE {
+            let at = 4 * rng.gen_range(0..words);
+            let mut mutated = sections.clone();
+            let payload = &mut mutated[victim].1;
+            let old = u32::from_le_bytes(payload[at..at + 4].try_into().expect("word"));
+            let new = match rng.gen_range(0..4u32) {
+                0 => old.wrapping_add(1),
+                1 => old.wrapping_sub(1),
+                2 => old ^ (1 << rng.gen_range(0..32u32)),
+                _ => rng.gen(),
+            };
+            payload[at..at + 4].copy_from_slice(&new.to_le_bytes());
+            must_degrade_cleanly(&reseal(&mutated));
         }
     }
 }

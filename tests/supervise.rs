@@ -161,7 +161,6 @@ fn breaker_opens_refuses_and_closes_via_probe() {
         &FaultSpec::none(1),
         None,
     );
-    assert!(refused.breaker_rejected);
     assert!(matches!(
         refused.result,
         Err(ServeError::BreakerOpen { cooldown_left: 1 })
@@ -276,7 +275,6 @@ fn tight_deadline_surfaces_typed_error_with_partial_report() {
         &total_storm(0x7160),
         None,
     );
-    assert!(outcome.deadline_missed);
     match outcome.result {
         Err(ServeError::DeadlineExceeded { partial }) => {
             assert!(!partial.report.correct, "a partial report never verifies");
@@ -299,7 +297,6 @@ fn tight_deadline_surfaces_typed_error_with_partial_report() {
         &FaultSpec::none(1),
         None,
     );
-    assert!(!ok.deadline_missed);
     assert!(ok.result.expect("served").correct);
 }
 
@@ -332,7 +329,6 @@ fn deadline_spent_by_the_descent_backoff_skips_the_reference_rung() {
         &total_storm(0xDE5C),
         Some(&mut out),
     );
-    assert!(outcome.deadline_missed);
     assert_eq!(outcome.descents, 1);
     assert_eq!(outcome.rung, Rung::Linked, "the reference rung never ran");
     assert_eq!(outcome.failures.len(), 1);
