@@ -16,7 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
-pub use lowband_trace::budget::{budget_section, BudgetEntry, DEFAULT_TOLERANCE};
+pub use lowband_core::budget::{budget_section, BudgetEntry, DEFAULT_TOLERANCE};
 pub use lowband_trace::percentile::{percentiles_section, reservoir_section, Reservoir};
 pub use lowband_trace::Json;
 

@@ -7,11 +7,11 @@
 //!   Boolean semiring [`Bool`] (matrix product = reachability / triangle
 //!   detection) and the tropical semiring [`MinPlus`] (product = min-plus
 //!   distance product);
-//! * **rings/fields** — subtraction (and division) enable Strassen-style
+//! * **rings/fields** — subtraction enables Strassen-style
 //!   fast dense multiplication; examples here are the Mersenne prime field
 //!   [`Fp`] (`p = 2⁶¹ − 1`) and the wrapping ring [`Wrap64`].
 
-use lowband_model::algebra::{Field, PackedSemiring, Ring, Semiring};
+use lowband_model::algebra::{PackedSemiring, Ring, Semiring};
 use rand::Rng;
 
 /// Sampling random elements, for seeded instance generation.
@@ -210,17 +210,6 @@ impl Ring for Fp {
     }
 }
 
-impl Field for Fp {
-    fn inv(&self) -> Option<Self> {
-        if self.0 == 0 {
-            None
-        } else {
-            // Fermat: a^(p−2) = a^{-1}.
-            Some(self.pow(Fp::P - 2))
-        }
-    }
-}
-
 impl SampleElement for Fp {
     fn sample_nonzero<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Fp(rng.gen_range(1..Fp::P))
@@ -237,7 +226,7 @@ impl SampleElement for Fp {
 /// negative — subtraction *is* addition, and Strassen applies), and the
 /// only nonzero element is its own inverse. Boolean matrix rank and
 /// `𝔽₂` linear algebra live here; it also exercises the degenerate corner
-/// of the [`Ring`]/[`Field`] hierarchy in tests.
+/// of the [`Ring`] trait in tests.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, PartialOrd, Ord)]
 pub struct Gf2(pub bool);
 
@@ -265,16 +254,6 @@ impl Semiring for Gf2 {
 impl Ring for Gf2 {
     fn neg(&self) -> Self {
         *self // characteristic 2: −x = x
-    }
-}
-
-impl Field for Gf2 {
-    fn inv(&self) -> Option<Self> {
-        if self.0 {
-            Some(Gf2(true))
-        } else {
-            None
-        }
     }
 }
 
@@ -485,10 +464,9 @@ mod tests {
     fn fp_field_axioms() {
         let a = Fp::new(0xDEADBEEFCAFE);
         assert_eq!(a.add(&a.neg()), Fp::zero());
-        let inv = a.inv().unwrap();
-        assert_eq!(a.mul(&inv), Fp::one());
-        assert_eq!(Fp::zero().inv(), None);
-        assert_eq!(a.sub(&a), Fp::zero());
+        // Fermat: a^(p−2) is the inverse of a nonzero a.
+        assert_eq!(a.mul(&a.pow(Fp::P - 2)), Fp::one());
+        assert_eq!(Fp::zero().neg(), Fp::zero());
     }
 
     #[test]
@@ -507,9 +485,8 @@ mod tests {
         assert_eq!(o.add(&o), z, "1 + 1 = 0 in characteristic 2");
         assert_eq!(o.mul(&o), o);
         assert_eq!(o.neg(), o, "self-inverse addition");
-        assert_eq!(o.sub(&o), z);
-        assert_eq!(o.inv(), Some(o));
-        assert_eq!(z.inv(), None);
+        assert_eq!(o.add(&o.neg()), z);
+        assert_eq!(z.neg(), z);
     }
 
     #[test]
@@ -518,7 +495,7 @@ mod tests {
         let b = Wrap64(17);
         assert_eq!(a.add(&b), Wrap64((u64::MAX - 3).wrapping_add(17)));
         assert_eq!(a.add(&a.neg()), Wrap64::zero());
-        assert_eq!(a.sub(&b).add(&b), a);
+        assert_eq!(a.add(&b.neg()).add(&b), a);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! talk *about*:
 //!
 //! * **Algebra** ([`algebra`]): implementations of the
-//!   [`Semiring`] / [`Ring`] / [`Field`] traits — the Boolean semiring
+//!   [`Semiring`] / [`Ring`] traits — the Boolean semiring
 //!   (triangle detection), the tropical min-plus semiring (shortest paths),
 //!   the prime field `𝔽_p` with `p = 2⁶¹ − 1`, and the wrapping `u64` ring.
 //! * **Supports** ([`support`]): indicator matrices `Â`, `B̂`, `X̂` — the
@@ -19,8 +19,6 @@
 //! * **Sparse matrices** ([`sparse`]): values attached to a support, plus
 //!   the sequential reference product `X = (AB) ⊙ X̂` that every distributed
 //!   algorithm is checked against.
-//! * **Dense kernels** ([`dense`]): naive cubic and Strassen multiplication
-//!   used as node-local compute and as test oracles.
 //! * **Generators** ([`gen`]): seeded random instances of every sparsity
 //!   class, plus the clustered and scattered workloads of the evaluation.
 //! * **Pattern I/O** ([`io`]): Matrix Market coordinate reader/writer, so
@@ -31,7 +29,6 @@
 pub mod algebra;
 pub mod classes;
 pub mod degeneracy;
-pub mod dense;
 pub mod gen;
 pub mod io;
 pub mod sparse;
@@ -40,9 +37,8 @@ pub mod support;
 pub use algebra::{Bool, Fp, Gf2, MinPlus, SampleElement, Wrap64};
 pub use classes::{SparsityClass, SparsityProfile};
 pub use degeneracy::{bd_split, degeneracy, EliminationStep};
-pub use dense::DenseMatrix;
 pub use sparse::{reference_multiply, reference_multiply_into, SparseMatrix};
 pub use support::Support;
 
 // Re-export the algebra traits so downstream crates have one import path.
-pub use lowband_model::algebra::{Field, Ring, Semiring};
+pub use lowband_model::algebra::{Ring, Semiring};

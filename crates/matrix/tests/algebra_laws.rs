@@ -2,13 +2,13 @@
 //! promises (see the `Semiring` trait docs): associativity and
 //! commutativity of `+`, associativity of `·`, identities, distributivity,
 //! and zero-annihilation — for Boolean, tropical, `𝔽_p`, `GF(2)` and the
-//! wrapping ring; additionally the ring/field laws where applicable.
+//! wrapping ring; additionally the ring laws where applicable.
 //!
 //! Uses seeded loops over the vendored `rand` instead of proptest; the
 //! `proptest-tests` feature raises the iteration counts.
 
 use lowband_matrix::{Bool, Fp, Gf2, MinPlus, Wrap64};
-use lowband_model::algebra::{Field, Ring, Semiring};
+use lowband_model::algebra::{Ring, Semiring};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,17 +37,8 @@ fn check_semiring_laws<S: Semiring>(a: S, b: S, c: S) {
 
 fn check_ring_laws<S: Ring>(a: S, b: S) {
     assert_eq!(a.add(&a.neg()), S::zero());
-    assert_eq!(a.sub(&b).add(&b), a.clone());
+    assert_eq!(a.add(&b.neg()).add(&b), a.clone());
     assert_eq!(a.neg().neg(), a);
-}
-
-fn check_field_laws<S: Field>(a: S) {
-    if !a.is_zero() {
-        let inv = a.inv().expect("nonzero element must be invertible");
-        assert_eq!(a.mul(&inv), S::one());
-    } else {
-        assert_eq!(a.inv(), None);
-    }
 }
 
 #[test]
@@ -92,12 +83,13 @@ fn fp_semiring_ring_field_laws() {
         );
         check_semiring_laws(a, b, c);
         check_ring_laws(a, b);
-        check_field_laws(a);
+        // Fermat: a^(p−2) is the inverse of every nonzero a.
+        if !a.is_zero() {
+            assert_eq!(a.mul(&a.pow(Fp::P - 2)), Fp::one());
+        }
         // Multiplication commutes in 𝔽_p.
         assert_eq!(a.mul(&b), b.mul(&a));
     }
-    // Zero explicitly (random u64s essentially never hit it).
-    check_field_laws(Fp::new(0));
 }
 
 #[test]
@@ -107,7 +99,6 @@ fn gf2_laws() {
         let (a, b, c) = (Gf2(bits & 1 != 0), Gf2(bits & 2 != 0), Gf2(bits & 4 != 0));
         check_semiring_laws(a, b, c);
         check_ring_laws(a, b);
-        check_field_laws(a);
     }
 }
 

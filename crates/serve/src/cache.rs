@@ -167,42 +167,28 @@ struct Entry {
 /// An LRU-bounded map from instance structure to compiled, linked,
 /// lint-checked schedule artifacts.
 pub struct ScheduleCache {
-    capacity: usize,
     entries: HashMap<StructureKey, Entry>,
     quarantined: HashSet<StructureKey>,
     store: Option<PlanStore>,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    quarantine_blocked: u64,
-    readmissions: u64,
-    disk_hits: u64,
-    disk_misses: u64,
-    disk_rejects: u64,
-    disk_writes: u64,
-    compiles: u64,
+    /// Counters and capacity, updated in place. Its `len` and
+    /// `quarantined` stay zero: [`ScheduleCache::stats`] reads them from
+    /// `entries` and `quarantined`.
+    stats: CacheStats,
 }
 
 impl ScheduleCache {
     /// A cache holding at most `capacity` plans (floored at 1).
     pub fn new(capacity: usize) -> ScheduleCache {
         ScheduleCache {
-            capacity: capacity.max(1),
             entries: HashMap::new(),
             quarantined: HashSet::new(),
             store: None,
             tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            quarantine_blocked: 0,
-            readmissions: 0,
-            disk_hits: 0,
-            disk_misses: 0,
-            disk_rejects: 0,
-            disk_writes: 0,
-            compiles: 0,
+            stats: CacheStats {
+                capacity: capacity.max(1),
+                ..CacheStats::default()
+            },
         }
     }
 
@@ -217,11 +203,6 @@ impl ScheduleCache {
     /// Attach (or replace) the on-disk tier.
     pub fn set_store(&mut self, store: PlanStore) {
         self.store = Some(store);
-    }
-
-    /// The attached on-disk tier, if any.
-    pub fn store(&self) -> Option<&PlanStore> {
-        self.store.as_ref()
     }
 
     /// The cached plan for this structure, compiling (and linting) it on a
@@ -254,18 +235,18 @@ impl ScheduleCache {
     ) -> Result<Arc<CompiledPlan>, ServeError> {
         debug_assert_eq!(key, StructureKey::of(inst, algorithm, compress));
         if self.quarantined.contains(&key) {
-            self.quarantine_blocked += 1;
+            self.stats.quarantine_blocked += 1;
             tracer.counter("serve.quarantine.blocked", 1);
             return Err(ServeError::Quarantined);
         }
         self.tick += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_used = self.tick;
-            self.hits += 1;
+            self.stats.hits += 1;
             tracer.counter("serve.cache.hit", 1);
             return Ok(Arc::clone(&entry.plan));
         }
-        self.misses += 1;
+        self.stats.misses += 1;
         tracer.counter("serve.cache.miss", 1);
         if let Some(plan) = self.load_from_store(key, tracer) {
             return Ok(self.insert_plan(key, plan, tracer));
@@ -288,17 +269,17 @@ impl ScheduleCache {
         let store = self.store.as_ref()?;
         match store.load(key) {
             Ok(Some(plan)) => {
-                self.disk_hits += 1;
+                self.stats.disk_hits += 1;
                 tracer.counter("serve.cache.disk.hit", 1);
                 Some(plan)
             }
             Ok(None) => {
-                self.disk_misses += 1;
+                self.stats.disk_misses += 1;
                 tracer.counter("serve.cache.disk.miss", 1);
                 None
             }
             Err(_) => {
-                self.disk_rejects += 1;
+                self.stats.disk_rejects += 1;
                 tracer.counter("serve.cache.disk.reject", 1);
                 None
             }
@@ -314,7 +295,7 @@ impl ScheduleCache {
         };
         match store.save(key, plan) {
             Ok(_) => {
-                self.disk_writes += 1;
+                self.stats.disk_writes += 1;
                 tracer.counter("serve.cache.disk.write", 1);
             }
             Err(_) => {
@@ -331,7 +312,7 @@ impl ScheduleCache {
         compress: bool,
         tracer: &mut T,
     ) -> Result<CompiledPlan, ServeError> {
-        self.compiles += 1;
+        self.stats.compiles += 1;
         tracer.counter("serve.cache.compile", 1);
         let plan = compile_plan_traced(inst, algorithm, compress, tracer)?;
         let lint = lint_linked_traced(&plan.schedule, &plan.linked, tracer);
@@ -357,10 +338,10 @@ impl ScheduleCache {
         plan: CompiledPlan,
         tracer: &mut T,
     ) -> Arc<CompiledPlan> {
-        if self.entries.len() >= self.capacity {
+        if self.entries.len() >= self.stats.capacity {
             if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_used) {
                 self.entries.remove(&victim);
-                self.evictions += 1;
+                self.stats.evictions += 1;
                 tracer.counter("serve.cache.evict", 1);
             }
         }
@@ -398,12 +379,6 @@ impl ScheduleCache {
         self.quarantined.contains(key)
     }
 
-    /// Whether this (instance, algorithm, compress) structure is
-    /// quarantined.
-    pub fn is_quarantined(&self, inst: &Instance, algorithm: Algorithm, compress: bool) -> bool {
-        self.is_quarantined_key(&StructureKey::of(inst, algorithm, compress))
-    }
-
     /// Attempt to readmit a quarantined structure: recompile from
     /// scratch, require a clean `lint_linked`, then require a **probe
     /// run** (one seeded value-set on the sequential linked backend) to
@@ -438,10 +413,10 @@ impl ScheduleCache {
         match probe {
             Ok(reports) if reports.iter().all(|r| r.correct) => {
                 self.quarantined.remove(&key);
-                self.readmissions += 1;
+                self.stats.readmissions += 1;
                 tracer.counter("serve.quarantine.readmit", 1);
                 self.tick += 1;
-                self.misses += 1;
+                self.stats.misses += 1;
                 // Overwrite any published file: if the quarantine was
                 // caused by a tampered disk artifact, the clean recompile
                 // heals it.
@@ -503,19 +478,9 @@ impl ScheduleCache {
     /// Hit/miss/eviction/quarantine accounting so far.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
             len: self.entries.len(),
-            capacity: self.capacity,
             quarantined: self.quarantined.len(),
-            quarantine_blocked: self.quarantine_blocked,
-            readmissions: self.readmissions,
-            disk_hits: self.disk_hits,
-            disk_misses: self.disk_misses,
-            disk_rejects: self.disk_rejects,
-            disk_writes: self.disk_writes,
-            compiles: self.compiles,
+            ..self.stats
         }
     }
 
@@ -527,16 +492,10 @@ impl ScheduleCache {
         self.entries.clear();
         self.quarantined.clear();
         self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
-        self.quarantine_blocked = 0;
-        self.readmissions = 0;
-        self.disk_hits = 0;
-        self.disk_misses = 0;
-        self.disk_rejects = 0;
-        self.disk_writes = 0;
-        self.compiles = 0;
+        self.stats = CacheStats {
+            capacity: self.stats.capacity,
+            ..CacheStats::default()
+        };
         // The attached disk tier (if any) is kept: clearing the memory
         // tier is an accounting reset, not a store wipe.
     }
@@ -720,7 +679,7 @@ mod tests {
         let key = StructureKey::of(&inst, Algorithm::BoundedTriangles, false);
         assert!(cache.quarantine(key), "first quarantine is new");
         assert!(!cache.quarantine(key), "re-quarantine is idempotent");
-        assert!(cache.is_quarantined(&inst, Algorithm::BoundedTriangles, false));
+        assert!(cache.is_quarantined_key(&key));
         assert_eq!(cache.len(), 0, "quarantine evicts the cached plan");
         // Lookups are refused while quarantined.
         assert!(matches!(
@@ -781,7 +740,7 @@ mod tests {
             .get_or_compile(&inst, Algorithm::BoundedTriangles, false)
             .unwrap();
         // Corrupt the published file, then force a memory miss.
-        let path = cache.store().unwrap().path_for(key);
+        let path = PlanStore::open(&root).unwrap().path_for(key);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;

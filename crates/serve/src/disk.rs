@@ -51,7 +51,7 @@
 
 use std::fs;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process;
 
 use lowband_core::CompiledPlan;
@@ -180,19 +180,9 @@ impl PlanStore {
         Ok(PlanStore { root })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The file a structure key is published under.
     pub fn path_for(&self, key: StructureKey) -> PathBuf {
         self.root.join(format!("{key}.plan"))
-    }
-
-    /// Whether a file is published for this key (no validation).
-    pub fn contains(&self, key: StructureKey) -> bool {
-        self.path_for(key).exists()
     }
 
     /// Serialize and atomically publish a plan under `key`, returning the
@@ -264,10 +254,10 @@ mod tests {
         let root = tmp_root("roundtrip");
         let store = PlanStore::open(&root).unwrap();
         let (key, plan) = plan_and_key(1);
-        assert!(!store.contains(key));
+        assert!(!store.path_for(key).exists());
         let bytes = store.save(key, &plan).unwrap();
         assert!(bytes > 0);
-        assert!(store.contains(key));
+        assert!(store.path_for(key).exists());
         let back = store.load(key).unwrap().expect("published plan loads");
         assert_eq!(back.schedule, plan.schedule);
         assert_eq!(back.linked.rounds(), plan.linked.rounds());

@@ -17,40 +17,32 @@
 //!   code: sites guard argument *gathering* (e.g. `Instant::now()`)
 //!   behind `if T::ENABLED` and the constant folds the branch away;
 //! * [`MetricsRegistry`] — named counters + log₂-bucket histograms +
-//!   span timings, snapshot-able to JSON (see [`json`], serde-free);
-//! * [`ChromeTraceSink`] — emits Chrome `trace_event` JSON loadable in
-//!   `chrome://tracing` / Perfetto, one span per phase and one track
-//!   (thread id) per algorithm run.
+//!   span timings, snapshot-able to JSON (see [`json`], serde-free).
 //!
 //! The second-generation layer (DESIGN.md §13) adds:
 //!
 //! * [`FlightRecorder`] — a fixed-capacity ring of recent spans/rounds
-//!   with an overflow drop counter, dumpable as a post-mortem Chrome
-//!   trace into `results/postmortem/` when a run dies;
+//!   with an overflow drop counter, rendered as Chrome `trace_event` JSON
+//!   (loadable in `chrome://tracing` / Perfetto) and dumpable as a
+//!   post-mortem into `results/postmortem/` when a run dies; it is the
+//!   crate's one Chrome trace writer;
 //! * [`percentile`] — p50/p95/p99/p999 surfaces from the log₂-bucket
 //!   [`Histogram`]s (documented < 2× bucket-bound error) and an exact
 //!   small-N [`Reservoir`], the `percentiles` section of every artifact;
-//! * [`budget`] — predicted-vs-observed communication budgets (the
-//!   paper's bounds as continuously-checked invariants), the `budget`
-//!   section of every artifact;
 //! * [`baseline`] — the committed-probe perf-regression gate behind
 //!   `bin/perfgate` and `results/baseline.json`.
 //!
-//! Sinks compose: `(&mut metrics, &mut chrome)` is itself a [`Tracer`].
+//! Sinks compose: `(&mut metrics, &mut recorder)` is itself a [`Tracer`].
 
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod budget;
-pub mod chrome;
 pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod percentile;
 
 pub use baseline::{GateResult, Probe};
-pub use budget::BudgetEntry;
-pub use chrome::ChromeTraceSink;
 pub use flight::FlightRecorder;
 pub use json::Json;
 pub use metrics::{Histogram, MetricsRegistry};
@@ -118,10 +110,6 @@ pub trait Tracer {
         }
     }
 
-    /// Switch the logical track subsequent spans belong to (one track
-    /// per algorithm run in the Chrome sink; ignored by default).
-    fn track(&mut self, _name: &str) {}
-
     /// One fault-layer event observed by a fault-guarded executor run:
     /// `counter` names the event (`"fault.injected.drop"`,
     /// `"fault.injected.corrupt"`, `"fault.injected.crash"`,
@@ -163,9 +151,6 @@ impl Tracer for NoopTracer {
     fn node_loads(&mut self, _sends: &[u64], _recvs: &[u64]) {}
 
     #[inline(always)]
-    fn track(&mut self, _name: &str) {}
-
-    #[inline(always)]
     fn fault(&mut self, _counter: &'static str, _round: u64) {}
 }
 
@@ -204,18 +189,13 @@ impl<T: Tracer + ?Sized> Tracer for &mut T {
     }
 
     #[inline]
-    fn track(&mut self, name: &str) {
-        (**self).track(name);
-    }
-
-    #[inline]
     fn fault(&mut self, counter: &'static str, round: u64) {
         (**self).fault(counter, round);
     }
 }
 
 /// A pair of sinks receives every event in order — e.g. a
-/// [`MetricsRegistry`] and a [`ChromeTraceSink`] observing one run.
+/// [`MetricsRegistry`] and a [`FlightRecorder`] observing one run.
 impl<A: Tracer, B: Tracer> Tracer for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
 
@@ -253,12 +233,6 @@ impl<A: Tracer, B: Tracer> Tracer for (A, B) {
     fn node_loads(&mut self, sends: &[u64], recvs: &[u64]) {
         self.0.node_loads(sends, recvs);
         self.1.node_loads(sends, recvs);
-    }
-
-    #[inline]
-    fn track(&mut self, name: &str) {
-        self.0.track(name);
-        self.1.track(name);
     }
 
     #[inline]

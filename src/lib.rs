@@ -14,8 +14,9 @@
 //! * [`routing`] — edge-colored packed routing, doubling broadcast,
 //!   halving convergecast;
 //! * [`matrix`] — semirings/rings/fields, sparse supports, the sparsity
-//!   families `US ⊆ {RS, CS} ⊆ BD ⊆ AS ⊆ GM`, degeneracy machinery, dense
-//!   kernels and instance generators;
+//!   families `US ⊆ {RS, CS} ⊆ BD ⊆ AS ⊆ GM`, degeneracy machinery,
+//!   instance generators and the sequential reference product every run
+//!   is verified against;
 //! * [`core`] — the paper's algorithms: Lemma 3.1 triangle processing, the
 //!   two-phase Theorem 4.2 algorithm (`O(d^{1.867})` / `O(d^{1.832})`),
 //!   the `O(d² + log n)` general algorithms (Theorems 5.3/5.11), the

@@ -5,10 +5,10 @@
 //! verified runs; and the baseline gate round-trips through JSON and
 //! catches a synthetic 2× regression.
 
+use lowband::core::budget::DEFAULT_TOLERANCE;
 use lowband::core::{run_algorithm, run_algorithm_traced, Algorithm, Instance};
 use lowband::matrix::{gen, Fp};
 use lowband::model::trace::baseline::{all_pass, gate, probes_from_json, probes_to_json, Probe};
-use lowband::model::trace::budget::DEFAULT_TOLERANCE;
 use lowband::model::trace::percentile::{percentiles_section, reservoir_section};
 use lowband::model::trace::{FlightRecorder, Json, MetricsRegistry, Reservoir};
 use rand::SeedableRng;

@@ -70,7 +70,7 @@ fn two_processes_share_one_store_root() {
     let key = StructureKey::of(&inst, algorithm, compress);
     let store = PlanStore::open(&root).expect("open shared root");
     assert!(
-        store.contains(key),
+        store.path_for(key).exists(),
         "child's publication is not visible at {}",
         store.path_for(key).display()
     );

@@ -1,12 +1,13 @@
 //! Integration tests for the observability layer: the traced pipeline must
 //! agree bit-for-bit with the schedule-level ground truth, the Chrome trace
-//! must be structurally valid, and the no-op tracer must not change results.
+//! the flight recorder writes must be structurally valid, and the no-op
+//! tracer must not change results.
 
 use lowband::core::{run_algorithm, run_algorithm_traced, Algorithm, Instance};
 use lowband::matrix::{gen, Fp};
-use lowband::model::trace::chrome::ChromeTraceSink;
+use lowband::model::trace::flight::FlightKind;
 use lowband::model::trace::json;
-use lowband::model::trace::{Json, MetricsRegistry, NoopTracer};
+use lowband::model::trace::{FlightRecorder, Json, MetricsRegistry, NoopTracer};
 use rand::SeedableRng;
 
 fn workload(n: usize, d: usize, seed: u64) -> Instance {
@@ -82,18 +83,39 @@ fn metrics_snapshot_matches_schedule_totals() {
     }
 }
 
-/// The Chrome trace artifact is well-formed: valid JSON, every duration
-/// event carries the required keys, and B/E events balance per track.
+/// The Chrome trace of a whole run is well-formed: every span the pipeline
+/// enters it exits, innermost first, and a flight recorder large enough to
+/// drop nothing renders valid JSON in which every event carries the
+/// required keys, timestamps never decrease, and the only instants are the
+/// per-round events.
 #[test]
 fn chrome_trace_is_structurally_valid() {
     let inst = workload(64, 4, 9);
-    let mut sink = ChromeTraceSink::new();
+    let mut recorder = FlightRecorder::new(1 << 16);
     let report =
-        run_algorithm_traced::<Fp, _>(&inst, Algorithm::BoundedTriangles, 42, true, &mut sink)
+        run_algorithm_traced::<Fp, _>(&inst, Algorithm::BoundedTriangles, 42, true, &mut recorder)
             .unwrap();
     assert!(report.correct);
+    assert_eq!(recorder.dropped(), 0, "the ring must hold the whole run");
 
-    let text = sink.write_json();
+    // Balance is checked on the recorded events, not the rendered JSON:
+    // rendering closes every span still open at the end, so a span the
+    // pipeline entered and never exited would balance there.
+    let mut open: Vec<&str> = Vec::new();
+    for ev in recorder.events() {
+        match ev.kind {
+            FlightKind::SpanEnter(name) => open.push(name),
+            FlightKind::SpanExit(name) => assert_eq!(
+                open.pop(),
+                Some(name),
+                "exit of {name:?} does not close the innermost open span"
+            ),
+            FlightKind::Round(_) | FlightKind::Fault(..) => {}
+        }
+    }
+    assert!(open.is_empty(), "spans entered and never exited: {open:?}");
+
+    let text = recorder.to_chrome_json("complete", Json::Null).to_compact();
     let parsed = json::parse(&text).expect("chrome trace is valid JSON");
     let events = parsed
         .get("traceEvents")
@@ -101,29 +123,23 @@ fn chrome_trace_is_structurally_valid() {
         .expect("traceEvents array");
     assert!(!events.is_empty());
 
-    let mut depth_by_tid = std::collections::BTreeMap::new();
     let mut duration_events = 0usize;
+    let mut last_ts = 0u64;
     for ev in events {
-        let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
-        match ph {
-            "B" | "E" => {
-                duration_events += 1;
-                for key in ["name", "ts", "pid", "tid"] {
-                    assert!(ev.get(key).is_some(), "{ph} event missing {key:?}");
-                }
-                let tid = ev.get("tid").and_then(Json::as_u64).unwrap();
-                let depth: &mut i64 = depth_by_tid.entry(tid).or_default();
-                *depth += if ph == "B" { 1 } else { -1 };
-                assert!(*depth >= 0, "E without matching B on tid {tid}");
-            }
-            "M" => {} // thread_name metadata
+        for key in ["name", "ph", "ts", "pid", "tid"] {
+            assert!(ev.get(key).is_some(), "event missing {key:?}: {ev:?}");
+        }
+        let ts = ev.get("ts").and_then(Json::as_u64).expect("integer ts");
+        assert!(ts >= last_ts, "timestamps went backwards: {ts} < {last_ts}");
+        last_ts = ts;
+        let name = ev.get("name").and_then(Json::as_str).expect("name");
+        match ev.get("ph").and_then(Json::as_str).expect("ph") {
+            "B" | "E" => duration_events += 1,
+            "i" => assert_eq!(name, "round", "the only instants are rounds"),
             other => panic!("unexpected event phase {other:?}"),
         }
     }
     assert!(duration_events > 0, "no duration events recorded");
-    for (tid, depth) in depth_by_tid {
-        assert_eq!(depth, 0, "unbalanced B/E events on tid {tid}");
-    }
 
     // The pipeline spans appear by name, including the compress phase
     // (enabled above), which runs after link's interning pass on the slot
@@ -158,15 +174,16 @@ fn noop_traced_run_matches_untraced_run() {
 }
 
 /// Composition: a tuple of sinks sees the same event stream as each sink
-/// alone — metrics counted through `(MetricsRegistry, ChromeTraceSink)`
-/// agree with a standalone registry.
+/// alone — metrics counted through `(MetricsRegistry, FlightRecorder)`
+/// agree with a standalone registry, and the recorder holds one round
+/// event per counted round.
 #[test]
 fn tuple_tracer_forwards_to_both_sinks() {
     let inst = workload(48, 3, 13);
     let mut solo = MetricsRegistry::new();
     run_algorithm_traced::<Fp, _>(&inst, Algorithm::BoundedTriangles, 5, false, &mut solo).unwrap();
 
-    let mut pair = (MetricsRegistry::new(), ChromeTraceSink::new());
+    let mut pair = (MetricsRegistry::new(), FlightRecorder::new(1 << 16));
     run_algorithm_traced::<Fp, _>(&inst, Algorithm::BoundedTriangles, 5, false, &mut pair).unwrap();
 
     for counter in ["run.rounds", "run.messages", "run.local_ops"] {
@@ -176,5 +193,11 @@ fn tuple_tracer_forwards_to_both_sinks() {
             "tuple-forwarded counter {counter:?} diverges"
         );
     }
-    assert!(!pair.1.write_json().is_empty());
+    assert_eq!(pair.1.dropped(), 0);
+    let rounds = pair
+        .1
+        .events()
+        .filter(|e| matches!(e.kind, FlightKind::Round(_)))
+        .count() as u64;
+    assert_eq!(Some(rounds), solo.counter_value("run.rounds"));
 }
