@@ -217,7 +217,7 @@ fn measure(k: usize) -> Measurements {
         k,
         &mut res,
         || compiled.clone(),
-        |s| compress_and_link_traced(s, &mut NoopTracer).expect("links"),
+        |s| compress_and_link_traced(s, &mut NoopTracer),
     );
     reservoirs.push(("perfgate.compress_link_nanos".to_string(), res));
     probe("compress_link_over_compile", fused_ns / two_phase_ns);

@@ -112,20 +112,7 @@ pub fn run_differential(schedule: &Schedule, loads: &[(u32, Key, u64)]) -> Resul
     let n = schedule.n();
     let want = reference(schedule, loads);
 
-    let linked = match link(schedule) {
-        Ok(l) => l,
-        Err(e) => {
-            // The reference executes schedules linking refuses only if the
-            // refusal is a linking bug.
-            return match &want {
-                Ok(_) => Err(mismatch(
-                    "link",
-                    format!("linking failed on a runnable schedule: {e:?}"),
-                )),
-                Err(_) => Ok(()),
-            };
-        }
-    };
+    let linked = link(schedule);
 
     let got = {
         let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
@@ -181,11 +168,7 @@ pub fn run_differential_windowed(
 ) -> Result<(), Mismatch> {
     assert!(max_rounds >= 1, "a zero-round window cannot make progress");
     let want = reference(schedule, loads);
-    let linked = match link(schedule) {
-        Ok(l) => l,
-        // Full differential covers link refusals; nothing to window.
-        Err(_) => return Ok(()),
-    };
+    let linked = link(schedule);
     let executor = match hook {
         HookMode::Disabled => "windowed",
         HookMode::EmptyPlan => "windowed-guarded",

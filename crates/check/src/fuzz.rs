@@ -122,26 +122,14 @@ pub fn fuzz_seed(seed: u64) -> Result<(), FuzzFailure> {
                 schedule,
             ));
         }
-        match link(schedule) {
-            Err(e) => {
-                return Err(minimized_failure(
-                    seed,
-                    format!("link ({label}): {e:?}"),
-                    &case,
-                    schedule,
-                ))
-            }
-            Ok(linked) => {
-                let report = lint_linked(schedule, &linked);
-                if !report.is_clean() {
-                    return Err(minimized_failure(
-                        seed,
-                        format!("lint linked ({label}): {report}"),
-                        &case,
-                        schedule,
-                    ));
-                }
-            }
+        let report = lint_linked(schedule, &link(schedule));
+        if !report.is_clean() {
+            return Err(minimized_failure(
+                seed,
+                format!("lint linked ({label}): {report}"),
+                &case,
+                schedule,
+            ));
         }
         if let Some(detail) = failure_of(schedule, &case.loads) {
             return Err(minimized_failure(

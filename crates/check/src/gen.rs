@@ -222,7 +222,7 @@ mod tests {
             let opts = LintOptions::with_preloaded(&pool_preloaded);
             let report = lint_schedule(&case.schedule, &opts);
             assert!(report.is_clean(), "seed {seed}: {report}");
-            let linked = lowband_model::link(&case.schedule).expect("valid");
+            let linked = lowband_model::link(&case.schedule);
             let lreport = lint_linked(&case.schedule, &linked);
             assert!(lreport.is_clean(), "seed {seed} linked: {lreport}");
         }

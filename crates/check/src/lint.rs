@@ -786,7 +786,7 @@ mod tests {
         let s = b.build();
         let report = lint_schedule(&s, &LintOptions::default());
         assert!(report.is_empty(), "{report}");
-        let linked = link(&s).unwrap();
+        let linked = link(&s);
         assert!(lint_linked(&s, &linked).is_empty());
     }
 
@@ -1025,7 +1025,7 @@ mod tests {
         ])
         .unwrap();
         let s = b.build();
-        let linked = link(&s).unwrap();
+        let linked = link(&s);
         let report = lint_linked(&s, &linked);
         assert!(report.is_empty(), "{report}");
     }
@@ -1036,7 +1036,7 @@ mod tests {
         b.round(vec![transfer(0, Key::a(0, 0), 1, Key::x(0, 0), Merge::Add)])
             .unwrap();
         let s = b.build();
-        let linked = link(&s).unwrap();
+        let linked = link(&s);
         // Lint the linked form against a *different* source schedule.
         let mut b2 = ScheduleBuilder::new(2);
         b2.round(vec![transfer(0, Key::a(0, 0), 1, Key::x(0, 0), Merge::Add)])
@@ -1120,7 +1120,7 @@ mod tests {
     #[test]
     fn permuted_linked_round_lints_clean_via_the_fallback() {
         let s = fan_in_schedule();
-        let ls = link(&s).unwrap();
+        let ls = link(&s);
         let (transfers, _) = event_tables(&ls);
         let permuted = relinked(&ls, |p| {
             let (first, second) = p[transfers..transfers + 40].split_at_mut(20);
@@ -1143,7 +1143,7 @@ mod tests {
     #[test]
     fn slot_swap_in_link_order_reports_like_the_matcher() {
         let s = fan_in_schedule();
-        let ls = link(&s).unwrap();
+        let ls = link(&s);
         let (transfers, ops) = event_tables(&ls);
         // Swap the dst slots of the first two transfers (words 3 of each
         // record) and the lhs/rhs slots of the MulAdd (words 3 and 4):
@@ -1183,7 +1183,7 @@ mod tests {
             let case = crate::gen::generate_for_seed(seed);
             let compressed = lowband_model::compress(&case.schedule);
             for s in [&case.schedule, &compressed] {
-                let ls = link(s).unwrap();
+                let ls = link(s);
                 assert!(assert_lints_agree(s, &ls).is_empty(), "seed {seed}");
                 // Corrupt one transfer's dst slot and one op's first slot
                 // (rewritten to another in-range slot of the same node):

@@ -135,9 +135,11 @@ pub struct CompiledPlan {
 /// (`"compile"`, `"link"`, `"compress"` if requested, plus the
 /// `schedule.*`/`compress.*`/`link.*` counters).
 ///
-/// Linking interns keys to dense slots and validates the model
-/// constraints once; every later execution is hash-free. A compressed
-/// plan is compressed on those slot ids
+/// Linking interns keys to dense slots, so every later execution is
+/// hash-free. It checks nothing: the compiler's `ScheduleBuilder` already
+/// held every round to the model, and the linked plan inherits that
+/// check. Only compiling can fail. A compressed plan is compressed on
+/// those slot ids
 /// ([`lowband_model::compress_and_link_traced`]: the `"link"` span covers
 /// interning, the `"compress"` span placement, emission and the de-link).
 /// An uncompressed plan is linked as it is, then its schedule is
@@ -155,9 +157,9 @@ pub fn compile_plan_traced<T: Tracer>(
     tracer.counter("schedule.rounds", schedule.rounds() as u64);
     tracer.counter("schedule.messages", schedule.messages() as u64);
     let (schedule, linked) = if compress {
-        lowband_model::compress_and_link_traced(schedule, tracer)?
+        lowband_model::compress_and_link_traced(schedule, tracer)
     } else {
-        let linked = lowband_model::link_traced(&schedule, tracer)?;
+        let linked = lowband_model::link_traced(&schedule, tracer);
         (schedule.into_link_order(), linked)
     };
     Ok(CompiledPlan {

@@ -722,7 +722,7 @@ mod tests {
         let schedule = solve_strassen(&inst, 5000).unwrap();
 
         let mut buf = Vec::new();
-        encode_linked(&lowband_model::link(&schedule).unwrap(), &mut buf);
+        encode_linked(&lowband_model::link(&schedule), &mut buf);
         let reloaded = delink(&decode_linked(&buf, 0).unwrap(), 0).unwrap();
         assert_eq!(reloaded, schedule.clone().into_link_order());
 

@@ -3,8 +3,8 @@
 //! This is the one persisted form of a compiled plan: `lowband-serve`'s
 //! tiered plan store and the CLI's `compile`/`exec` both speak it. It
 //! stores the *linked* artifact, so a reload costs a linear byte scan
-//! instead of interning, sorting and validation — the difference between
-//! a cold compile and a disk hit. Since version 4 the
+//! instead of interning and sorting — the difference between a cold
+//! compile and a disk hit. Since version 4 the
 //! linked schedule is the only program a plan file stores: [`delink`]
 //! rebuilds the key-addressed source schedule from it on load, in link
 //! order, through [`ScheduleBuilder`].
@@ -1178,7 +1178,7 @@ mod tests {
 
     fn linked_payload(s: &Schedule) -> Vec<u8> {
         let mut payload = Vec::new();
-        encode_linked(&link(s).unwrap(), &mut payload);
+        encode_linked(&link(s), &mut payload);
         payload
     }
 
@@ -1200,7 +1200,7 @@ mod tests {
         assert_eq!(back, s.clone().into_link_order());
         assert_ne!(back, s, "the sample's rounds are not in link order");
         let mut again = Vec::new();
-        encode_linked(&link(&back).unwrap(), &mut again);
+        encode_linked(&link(&back), &mut again);
         assert_eq!(
             again,
             linked_payload(&s),
@@ -1211,7 +1211,7 @@ mod tests {
     #[test]
     fn linked_payload_roundtrip_executes_identically() {
         let s = sample_schedule();
-        let ls = link(&s).unwrap();
+        let ls = link(&s);
         let mut payload = Vec::new();
         encode_linked(&ls, &mut payload);
         let back = decode_linked(&payload, 0).unwrap();
@@ -1433,7 +1433,7 @@ mod tests {
     #[test]
     fn linked_bounds_violations_are_typed_not_panics() {
         let s = sample_schedule();
-        let ls = link(&s).unwrap();
+        let ls = link(&s);
         let mut payload = Vec::new();
         encode_linked(&ls, &mut payload);
         // Walk every u32-aligned word, overwrite with a huge value, and
@@ -1489,7 +1489,7 @@ mod tests {
         }])
         .unwrap();
         let s = b.build();
-        let mut ls = link(&s).unwrap();
+        let mut ls = link(&s);
         assert_eq!(delink(&ls, 0).unwrap(), s);
         let block = &mut ls.blocks[0];
         block.a.swap(0, 1);

@@ -57,7 +57,7 @@ use lowband_trace::Tracer;
 use crate::binser::delink;
 use crate::link::{BlockSlots, LinkedStep};
 use crate::schedule::Merge;
-use crate::{LinkedOp, LinkedSchedule, LinkedTransfer, ModelError, Schedule};
+use crate::{LinkedOp, LinkedSchedule, LinkedTransfer, Schedule};
 
 /// Per-slot dependency clock.
 #[derive(Clone, Copy, Default)]
@@ -496,18 +496,17 @@ fn place_and_emit(mut source: LinkedSchedule) -> LinkedSchedule {
 /// The tracer sees the `"link"` span around interning and the
 /// `"compress"` span around placement, emission, the link-order sort and
 /// the de-link, plus the `compress.rounds_in`/`compress.rounds_out`/
-/// `compress.messages` and `link.*` counters. Fails like
-/// [`crate::link()`] on a schedule that violates node ranges or capacity.
+/// `compress.messages` and `link.*` counters. Like [`crate::link()`] it
+/// cannot fail: the builder checked `schedule` against the model.
 pub fn compress_and_link_traced<T: Tracer>(
     schedule: Schedule,
     tracer: &mut T,
-) -> Result<(Schedule, LinkedSchedule), ModelError> {
+) -> (Schedule, LinkedSchedule) {
     tracer.span_enter("link");
-    let interned = LinkedSchedule::intern(&schedule);
+    let source = LinkedSchedule::intern(&schedule);
     tracer.span_exit("link");
     let rounds_in = schedule.rounds();
     drop(schedule);
-    let source = interned?;
     tracer.span_enter("compress");
     let linked = place_and_emit(source);
     let compressed = delink(&linked, 0).expect("an interned schedule de-links");
@@ -516,15 +515,15 @@ pub fn compress_and_link_traced<T: Tracer>(
     tracer.counter("compress.messages", linked.messages() as u64);
     tracer.span_exit("compress");
     linked.count_into(tracer);
-    Ok((compressed, linked))
+    (compressed, linked)
 }
 
 /// Pipeline a schedule: produce an equivalent schedule (identical final
 /// machine state for every input) with at most — and usually far fewer
 /// than — the original number of rounds, every step in link order.
 pub fn compress(schedule: &Schedule) -> Schedule {
-    let source = LinkedSchedule::intern(schedule).expect("a built schedule links");
-    delink(&place_and_emit(source), 0).expect("an interned schedule de-links")
+    delink(&place_and_emit(LinkedSchedule::intern(schedule)), 0)
+        .expect("an interned schedule de-links")
 }
 
 #[cfg(test)]
@@ -1067,9 +1066,9 @@ mod tests {
         for (case, s) in fixed_cases().into_iter().chain(seeded).enumerate() {
             let want = reference::compress(&s);
             let mut want_bytes = Vec::new();
-            crate::binser::encode_linked(&crate::link(&want).unwrap(), &mut want_bytes);
+            crate::binser::encode_linked(&crate::link(&want), &mut want_bytes);
             let (fused, linked) =
-                compress_and_link_traced(s.clone(), &mut lowband_trace::NoopTracer).unwrap();
+                compress_and_link_traced(s.clone(), &mut lowband_trace::NoopTracer);
             let mut got_bytes = Vec::new();
             crate::binser::encode_linked(&linked, &mut got_bytes);
             assert!(got_bytes == want_bytes, "case {case}: linked bytes differ");

@@ -19,10 +19,11 @@
 //! binary search over the node's key run ([`LinkedSchedule::slot_of`]),
 //! and a linked schedule carries no key → slot map at all.
 //!
-//! Linking also *validates* once what the reference executor re-checks every
-//! round (node ranges and the ≤ `capacity` send/receive constraint), so a
-//! `LinkedSchedule` is a certificate that the program fits the model, and
-//! the runtime loop carries no per-round validation at all.
+//! Linking checks nothing. [`crate::ScheduleBuilder`] holds every round to
+//! node ranges and the ≤ `capacity` send/receive constraint as it builds a
+//! [`Schedule`], and a `LinkedSchedule` inherits that check, so the
+//! runtime loop carries no per-round validation (the reference executor
+//! re-checks every round as the oracle).
 //!
 //! Linking is two passes. `LinkedSchedule::intern` rewrites every event
 //! onto slot ids in source order; `LinkedSchedule::sort_into_link_order`
@@ -195,7 +196,10 @@ pub enum LinkedStepView<'a> {
 }
 
 /// A [`Schedule`] after linking: keys interned to dense per-node slots,
-/// events in flat slot-addressed arrays, model constraints validated.
+/// events in flat slot-addressed arrays. It fits the model because the
+/// builder checked it: [`link`] inherits the check from its source
+/// schedule, and a plan file's linked schedule passes it when
+/// [`crate::binser::delink`] replays it through the builder.
 #[derive(Clone, Debug)]
 pub struct LinkedSchedule {
     pub(crate) n: usize,
@@ -225,25 +229,14 @@ fn intern(keys: &mut Vec<Key>, slots: &mut HashMap<Key, u32>, key: Key) -> u32 {
 pub type BlockSlotsRef<'a> = (u32, &'a [u32], &'a [u32], &'a [u32]);
 
 impl LinkedSchedule {
-    /// Link a schedule: `LinkedSchedule::intern`, then
-    /// `LinkedSchedule::sort_into_link_order`. Fails with the same
-    /// errors the [`crate::ScheduleBuilder`] would raise if the schedule
-    /// violates node ranges or the bandwidth constraint (relevant for
-    /// schedules built by other means, e.g. deserialized).
-    pub fn link(schedule: &Schedule) -> Result<LinkedSchedule, ModelError> {
-        let mut ls = LinkedSchedule::intern(schedule)?;
-        ls.sort_into_link_order();
-        Ok(ls)
-    }
-
-    /// The interning pass of [`LinkedSchedule::link`]: one pass of
-    /// interning, rewriting and validation, then one pass renumbering each
-    /// node's slots into key order. Every event keeps its source position
-    /// — one linked step per source step, transfers and ops in program
-    /// order — which is the form compression places from.
-    pub(crate) fn intern(schedule: &Schedule) -> Result<LinkedSchedule, ModelError> {
+    /// The interning pass of [`link`]: one pass of interning and
+    /// rewriting, then one pass renumbering each node's slots into key
+    /// order. Every event keeps its source position — one linked step per
+    /// source step, transfers and ops in program order — which is the form
+    /// compression places from. Nothing here can fail: the builder
+    /// checked the schedule's node ranges and capacity.
+    pub(crate) fn intern(schedule: &Schedule) -> LinkedSchedule {
         let n = schedule.n();
-        let cap = schedule.capacity() as u32;
         // Per node: key → first-seen slot id. Local to linking; the
         // result is renumbered into key order and keeps no map.
         let mut interned: Vec<HashMap<Key, u32>> = vec![HashMap::new(); n];
@@ -258,50 +251,12 @@ impl LinkedSchedule {
             ops: Vec::new(),
             blocks: Vec::new(),
         };
-        let mut send_stamp = vec![0u32; n];
-        let mut recv_stamp = vec![0u32; n];
-        let mut send_count = vec![0u32; n];
-        let mut recv_count = vec![0u32; n];
-        let mut stamp = 0u32;
-
-        let check_node = |node: NodeId| -> Result<usize, ModelError> {
-            let i = node.index();
-            if i >= n {
-                return Err(ModelError::NodeOutOfRange { node, n });
-            }
-            Ok(i)
-        };
-
         for step in schedule.steps() {
             match step {
                 Step::Comm(Round { transfers }) => {
-                    stamp += 1;
                     let start = ls.transfers.len();
                     for t in transfers {
-                        let si = check_node(t.src)?;
-                        let di = check_node(t.dst)?;
-                        if send_stamp[si] != stamp {
-                            send_stamp[si] = stamp;
-                            send_count[si] = 0;
-                        }
-                        send_count[si] += 1;
-                        if send_count[si] > cap {
-                            return Err(ModelError::SendConflict {
-                                round: ls.rounds,
-                                node: t.src,
-                            });
-                        }
-                        if recv_stamp[di] != stamp {
-                            recv_stamp[di] = stamp;
-                            recv_count[di] = 0;
-                        }
-                        recv_count[di] += 1;
-                        if recv_count[di] > cap {
-                            return Err(ModelError::ReceiveConflict {
-                                round: ls.rounds,
-                                node: t.dst,
-                            });
-                        }
+                        let (si, di) = (t.src.index(), t.dst.index());
                         let src_slot = intern(&mut ls.node_keys[si], &mut interned[si], t.src_key);
                         let dst_slot = intern(&mut ls.node_keys[di], &mut interned[di], t.dst_key);
                         ls.transfers.push(LinkedTransfer {
@@ -321,7 +276,7 @@ impl LinkedSchedule {
                 Step::Compute(ops) => {
                     let start = ls.ops.len();
                     for op in ops {
-                        let ni = check_node(op.node())?;
+                        let ni = op.node().index();
                         let keys = &mut ls.node_keys[ni];
                         let slots = &mut interned[ni];
                         let linked = match *op {
@@ -396,7 +351,7 @@ impl LinkedSchedule {
         }
         drop(interned);
         ls.renumber_in_key_order();
-        Ok(ls)
+        ls
     }
 
     /// Put every step into link order: each round's transfers stable-sorted
@@ -639,25 +594,24 @@ pub fn sort_by_node<T: Copy>(items: &mut [T], node_of: impl Fn(&T) -> u32) {
     }
 }
 
-/// Convenience free-function form of [`LinkedSchedule::link`].
-pub fn link(schedule: &Schedule) -> Result<LinkedSchedule, ModelError> {
-    LinkedSchedule::link(schedule)
+/// Link a schedule: `LinkedSchedule::intern`, then
+/// `LinkedSchedule::sort_into_link_order`. Linking cannot fail: every
+/// [`Schedule`] already passed [`crate::ScheduleBuilder`]'s model check.
+pub fn link(schedule: &Schedule) -> LinkedSchedule {
+    let mut ls = LinkedSchedule::intern(schedule);
+    ls.sort_into_link_order();
+    ls
 }
 
 /// [`link`] with an instrumentation sink: wraps the pass in a `"link"`
 /// span and records the artifact's size — rounds and transfers in, slot
 /// stores and op list out.
-pub fn link_traced<T: Tracer>(
-    schedule: &Schedule,
-    tracer: &mut T,
-) -> Result<LinkedSchedule, ModelError> {
+pub fn link_traced<T: Tracer>(schedule: &Schedule, tracer: &mut T) -> LinkedSchedule {
     tracer.span_enter("link");
-    let result = LinkedSchedule::link(schedule);
-    if let Ok(ls) = &result {
-        ls.count_into(tracer);
-    }
+    let ls = link(schedule);
+    ls.count_into(tracer);
     tracer.span_exit("link");
-    result
+    ls
 }
 
 /// Slot-store executor for a [`LinkedSchedule`], advancing `LANES`
@@ -1398,7 +1352,7 @@ mod tests {
     #[test]
     fn linking_is_idempotent_on_counts() {
         let s = mixed_schedule(8);
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         assert_eq!(l.n(), s.n());
         assert_eq!(l.capacity(), s.capacity());
         assert_eq!(l.rounds(), s.rounds());
@@ -1438,7 +1392,7 @@ mod tests {
     #[test]
     fn transfers_sorted_by_destination_within_rounds() {
         let s = mixed_schedule(8);
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         for step in &l.steps {
             if let LinkedStep::Comm { transfers } = step {
                 let ts = &l.transfers[transfers.clone()];
@@ -1451,7 +1405,7 @@ mod tests {
     fn linked_matches_hash_executor_bit_for_bit() {
         let n = 8;
         let s = mixed_schedule(n);
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         let mut reference: Machine<Nat> = Machine::new(n);
         let mut linked: LinkedMachine<Nat> = LinkedMachine::new(&l);
         for i in 0..n as u32 {
@@ -1491,7 +1445,7 @@ mod tests {
         }])
         .unwrap();
         let s = b.build();
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         assert_eq!(l.slots_at(NodeId(0)), 12, "3 blocks × dim²");
 
         let mut reference: Machine<Nat> = Machine::new(1);
@@ -1524,7 +1478,7 @@ mod tests {
         )])
         .unwrap();
         let s = b.build();
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         let mut reference: Machine<Nat> = Machine::new(2);
         let mut linked: LinkedMachine<Nat> = LinkedMachine::new(&l);
         let e1 = reference.run(&s).unwrap_err();
@@ -1542,7 +1496,7 @@ mod tests {
         }])
         .unwrap();
         let s = b.build();
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         let mut m: LinkedMachine<Nat> = LinkedMachine::new(&l);
         m.load(NodeId(0), Key::a(0, 0), Nat(3));
         assert!(matches!(m.run(), Err(ModelError::UnsupportedOp { .. })));
@@ -1551,7 +1505,7 @@ mod tests {
     #[test]
     fn slot_lookup_roundtrips() {
         let s = mixed_schedule(4);
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         for node in 0..4u32 {
             for slot in 0..l.slots_at(NodeId(node)) as u32 {
                 let key = l.key_of(NodeId(node), slot);
@@ -1571,7 +1525,7 @@ mod tests {
         const LANES: usize = 4;
         let n = 8;
         let s = mixed_schedule(n);
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
 
         let lane_value = |lane: u64, i: u64, which: u64| Nat(1 + lane * 31 + i * 7 + which);
         let live_lanes = LANES - 1; // leave lane 3 as a zero-padded tail
@@ -1626,7 +1580,7 @@ mod tests {
         }])
         .unwrap();
         let s = b.build();
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
 
         let mut packed: PackedLinkedMachine<'_, Nat, LANES> = PackedLinkedMachine::new(&l);
         let mut scalars: Vec<LinkedMachine<'_, Nat>> =
@@ -1669,7 +1623,7 @@ mod tests {
         )])
         .unwrap();
         let s = b.build();
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         let mut scalar: LinkedMachine<Nat> = LinkedMachine::new(&l);
         let mut packed: PackedLinkedMachine<'_, Nat, 4> = PackedLinkedMachine::new(&l);
         assert_eq!(scalar.run().unwrap_err(), packed.run().unwrap_err());
@@ -1683,7 +1637,7 @@ mod tests {
         }])
         .unwrap();
         let s = b.build();
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         let mut packed: PackedLinkedMachine<'_, Nat, 4> = PackedLinkedMachine::new(&l);
         packed.load_lane(NodeId(0), Key::a(0, 0), 0, Nat(3));
         assert!(matches!(
@@ -1698,7 +1652,7 @@ mod tests {
     fn packed_reset_values_clears_all_lanes() {
         let n = 4;
         let s = mixed_schedule(n);
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         let mut packed: PackedLinkedMachine<'_, Nat, 4> = PackedLinkedMachine::new(&l);
         for lane in 0..4 {
             for i in 0..n as u64 {
@@ -1726,7 +1680,7 @@ mod tests {
     #[test]
     fn checkpoint_accessors_roundtrip() {
         let s = mixed_schedule(2);
-        let l = LinkedSchedule::link(&s).unwrap();
+        let l = link(&s);
         let mut m: LinkedMachine<Nat> = LinkedMachine::new(&l);
         m.load(NodeId(0), Key::a(0, 0), Nat(7));
         let stats = ExecutionStats {

@@ -16,10 +16,11 @@ pub use crate::stats::ExecutionStats;
 /// elements.
 ///
 /// The machine executes compiled [`Schedule`]s. It re-validates the
-/// one-send/one-receive constraint on every round (defense in depth: the
-/// [`crate::ScheduleBuilder`] already enforces it, but schedules can be
-/// constructed by other means), so a successful [`Machine::run`] certifies
-/// that the computation fits the low-bandwidth model.
+/// one-send/one-receive constraint on every round (the
+/// [`crate::ScheduleBuilder`] already enforces it; this independent
+/// re-check is part of what makes the machine the oracle), so a successful
+/// [`Machine::run`] certifies that the computation fits the low-bandwidth
+/// model.
 ///
 /// This is the oracle: it runs whole schedules only. Run windows and
 /// checkpoints belong to the slot machine

@@ -506,6 +506,32 @@ mod tests {
         assert!(matches!(a.chain(b), Err(ModelError::SizeMismatch { .. })));
     }
 
+    /// `extend` is how `densemm` and `strassen` splice sub-schedules into
+    /// a program; it must refuse another `n` or capacity, or a capacity-2
+    /// schedule's rounds would pass as capacity-1 rounds.
+    #[test]
+    fn extend_requires_matching_size_and_capacity() {
+        let mut wide = ScheduleBuilder::with_capacity(4, 2);
+        wide.round(vec![t(0, 1), t(0, 2)]).unwrap();
+        let wide = wide.build();
+        let mut b = ScheduleBuilder::new(4);
+        assert!(matches!(
+            b.extend(&wide),
+            Err(ModelError::SizeMismatch { .. })
+        ));
+        assert!(matches!(
+            b.extend(&ScheduleBuilder::new(5).build()),
+            Err(ModelError::SizeMismatch { .. })
+        ));
+        assert_eq!((b.rounds(), b.messages()), (0, 0), "nothing spliced");
+
+        let mut narrow = ScheduleBuilder::new(4);
+        narrow.round(vec![t(0, 1)]).unwrap();
+        b.extend(&narrow.build()).unwrap();
+        let s = b.build();
+        assert_eq!((s.rounds(), s.messages(), s.steps().len()), (1, 1, 1));
+    }
+
     #[test]
     fn empty_compute_block_elided() {
         let mut b = ScheduleBuilder::new(2);

@@ -25,13 +25,13 @@ use lowband_model::{ModelError, NoopTracer, Tracer};
 use crate::disk::PlanStore;
 use crate::key::StructureKey;
 
-/// Errors of the serving layer: the plan failed to compile/link, the
-/// compiled artifact failed the insert-time lint, or the supervision
-/// machinery refused/abandoned the request (deadline, breaker,
-/// quarantine).
+/// Errors of the serving layer: the plan failed to compile or a batch
+/// run on it failed, the compiled artifact failed the insert-time lint,
+/// or the supervision machinery refused/abandoned the request (deadline,
+/// breaker, quarantine).
 #[derive(Clone, PartialEq, Debug)]
 pub enum ServeError {
-    /// Compilation or linking failed.
+    /// Compiling the plan, or running a batch on it, failed.
     Model(ModelError),
     /// The linked artifact failed `lint_linked` — never cached.
     Lint {
@@ -459,12 +459,6 @@ impl ScheduleCache {
         self.get_or_compile_traced(inst, algorithm, compress, &mut NoopTracer)
     }
 
-    /// Whether this structure is currently cached (no LRU touch).
-    pub fn contains(&self, inst: &Instance, algorithm: Algorithm, compress: bool) -> bool {
-        self.entries
-            .contains_key(&StructureKey::of(inst, algorithm, compress))
-    }
-
     /// Entries currently cached.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -568,16 +562,21 @@ mod tests {
         cache
             .get_or_compile(&c, Algorithm::BoundedTriangles, false)
             .unwrap();
-        assert!(cache.contains(&a, Algorithm::BoundedTriangles, false));
-        assert!(!cache.contains(&b, Algorithm::BoundedTriangles, false));
-        assert!(cache.contains(&c, Algorithm::BoundedTriangles, false));
         let s = cache.stats();
-        assert_eq!((s.evictions, s.len), (1, 2));
-        // The evicted structure recompiles correctly (a fresh miss).
+        assert_eq!((s.hits, s.misses, s.evictions, s.len), (1, 3, 1, 2));
+        // `a` and `c` survived: each lookup is a hit.
+        for (inst, hits) in [(&a, 2), (&c, 3)] {
+            cache
+                .get_or_compile(inst, Algorithm::BoundedTriangles, false)
+                .unwrap();
+            assert_eq!(cache.stats().hits, hits);
+        }
+        // `b` was evicted: it recompiles correctly (a fresh miss).
         cache
             .get_or_compile(&b, Algorithm::BoundedTriangles, false)
             .unwrap();
-        assert_eq!(cache.stats().misses, 4);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (3, 4));
     }
 
     #[test]

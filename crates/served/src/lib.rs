@@ -7,8 +7,8 @@
 //!
 //! * [`wire`] — the protocol: framing, request/response encodings, and
 //!   a blocking [`wire::Client`];
-//! * [`server`] — the daemon: accept loop, `shard_bounds`-partitioned
-//!   bounded worker queues, the shared [`lowband_serve::Supervisor`]
+//! * [`server`] — the daemon: accept loop, one bounded admission queue
+//!   every worker pops from, the shared [`lowband_serve::Supervisor`]
 //!   wrapped around every request, typed backpressure refusals, and
 //!   graceful drain on shutdown;
 //! * [`digest`] — the 64-bit product digest responses carry, and the

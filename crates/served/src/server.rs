@@ -2,13 +2,11 @@
 //!
 //! ## Threading and backpressure (DESIGN.md §15)
 //!
-//! One accept thread plus `workers` worker threads. Each worker owns a
-//! bounded connection queue; the queue capacities partition the total
-//! `backlog` budget in contiguous blocks with [`shard_bounds`] (which
-//! `loadgen` also uses to split requests across its connections); a
-//! surplus worker simply owns an empty shard and sits idle. The
-//! accept thread dispatches round-robin, skipping full queues; when
-//! **every** queue is full the connection is refused with a typed
+//! One accept thread plus `workers` worker threads sharing one bounded
+//! admission queue of `backlog.max(workers)` connections. The accept
+//! thread pushes every accepted connection onto it and every worker pops
+//! from it, so an idle worker takes the next connection whichever worker
+//! is busy. When the queue is full the connection is refused with a typed
 //! [`Response::Overloaded`] frame and closed — backpressure is explicit
 //! on the wire, never a silent hang.
 //!
@@ -27,8 +25,8 @@
 //! admitting; workers finish the request in flight, answer any further
 //! execute requests with [`Response::ShuttingDown`], close connections
 //! that stay idle past a short grace period (a parked worker must not
-//! pin the drain on a quiet keep-alive connection), drain their queues
-//! the same way, and exit. [`ServerHandle::join`] then dumps the final
+//! pin the drain on a quiet keep-alive connection), drain the queue the
+//! same way, and exit. [`ServerHandle::join`] then dumps the final
 //! snapshot through [`FlightRecorder::dump_postmortem`] so every run
 //! leaves an artifact even when no client asked for stats.
 
@@ -53,8 +51,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads (`0` = available parallelism, floored at 2).
     pub workers: usize,
-    /// Total queued-connection budget, partitioned across workers with
-    /// `shard_bounds`. When all shards are full, new connections are
+    /// Capacity of the one admission queue every worker pops from,
+    /// floored at the worker count. When it is full, new connections are
     /// refused with [`Response::Overloaded`].
     pub backlog: usize,
     /// Largest accepted network size; bigger requests are refused with
@@ -134,55 +132,6 @@ impl Counters {
     }
 }
 
-/// One worker's bounded admission queue.
-struct WorkerQueue {
-    capacity: usize,
-    queue: Mutex<VecDeque<TcpStream>>,
-    wake: Condvar,
-}
-
-impl WorkerQueue {
-    fn new(capacity: usize) -> WorkerQueue {
-        WorkerQueue {
-            capacity,
-            queue: Mutex::new(VecDeque::new()),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// Enqueue unless the shard is at capacity.
-    fn try_push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut q = self.queue.lock().unwrap();
-        if q.len() >= self.capacity {
-            return Err(stream);
-        }
-        q.push_back(stream);
-        drop(q);
-        self.wake.notify_one();
-        Ok(())
-    }
-
-    /// Dequeue, blocking until a connection arrives or shutdown flips.
-    /// `None` once shutting down **and** empty — quiescence, not just
-    /// the flag, ends the worker (that is the drain).
-    fn pop(&self, shutdown: &AtomicBool) -> Option<TcpStream> {
-        let mut q = self.queue.lock().unwrap();
-        loop {
-            if let Some(stream) = q.pop_front() {
-                return Some(stream);
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            let (guard, _timeout) = self
-                .wake
-                .wait_timeout(q, Duration::from_millis(20))
-                .unwrap();
-            q = guard;
-        }
-    }
-}
-
 /// State shared by the accept thread and every worker.
 struct Shared {
     supervisor: Mutex<Supervisor>,
@@ -192,19 +141,66 @@ struct Shared {
     counters: Counters,
     shutdown: AtomicBool,
     max_n: u32,
-    queues: Vec<WorkerQueue>,
+    /// Capacity of `queue`.
+    backlog: usize,
+    /// The admission queue: accepted connections no worker has taken yet.
+    queue: Mutex<VecDeque<TcpStream>>,
+    /// Signalled when a connection is queued or shutdown flips.
+    wake: Condvar,
 }
 
 impl Shared {
-    fn new(config: &ServerConfig, queues: Vec<WorkerQueue>) -> Shared {
+    fn new(config: &ServerConfig, backlog: usize) -> Shared {
         Shared {
             supervisor: Mutex::new(Supervisor::new(config.supervisor.clone())),
             config: config.supervisor.clone(),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
             max_n: config.max_n,
-            queues,
+            backlog,
+            queue: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
         }
+    }
+
+    /// Queue an accepted connection, or hand it back when the queue is
+    /// full. (Neither queue method can panic while it holds the lock, so
+    /// the lock is never poisoned.)
+    fn admit(&self, stream: TcpStream) -> Result<(), TcpStream> {
+        let mut q = self.queue.lock().expect("admission queue unpoisoned");
+        if q.len() >= self.backlog {
+            return Err(stream);
+        }
+        q.push_back(stream);
+        drop(q);
+        self.wake.notify_one();
+        Ok(())
+    }
+
+    /// The next queued connection, blocking until one arrives or shutdown
+    /// flips. `None` once shutting down **and** empty — quiescence, not
+    /// just the flag, ends a worker (that is the drain).
+    fn next_connection(&self) -> Option<TcpStream> {
+        let mut q = self.queue.lock().expect("admission queue unpoisoned");
+        loop {
+            if let Some(stream) = q.pop_front() {
+                return Some(stream);
+            }
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            q = self
+                .wake
+                .wait_timeout(q, Duration::from_millis(20))
+                .expect("admission queue unpoisoned")
+                .0;
+        }
+    }
+
+    /// Flip the shutdown flag and wake every parked worker.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.wake.notify_all();
     }
 
     /// The stats / shutdown snapshot: request counters plus the shared
@@ -236,10 +232,7 @@ impl ServerHandle {
     /// Flip the shutdown flag programmatically (tests; the wire path is
     /// [`Request::Shutdown`]).
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for q in &self.shared.queues {
-            q.wake.notify_one();
-        }
+        self.shared.begin_shutdown();
     }
 
     /// Whether the daemon is draining.
@@ -267,7 +260,8 @@ impl ServerHandle {
 }
 
 /// First item of each shard when `n` items are split across `threads`
-/// workers (length `threads + 1`; shard `s` owns `bounds[s]..bounds[s+1]`).
+/// workers (length `threads + 1`; shard `s` owns `bounds[s]..bounds[s+1]`)
+/// — `loadgen`'s split of its requests across its connections.
 /// Item `i` lands in shard `i * threads / n`, so blocks are contiguous and
 /// differ in size by at most one.
 ///
@@ -290,23 +284,14 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
 
     let workers = config.resolved_workers();
-    // The admission budget is one contiguous block per worker. With
-    // fewer budget slots than workers the tail shards are empty and those
-    // workers stay idle, exactly the `threads > n` shape `shard_bounds`
-    // pins down.
-    let bounds = shard_bounds(config.backlog.max(workers), workers);
-    let queues: Vec<WorkerQueue> = (0..workers)
-        .map(|w| WorkerQueue::new(bounds[w + 1] - bounds[w]))
-        .collect();
-
-    let shared = Arc::new(Shared::new(&config, queues));
+    let shared = Arc::new(Shared::new(&config, config.backlog.max(workers)));
 
     let worker_handles: Vec<_> = (0..workers)
         .map(|w| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("served-worker-{w}"))
-                .spawn(move || worker_loop(&shared, w))
+                .spawn(move || worker_loop(&shared))
                 .expect("spawn worker")
         })
         .collect();
@@ -326,34 +311,18 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
 }
 
 fn accept_loop(listener: TcpListener, shared: &Shared) {
-    let workers = shared.queues.len();
-    let mut next = 0usize;
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 stream.set_nodelay(true).ok();
                 shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                // Round-robin over the shards, skipping full ones; a
-                // refusal only happens when every shard is full.
-                let mut unplaced = Some(stream);
-                for probe in 0..workers {
-                    let w = (next + probe) % workers;
-                    match shared.queues[w].try_push(unplaced.take().expect("still unplaced")) {
-                        Ok(()) => {
-                            next = (w + 1) % workers;
-                            break;
-                        }
-                        Err(back) => unplaced = Some(back),
-                    }
-                }
-                if let Some(mut stream) = unplaced {
+                if let Err(mut stream) = shared.admit(stream) {
                     shared
                         .counters
                         .rejected_overload
                         .fetch_add(1, Ordering::Relaxed);
-                    let backlog: usize = shared.queues.iter().map(|q| q.capacity).sum();
                     let reject = Response::Overloaded {
-                        backlog: backlog as u32,
+                        backlog: shared.backlog as u32,
                     };
                     write_frame(&mut stream, &reject.encode()).ok();
                     // Dropping the stream closes the refused connection.
@@ -366,13 +335,11 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
         }
     }
     // Stopped accepting: wake every worker so drain can finish.
-    for q in &shared.queues {
-        q.wake.notify_one();
-    }
+    shared.wake.notify_all();
 }
 
-fn worker_loop(shared: &Shared, w: usize) {
-    while let Some(stream) = shared.queues[w].pop(&shared.shutdown) {
+fn worker_loop(shared: &Shared) {
+    while let Some(stream) = shared.next_connection() {
         serve_connection(shared, stream);
     }
 }
@@ -442,10 +409,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 json: shared.snapshot().to_compact(),
             },
             Ok(Request::Shutdown) => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                for q in &shared.queues {
-                    q.wake.notify_one();
-                }
+                shared.begin_shutdown();
                 shared
                     .counters
                     .shutting_down
@@ -664,8 +628,8 @@ mod tests {
     }
 
     /// `shard_bounds` blocks must be exactly the items its documented
-    /// owner formula `i * threads / n` maps to each shard: the daemon's
-    /// backlog shards and `loadgen`'s connection split rely on it.
+    /// owner formula `i * threads / n` maps to each shard: `loadgen`'s
+    /// connection split relies on it.
     #[test]
     fn sharding_invariant_holds_for_awkward_sizes() {
         for n in [1usize, 2, 5, 13, 64, 100] {
@@ -685,7 +649,7 @@ mod tests {
     /// the same daemon state is served by a fresh supervisor.
     #[test]
     fn a_panicking_run_fails_one_request_and_poisons_nothing() {
-        let shared = Shared::new(&ServerConfig::default(), Vec::new());
+        let shared = Shared::new(&ServerConfig::default(), 1);
         let mut rng = StdRng::seed_from_u64(0xB00);
         let s = gen::uniform_sparse(16, 3, &mut rng);
         let inst = lowband_core::Instance::new(s.clone(), s.clone(), s);

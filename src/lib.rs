@@ -40,9 +40,9 @@
 //!   per schedule decode;
 //! * [`served`] — the network daemon over [`serve`]: a dependency-free
 //!   TCP server speaking a length-prefixed binary protocol, with
-//!   thread-per-core workers, bounded admission queues, supervised
-//!   execution around every request, and graceful drain on shutdown
-//!   (DESIGN.md §15).
+//!   thread-per-core workers sharing one bounded admission queue,
+//!   supervised execution around every request, and graceful drain on
+//!   shutdown (DESIGN.md §15).
 //!
 //! ## Quick start
 //!

@@ -83,7 +83,7 @@ fn us_instance(n: usize, d: usize, seed: u64) -> Instance {
 fn same_plan_same_outcome_across_executors() {
     let (n, rounds) = (8usize, 6usize);
     let s = ring_schedule(n, rounds);
-    let linked = link(&s).unwrap();
+    let linked = link(&s);
     for case in 0..CASES {
         let spec = FaultSpec {
             seed: 0xFA07 + case,
@@ -132,7 +132,7 @@ fn same_plan_same_outcome_across_executors() {
 fn tampering_is_detected_by_the_round_checksum() {
     for kind in [FaultKind::Drop, FaultKind::Corrupt] {
         let s = ring_schedule(5, 3);
-        let linked = link(&s).unwrap();
+        let linked = link(&s);
         let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
         load_ring(&mut |node, key, v| m.load(node, key, v), 5);
         let mut plan = FaultPlan::new(vec![
@@ -162,7 +162,7 @@ fn tampering_is_detected_by_the_round_checksum() {
 fn crash_restore_rerun_completes() {
     let (n, rounds) = (6usize, 4usize);
     let s = ring_schedule(n, rounds);
-    let linked = link(&s).unwrap();
+    let linked = link(&s);
     let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
     load_ring(&mut |node, key, v| m.load(node, key, v), n);
     let ckpt = m.checkpoint(0, ExecutionStats::default());
@@ -203,7 +203,7 @@ fn crash_restore_rerun_completes() {
 fn checkpoints_rewind_and_resume_on_a_fresh_machine() {
     let (n, rounds) = (8usize, 6usize);
     let s = ring_schedule(n, rounds);
-    let linked = link(&s).unwrap();
+    let linked = link(&s);
 
     // Ground truth: the whole schedule on the hash-map reference.
     let mut reference: Machine<Nat> = Machine::new(n);
@@ -279,12 +279,12 @@ fn checkpoints_rewind_and_resume_on_a_fresh_machine() {
 fn foreign_checkpoints_are_refused() {
     let n = 6usize;
     let s = ring_schedule(n, 4);
-    let linked = link(&s).unwrap();
+    let linked = link(&s);
     let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
     load_ring(&mut |node, key, v| m.load(node, key, v), n);
     let ckpt: Checkpoint<Nat> = m.checkpoint(0, ExecutionStats::default());
 
-    let small_linked = link(&ring_schedule(3, 4)).unwrap();
+    let small_linked = link(&ring_schedule(3, 4));
     let mut small: LinkedMachine<Nat> = LinkedMachine::new(&small_linked);
     assert_eq!(
         small.restore(&ckpt),
@@ -295,7 +295,7 @@ fn foreign_checkpoints_are_refused() {
     );
 
     // Same n, one round instead of four: each node interns 2 keys, not 5.
-    let short_linked = link(&ring_schedule(n, 1)).unwrap();
+    let short_linked = link(&ring_schedule(n, 1));
     let mut short: LinkedMachine<Nat> = LinkedMachine::new(&short_linked);
     short.load(NodeId(0), Key::tmp(0, 0), Nat(9));
     assert_eq!(
@@ -318,7 +318,7 @@ fn foreign_checkpoints_are_refused() {
 #[test]
 fn linked_checkpoint_preserves_extra_keys() {
     let s = ring_schedule(4, 2);
-    let linked = link(&s).unwrap();
+    let linked = link(&s);
     let mut l: LinkedMachine<Nat> = LinkedMachine::new(&linked);
     load_ring(&mut |node, key, v| l.load(node, key, v), 4);
     l.load(NodeId(1), Key::tmp(77, 77), Nat(123)); // never mentioned
@@ -455,7 +455,7 @@ fn hopeless_runs_give_up_within_budget() {
         })
         .collect();
     let mut plan = FaultPlan::new(faults);
-    let linked = link(&s).unwrap();
+    let linked = link(&s);
     let mut m: LinkedMachine<Nat> = LinkedMachine::new(&linked);
     load_ring(&mut |node, key, v| m.load(node, key, v), n);
     let ckpt = m.checkpoint(0, ExecutionStats::default());
@@ -525,7 +525,7 @@ fn random_faulted_runs_never_panic_and_agree() {
             }
         }
         let s = b.build();
-        let linked = link(&s).unwrap();
+        let linked = link(&s);
         let spec = FaultSpec {
             seed: rng.gen_range(0..u64::MAX / 2),
             drop_rate: rng.gen_range(0u32..40) as f64 / 100.0,

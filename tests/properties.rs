@@ -209,7 +209,7 @@ fn schedule_serialization_roundtrip() {
             lowband::core::lemma31::process_triangles(&inst, &ts.triangles, ts.kappa(inst.n), 0)
                 .unwrap();
         let mut buf = Vec::new();
-        encode_linked(&lowband::model::link(&schedule).unwrap(), &mut buf);
+        encode_linked(&lowband::model::link(&schedule), &mut buf);
         let back = delink(&decode_linked(&buf, 0).unwrap(), 0).unwrap();
         assert_eq!(back, schedule.into_link_order());
     }

@@ -60,7 +60,7 @@ fn windowed_fixture() -> (lowband::model::Schedule, Vec<(u32, Key, u64)>) {
 #[test]
 fn window_budget_binds_without_fault_hook() {
     let (schedule, loads) = windowed_fixture();
-    let linked = link(&schedule).unwrap();
+    let linked = link(&schedule);
 
     // Unwindowed reference state.
     let mut reference: Machine<Nat> = Machine::new(3);

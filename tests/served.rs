@@ -1,8 +1,8 @@
 //! The network serving daemon (DESIGN.md §15): loopback protocol
 //! round-trips, digest parity with direct supervised execution,
 //! concurrent mixed-structure clients, typed refusals over the wire
-//! (breaker-open, malformed requests, admission overload), and graceful
-//! drain on shutdown.
+//! (breaker-open, malformed requests, admission overload), one admission
+//! queue that any idle worker serves, and graceful drain on shutdown.
 
 use std::sync::Once;
 
@@ -311,6 +311,51 @@ fn admission_overload_is_a_typed_refusal() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
 
+    handle.shutdown();
+    handle.join();
+}
+
+/// Every worker pops from one admission queue, so a connection never
+/// waits behind a busy worker while another idles. With two workers, the
+/// first client keeps its connection open and the second closes its own;
+/// the third client must then be answered by the freed worker.
+#[test]
+fn an_idle_worker_serves_a_queued_connection() {
+    let handle = small_daemon();
+    let addr = handle.addr().to_string();
+    let inst = us_instance(16, 2, 0x777);
+    let execute = |seed| {
+        Request::Execute(Box::new(ExecuteRequest::clean(
+            &inst,
+            Algorithm::BoundedTriangles,
+            false,
+            seed,
+        )))
+    };
+
+    // A round-trip guarantees a worker owns each connection.
+    let mut held = Client::connect(&addr).expect("connect");
+    let warm = held.roundtrip(&execute(1)).unwrap();
+    assert!(matches!(warm, Some(Response::Ok { .. })), "got {warm:?}");
+    let mut closed = Client::connect(&addr).expect("connect");
+    let done = closed.roundtrip(&execute(2)).unwrap();
+    assert!(matches!(done, Some(Response::Ok { .. })), "got {done:?}");
+    drop(closed);
+
+    let mut third = std::net::TcpStream::connect(&addr).expect("connect");
+    third
+        .set_read_timeout(Some(std::time::Duration::from_secs(3)))
+        .unwrap();
+    lowband::served::wire::write_frame(&mut third, &execute(3).encode()).unwrap();
+    let payload = lowband::served::wire::read_frame(&mut third)
+        .expect("the idle worker answers within 3 s")
+        .expect("daemon must answer before closing");
+    match Response::decode(&payload).expect("decodes") {
+        Response::Ok { digest, .. } => assert_eq!(digest, expected_digest::<Fp>(&inst, 3)),
+        other => panic!("expected Ok, got {other:?}"),
+    }
+
+    drop((held, third));
     handle.shutdown();
     handle.join();
 }
