@@ -35,7 +35,10 @@ fn main() {
 
 /// Observability tail: one traced end-to-end run feeds the `percentiles`
 /// section, and the compiled schedules of representative E-workloads are
-/// pinned under the analytic round/message predictions in `budget`.
+/// pinned under the analytic round/message predictions in `budget`: the
+/// block workload at d = 4, 8 and 16 and at n = 4096 (the largest
+/// schedule any artifact budgets), the scattered and `[US:AS:GM]`
+/// workloads of E6/E7, and the `US×GM` routing gadget of E9.
 fn observability(artifact: &mut JsonReport) {
     let mut metrics = MetricsRegistry::new();
     let inst = us_as_gm_workload(64, 3, 61);
@@ -57,6 +60,25 @@ fn observability(artifact: &mut JsonReport) {
     for (label, inst) in [
         ("experiments block d=8", block_workload(4, 8)),
         ("experiments scattered d=8", scattered_workload(128, 8, 60)),
+        ("experiments block d=4", block_workload(4, 4)),
+        ("experiments block d=16", block_workload(4, 16)),
+        ("experiments block d=16 n=4096", block_workload(256, 16)),
+        (
+            "experiments [US:AS:GM] d=3 n=48",
+            us_as_gm_workload(48, 3, 5),
+        ),
+        (
+            "experiments [US:AS:GM] d=3 n=96",
+            us_as_gm_workload(96, 3, 5),
+        ),
+        (
+            "experiments US×GM gadget n=64",
+            lowband_lower::gadgets::us_gm_gadget(64),
+        ),
+        (
+            "experiments US×GM gadget n=256",
+            lowband_lower::gadgets::us_gm_gadget(256),
+        ),
     ] {
         let s = compile_schedule(&inst, Algorithm::BoundedTriangles).unwrap();
         budget.extend(entries_for_observed(

@@ -1,9 +1,12 @@
 //! # `lowband-bench` — the experiment harness
 //!
-//! Shared helpers for the table/figure binaries (`src/bin/table*.rs`,
-//! `figure1.rs`, `experiments.rs`) and the Criterion benches (`benches/`).
-//! Every workload here is seeded and deterministic; the binaries print the
-//! rows recorded in `EXPERIMENTS.md`.
+//! Shared helpers for the binaries in `src/bin/` (the table/figure
+//! reproductions, `experiments`, and the `perfgate`, `batch`, `check`,
+//! `chaos` and `recovery` gates) and for the repository benchmark
+//! (`benchmark/`), which builds its workloads from [`block_workload`],
+//! [`mixed_workload`] and [`scattered_workload`]. Every workload here is
+//! seeded and deterministic; the binaries print the rows recorded in
+//! `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 
@@ -11,7 +14,6 @@ use lowband_core::{Instance, TriangleSet};
 use lowband_matrix::{gen, Support};
 use rand::SeedableRng;
 
-pub mod harness;
 pub mod report;
 
 /// Least-squares fit of `log y = e·log x + c`; returns `Some((e, exp(c)))`.

@@ -1,5 +1,5 @@
 //! Machine-readable run artifacts: the `--json` mode shared by every
-//! table/figure binary and the bench harness.
+//! binary in `src/bin/`.
 //!
 //! Passing `--json` to a binary keeps its human-readable stdout exactly as
 //! before and *additionally* writes `results/<name>.json` — the same rows
@@ -21,7 +21,7 @@ pub use lowband_trace::percentile::{percentiles_section, reservoir_section, Rese
 pub use lowband_trace::Json;
 
 /// True when `--json` was passed on the command line.
-pub fn json_mode() -> bool {
+fn json_mode() -> bool {
     std::env::args().any(|a| a == "--json")
 }
 

@@ -11,7 +11,10 @@
 //! on the wire, never a silent hang.
 //!
 //! A worker serves one connection at a time, request-at-a-time, until
-//! the client closes it. Every execute request runs through the shared
+//! the client closes it or lets a frame run late: once a frame's first
+//! byte arrives, the whole frame must follow within [`FRAME_DEADLINE`],
+//! so a client that stalls or trickles mid-frame cannot pin a worker.
+//! Every execute request runs through the shared
 //! [`Supervisor`] (one `Mutex<Supervisor>` across all workers, so the
 //! schedule cache, circuit breakers and quarantine strikes are
 //! daemon-global); decode, validation and response encoding happen
@@ -38,6 +41,7 @@ use lowband_matrix::{Bool, Fp, Gf2, MinPlus, SampleElement, Semiring, SparseMatr
 use lowband_serve::{ServeError, Supervisor, SupervisorConfig};
 use lowband_trace::{FlightRecorder, Json};
 use std::collections::VecDeque;
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -189,17 +193,17 @@ impl Shared {
             if self.shutdown.load(Ordering::SeqCst) {
                 return None;
             }
-            q = self
-                .wake
-                .wait_timeout(q, Duration::from_millis(20))
-                .expect("admission queue unpoisoned")
-                .0;
+            q = self.wake.wait(q).expect("admission queue unpoisoned");
         }
     }
 
-    /// Flip the shutdown flag and wake every parked worker.
+    /// Flip the shutdown flag and wake every parked worker. The flag
+    /// flips under the queue lock, so a worker in `next_connection`
+    /// either sees it before parking or is parked when the wake-up comes.
     fn begin_shutdown(&self) {
+        let q = self.queue.lock().expect("admission queue unpoisoned");
         self.shutdown.store(true, Ordering::SeqCst);
+        drop(q);
         self.wake.notify_all();
     }
 
@@ -334,8 +338,6 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
-    // Stopped accepting: wake every worker so drain can finish.
-    shared.wake.notify_all();
 }
 
 fn worker_loop(shared: &Shared) {
@@ -355,18 +357,55 @@ const IDLE_POLL: Duration = Duration::from_millis(25);
 /// `ShuttingDown` answers still win over an abrupt close.
 const DRAIN_GRACE_POLLS: u32 = 10;
 
-/// Serve one connection request-at-a-time until EOF or a fatal I/O
-/// error. Frame-level decode errors answer `BadRequest` and keep the
-/// connection (the framing itself is still synchronized); I/O errors
-/// drop it.
+/// How long a frame may take to arrive, counted from its first byte; a
+/// connection whose frame is still incomplete then is closed. A per-read
+/// timeout would not bound this: a client sending one byte per 100 ms
+/// never trips one, and a client that stalls mid-frame would keep its
+/// worker, and [`ServerHandle::join`], waiting until it closes the
+/// socket. An honest client needs far less — [`write_frame`] sends a
+/// frame back to back, and even a 16 MiB frame (the wire cap) crosses a
+/// 100 Mb/s link in about 1.3 s — and this is as long as one stalled
+/// client can hold a worker.
+pub const FRAME_DEADLINE: Duration = Duration::from_secs(2);
+
+/// One frame's reads under [`FRAME_DEADLINE`]. The socket timeout set at
+/// the frame's first byte covers a frame that arrives whole, so such a
+/// frame costs no extra socket call. Once a read returns short the frame
+/// is trickling in, and each later read is re-armed to the time left, so
+/// no read waits past the deadline.
+struct FrameReader<'a> {
+    stream: &'a mut TcpStream,
+    deadline: Instant,
+    trickling: bool,
+}
+
+impl Read for FrameReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.trickling {
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        let n = self.stream.read(buf)?;
+        self.trickling |= n < buf.len();
+        Ok(n)
+    }
+}
+
+/// Serve one connection request-at-a-time until EOF, a fatal I/O error
+/// or a frame that misses [`FRAME_DEADLINE`]. Frame-level decode errors
+/// answer `BadRequest` and keep the connection (the framing itself is
+/// still synchronized); I/O errors and late frames drop it.
 ///
 /// The worker idles in short [`peek`](TcpStream::peek) timeouts rather
 /// than a bare blocking read: a parked worker must still observe
 /// shutdown, otherwise a single quiet keep-alive connection pins its
-/// worker forever and [`ServerHandle::join`] never returns. Once bytes
-/// arrive the timeout is lifted and the frame is read blocking as
-/// before; during drain an idle connection is closed after
-/// [`DRAIN_GRACE_POLLS`] quiet polls.
+/// worker forever and [`ServerHandle::join`] never returns. Once a
+/// frame's first byte arrives the rest is read through a [`FrameReader`];
+/// during drain an idle connection is closed after [`DRAIN_GRACE_POLLS`]
+/// quiet polls.
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let mut drain_idle_polls = 0u32;
     loop {
@@ -391,10 +430,15 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             }
             Err(_) => return,
         }
-        if stream.set_read_timeout(None).is_err() {
+        if stream.set_read_timeout(Some(FRAME_DEADLINE)).is_err() {
             return;
         }
-        let payload = match read_frame(&mut stream) {
+        let mut frame = FrameReader {
+            deadline: Instant::now() + FRAME_DEADLINE,
+            stream: &mut stream,
+            trickling: false,
+        };
+        let payload = match read_frame(&mut frame) {
             Ok(Some(payload)) => payload,
             Ok(None) | Err(_) => return,
         };

@@ -617,7 +617,7 @@ pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()
 
 /// Read one frame's payload. `Ok(None)` on clean EOF at a frame
 /// boundary; errors inside a frame surface as `io::Error`.
-pub fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}

@@ -17,7 +17,7 @@
 //! more.
 //!
 //! When the population is small enough to keep outright — per-request
-//! latencies of a bench probe, per-sample times of a harness run — use a
+//! latencies of a `loadgen` run, per-sample times of a perfgate probe — use a
 //! [`Reservoir`] instead: below its capacity it stores every observation
 //! and its quantiles are **exact** (nearest-rank); past capacity it
 //! degrades gracefully into uniform reservoir sampling (Algorithm R with a

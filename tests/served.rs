@@ -2,16 +2,21 @@
 //! round-trips, digest parity with direct supervised execution,
 //! concurrent mixed-structure clients, typed refusals over the wire
 //! (breaker-open, malformed requests, admission overload), one admission
-//! queue that any idle worker serves, and graceful drain on shutdown.
+//! queue that any idle worker serves, clients that stall, trickle or
+//! vanish mid-frame, and graceful drain on shutdown.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Once;
+use std::time::{Duration, Instant};
 
 use lowband::core::densemm::DenseEngine;
 use lowband::core::{Algorithm, Instance, Rung};
 use lowband::matrix::{gen, Fp};
 use lowband::model::NoopTracer;
 use lowband::serve::{Supervisor, SupervisorConfig};
-use lowband::served::server::{serve, ServerConfig};
+use lowband::served::server::{serve, ServerConfig, FRAME_DEADLINE};
+use lowband::served::wire::{read_frame, write_frame};
 use lowband::served::{
     expected_digest, product_digest, Client, ExecuteRequest, Request, Response, WireSemiring,
 };
@@ -426,4 +431,147 @@ fn shutdown_drains_cleanly_and_snapshots() {
             >= 1,
         "drain refusals are accounted"
     );
+}
+
+/// Headroom over [`FRAME_DEADLINE`] for a loaded test host.
+const SLACK: Duration = Duration::from_secs(3);
+
+fn execute_request(inst: &Instance, seed: u64) -> Request {
+    Request::Execute(Box::new(ExecuteRequest::clean(
+        inst,
+        Algorithm::BoundedTriangles,
+        false,
+        seed,
+    )))
+}
+
+/// A raw connection that sends a frame's length prefix (100 payload
+/// bytes declared) and 10 of those bytes, then goes quiet.
+fn stall_mid_frame(addr: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(&100u32.to_le_bytes()).unwrap();
+    stream.write_all(&[0u8; 10]).unwrap();
+    stream
+}
+
+/// Send `request` on a raw connection and wait at most `bound` for the
+/// answer, so a daemon that never answers fails the test instead of
+/// hanging it.
+fn answer_within(addr: &str, request: &Request, bound: Duration) -> Response {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(bound)).unwrap();
+    write_frame(&mut stream, &request.encode()).unwrap();
+    let payload = read_frame(&mut stream)
+        .unwrap_or_else(|e| panic!("no answer within {bound:?}: {e}"))
+        .expect("daemon must answer before closing");
+    Response::decode(&payload).expect("decodes")
+}
+
+/// `join` on a helper thread, failing the test if the drain takes
+/// longer than `bound` instead of hanging it.
+fn join_within(handle: lowband::served::ServerHandle, bound: Duration) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        handle.join();
+        tx.send(()).ok();
+    });
+    rx.recv_timeout(bound)
+        .unwrap_or_else(|_| panic!("join did not return within {bound:?}"));
+    joiner.join().expect("join thread");
+}
+
+/// Two clients that stall mid-frame occupy both workers; each is closed
+/// once its frame misses the deadline, so a third client is still
+/// answered, and the drain still ends while the stalled clients hold
+/// their sockets open.
+#[test]
+fn clients_stalled_mid_frame_do_not_pin_workers() {
+    let handle = small_daemon();
+    let addr = handle.addr().to_string();
+    let inst = us_instance(16, 2, 0x888);
+    let stalled = [stall_mid_frame(&addr), stall_mid_frame(&addr)];
+
+    match answer_within(&addr, &execute_request(&inst, 4), FRAME_DEADLINE + SLACK) {
+        Response::Ok { digest, .. } => assert_eq!(digest, expected_digest::<Fp>(&inst, 4)),
+        other => panic!("expected Ok, got {other:?}"),
+    }
+
+    handle.shutdown();
+    join_within(handle, FRAME_DEADLINE + SLACK);
+    drop(stalled);
+}
+
+/// A client that sends its frame one byte per 100 ms is closed once the
+/// frame misses its deadline, counted from its first byte — not sooner,
+/// and not only when the client gives up.
+#[test]
+fn a_client_trickling_a_frame_is_closed() {
+    let handle = small_daemon();
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let mut frame = 1000u32.to_le_bytes().to_vec();
+    frame.resize(4 + 1000, 0);
+
+    let started = Instant::now();
+    let mut closed = false;
+    for byte in &frame {
+        if started.elapsed() > FRAME_DEADLINE + SLACK {
+            break;
+        }
+        if stream.write_all(std::slice::from_ref(byte)).is_err() {
+            closed = true;
+            break;
+        }
+        // The read doubles as the 100 ms pause between bytes.
+        match stream.read(&mut [0u8; 1]) {
+            Ok(0) => closed = true,
+            Ok(_) => panic!("the daemon answered a frame still incomplete"),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(_) => closed = true,
+        }
+        if closed {
+            break;
+        }
+    }
+    let elapsed = started.elapsed();
+    assert!(closed, "still open {elapsed:?} after the first byte");
+    assert!(
+        elapsed >= FRAME_DEADLINE,
+        "closed after {elapsed:?}, before the frame deadline"
+    );
+
+    handle.shutdown();
+    join_within(handle, FRAME_DEADLINE + SLACK);
+}
+
+/// A client that disconnects mid-frame frees its worker at once, well
+/// before the frame deadline: the daemon's only worker answers the next
+/// client inside half of it.
+#[test]
+fn a_client_disconnecting_mid_frame_frees_its_worker() {
+    isolate_results_dir();
+    let handle = serve(ServerConfig {
+        workers: 1,
+        backlog: 4,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = handle.addr().to_string();
+    let inst = us_instance(16, 2, 0x999);
+    drop(stall_mid_frame(&addr));
+
+    match answer_within(&addr, &execute_request(&inst, 5), FRAME_DEADLINE / 2) {
+        Response::Ok { digest, .. } => assert_eq!(digest, expected_digest::<Fp>(&inst, 5)),
+        other => panic!("expected Ok, got {other:?}"),
+    }
+
+    handle.shutdown();
+    join_within(handle, FRAME_DEADLINE + SLACK);
 }
